@@ -127,7 +127,7 @@ def _record(quantity, spectral, kernel=None, s_err=None, k_err=None):
 # exact lattice de-aliasing of derivative-jump tails
 
 
-def _lattice_sum(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _lattice_sum(theta: float, alpha: np.ndarray) -> np.ndarray:
     """sum over all integers m of exp(2 pi i m theta) / (m + alpha)^2
     for 0 <= theta < 1 and non-integer alpha."""
     pa = np.pi * alpha
@@ -153,19 +153,20 @@ def dealias_spectrum(spectrum: Spectrum, kinks) -> Spectrum:
     xi = spectrum.frequency_axis()
     ximax = np.pi * (spectrum.spec.N // 2) / spectrum.spec.L
     nz = np.abs(xi) > 1e-12
-    alpha = xi[nz] / (2.0 * ximax)
+    xi_nz = xi[nz]
+    alpha = xi_nz / (2.0 * ximax)
     coeffs = spectrum.coeffs.copy()
     for z, jump in kinks:
         theta = (-ximax * z / np.pi) % 1.0
-        full = (
-            np.exp(-1j * xi[nz] * z)
-            * _lattice_sum(np.full_like(alpha, theta), alpha)
-            / (2.0 * ximax) ** 2
-        )
-        main = np.exp(-1j * xi[nz] * z) / xi[nz] ** 2
-        ghost = np.zeros_like(coeffs)
-        ghost[nz] = -(jump / np.sqrt(2.0 * np.pi)) * (full - main)
-        coeffs -= ghost
+        # in-place steps keep the operands and their order of the
+        # expression -(jump / sqrt(2 pi)) * (phase * lattice / (2 ximax)^2
+        # - phase / xi^2) while holding fewer full-length temporaries
+        phase = np.exp(-1j * xi_nz * z)
+        ghost = phase * _lattice_sum(theta, alpha)
+        ghost /= (2.0 * ximax) ** 2
+        ghost -= np.divide(phase, xi_nz**2, out=phase)
+        np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=ghost)
+        coeffs[nz] -= ghost
     return Spectrum(spec=spectrum.spec, coeffs=coeffs)
 
 
@@ -217,11 +218,25 @@ def refined_form(
     """
     kinks_u = list(kinks_u or [])
     kinks_v = list(kinks_v or [])
-    su = dealias_spectrum(forward_transform(u), kinks_u)
+    su = _dealiased(u, kinks_u)
     if v is u and kinks_v == kinks_u:
         sv = su
     else:
-        sv = dealias_spectrum(forward_transform(v), kinks_v)
+        sv = _dealiased(v, kinks_v)
+    kinky = bool(kinks_u) or bool(kinks_v)
+    return _form_value(su, sv, s, kinky=kinky, extrapolate=extrapolate)
+
+
+def _dealiased(u: GridFunction, kinks) -> Spectrum:
+    """Spectrum of u with the alias ghosts of its kinks removed."""
+    return dealias_spectrum(forward_transform(u), kinks)
+
+
+def _form_value(
+    su: Spectrum, sv: Spectrum, s: float, kinky: bool, extrapolate: bool
+) -> RefinedValue:
+    """The refined_form value of two de-aliased spectra; kinky says whether
+    either input had a kink."""
     xi, partial = shell_partial_sums(su, sv, s)
     total = float(partial[-1])
     scale = max(abs(total), _TINY)
@@ -232,7 +247,6 @@ def refined_form(
     diverged = (
         abs(inc1) > 1.05 * abs(inc2) and abs(inc1) > 1e-10 * scale
     )
-    kinky = bool(kinks_u) or bool(kinks_v)
     if diverged:
         return RefinedValue(value=total, error_estimate=abs(inc1), diverged=True)
     if extrapolate and kinky and 0.75 < s < 1.5:
@@ -444,11 +458,15 @@ def sign_sweep(
         tolerance=float(tol),
     )
     kinks_abs = truncation_kinks(u, "abs")
-    ua = truncate(u, "abs")
+    # both spectra serve every order, so transform each input once
+    su = _dealiased(u, [])
+    sa = _dealiased(truncate(u, "abs"), kinks_abs)
 
     def one(order):
-        q_plain = refined_form(u, u, order.s)
-        q_abs = refined_form(ua, ua, order.s, kinks_abs, kinks_abs)
+        q_plain = _form_value(su, su, order.s, kinky=False, extrapolate=True)
+        q_abs = _form_value(
+            sa, sa, order.s, kinky=bool(kinks_abs), extrapolate=True
+        )
         return q_plain, q_abs
 
     pairs = _map_ordered(one, orders)
@@ -570,7 +588,7 @@ def counterexample_scan(
     )
     kinks = truncation_kinks(phi, "pos")
     up = truncate(phi, "pos")
-    su = dealias_spectrum(forward_transform(up), kinks)
+    su = _dealiased(up, kinks)
 
     def one(s):
         xi, partial = shell_partial_sums(su, su, s)

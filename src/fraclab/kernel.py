@@ -77,34 +77,46 @@ def find_crossings(u: GridFunction):
 
     A crossing is recorded between consecutive nonzero samples of opposite
     sign (samples that are exactly zero are treated as part of the
-    transition). Returns a list of (location, slope) sorted by location.
+    transition). Returns a list of (location, slope) pairs of Python floats
+    sorted by location.
+
+    O(N) and vectorised: one comparison finds the sign flips between
+    consecutive nonzero samples, and array arithmetic evaluates the root and
+    slope of every bracket with the operands and operation order of the
+    scalar formulas, so results match a per-sample loop bit for bit.
     """
     if u.spec.n != 1:
         raise DomainError("crossing detection is implemented for n = 1 only")
     x = u.spec.axis_nodes()
     s = u.samples
     nz = np.flatnonzero(s != 0.0)
-    out = []
-    for a, b in zip(nz[:-1], nz[1:]):
-        if (s[a] > 0.0) != (s[b] > 0.0):
-            t = s[a] / (s[a] - s[b])
-            z = x[a] + t * (x[b] - x[a])
-            slope = (s[b] - s[a]) / (x[b] - x[a])
-            out.append((float(z), float(slope)))
-    return out
+    positive = (s > 0.0)[nz]
+    flips = np.flatnonzero(positive[:-1] != positive[1:])
+    a = nz[flips]
+    b = nz[flips + 1]
+    sa, sb, xa, xb = s[a], s[b], x[a], x[b]
+    t = sa / (sa - sb)
+    z = xa + t * (xb - xa)
+    slope = (sb - sa) / (xb - xa)
+    return list(zip(z.tolist(), slope.tolist()))
 
 
 def _positive_regions(u: GridFunction, crossings):
-    """Maximal intervals where the interpolant of u is positive."""
+    """Maximal intervals where the interpolant of u is positive.
+
+    The axis is sorted, so the nodes of [lo, hi] form one slice found by
+    binary search; each region reads only its own samples.
+    """
     x = u.spec.axis_nodes()
     s = u.samples
     bounds = [x[0]] + [z for z, _ in crossings] + [x[-1]]
+    starts = np.searchsorted(x, bounds[:-1], side="left")
+    stops = np.searchsorted(x, bounds[1:], side="right")
     regions = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi, i, j in zip(bounds[:-1], bounds[1:], starts, stops):
         if hi - lo <= 0:
             continue
-        inside = (x >= lo) & (x <= hi)
-        if inside.any() and np.max(s[inside]) > 0.0:
+        if j > i and np.max(s[i:j]) > 0.0:
             regions.append((lo, hi))
     return regions
 

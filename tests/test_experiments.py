@@ -7,6 +7,7 @@ nodes so the whole file stays in the seconds range.
 import numpy as np
 import pytest
 
+import fraclab.experiments as experiments
 from fraclab.errors import DomainError
 from fraclab.experiments import (
     ExperimentReport,
@@ -291,3 +292,30 @@ def test_mollifier_bump_properties():
     # a support squeezed between two nodes holds no samples at all
     with pytest.raises(DomainError):
         mollifier_bump(spec, 0.5 * spec.delta, 1e-9)
+
+
+@pytest.mark.parametrize("orders", [[0.5], [0.5, 1.25, 1.75, 0.75]])
+def test_sign_sweep_transforms_each_input_once(monkeypatch, orders):
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return forward_transform(u)
+
+    monkeypatch.setattr(experiments, "forward_transform", counting)
+    rep = sign_sweep("x*exp(-x^2)", orders, spec=SMALL)
+    assert len(calls) == 2
+    assert len(rep.verdicts) == len(orders)
+
+
+def test_sign_sweep_matches_refined_form_per_order():
+    u = sample("(x-0.3)*exp(-x^2)", SMALL)
+    ua = truncate(u, "abs")
+    kinks_abs = truncation_kinks(u, "abs")
+    orders = [0.5, 1.25]
+    rep = sign_sweep("(x-0.3)*exp(-x^2)", orders, spec=SMALL)
+    for s, rec in zip(orders, rep.results):
+        q_plain = refined_form(u, u, s)
+        q_abs = refined_form(ua, ua, s, kinks_abs, kinks_abs)
+        assert rec.spectral_value == q_abs.value - q_plain.value
+        assert rec.spectral_error == q_abs.error_estimate + q_plain.error_estimate

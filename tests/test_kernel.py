@@ -7,14 +7,19 @@ the integral tends to |distance|^{-1-2s}, and high-precision cross-form
 values transported through the kernel constant.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclab.errors import DisjointSupportError, DomainError, QuadratureToleranceError
 from fraclab.experiments import mollifier_bump
 from fraclab.grid import GridFunction, GridSpec, sample, truncate
 from fraclab.kernel import (
     QuadratureResult,
+    _positive_regions,
     build_partition,
     find_crossings,
     gagliardo_form,
@@ -241,3 +246,121 @@ def test_partition_geometry():
 def test_quadrature_result_validates_depth():
     with pytest.raises(DomainError):
         QuadratureResult(0.0, 0.0, 0)
+
+
+# ----------------------------------------------------------------------
+# the vectorised crossing scan and region split against their loop forms
+
+
+def _find_crossings_loop(u):
+    """Scalar reference: one bracket per pair of consecutive nonzero samples."""
+    x = u.spec.axis_nodes()
+    s = u.samples
+    nz = np.flatnonzero(s != 0.0)
+    out = []
+    for a, b in zip(nz[:-1], nz[1:]):
+        if (s[a] > 0.0) != (s[b] > 0.0):
+            t = s[a] / (s[a] - s[b])
+            z = x[a] + t * (x[b] - x[a])
+            slope = (s[b] - s[a]) / (x[b] - x[a])
+            out.append((float(z), float(slope)))
+    return out
+
+
+def _positive_regions_masked(u, crossings):
+    """Reference region split with a full-axis mask per region."""
+    x = u.spec.axis_nodes()
+    s = u.samples
+    bounds = [x[0]] + [z for z, _ in crossings] + [x[-1]]
+    regions = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo <= 0:
+            continue
+        inside = (x >= lo) & (x <= hi)
+        if inside.any() and np.max(s[inside]) > 0.0:
+            regions.append((lo, hi))
+    return regions
+
+
+def _short_axis(values):
+    """Stand-in for a grid function on any number of nodes, including fewer
+    than GridSpec allows."""
+    arr = np.asarray(values, dtype=float)
+    nodes = -1.0 + 0.5 * np.arange(arr.size)
+    spec = SimpleNamespace(n=1, axis_nodes=lambda: nodes)
+    return SimpleNamespace(spec=spec, samples=arr)
+
+
+# small integers give exact zeros, runs of them between opposite signs and
+# symmetric brackets whose root lands on a node; floats land off the nodes
+_SAMPLE_VALUE = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _grid_functions(draw):
+    N = draw(st.sampled_from([4, 8, 16, 32]))
+    values = draw(st.lists(_SAMPLE_VALUE, min_size=N, max_size=N))
+    L = draw(st.sampled_from([1.0, 3.0, 20.0]))
+    return GridFunction(GridSpec(1, L, N), np.array(values))
+
+
+def _assert_same_pairs(got, want):
+    assert got == want
+    assert all(type(z) is float and type(k) is float for z, k in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_functions())
+def test_find_crossings_matches_loop(u):
+    _assert_same_pairs(find_crossings(u), _find_crossings_loop(u))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.0],
+        [-1.5],
+        [1.0, -3.0],
+        [0.0, 2.0],
+        [-1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 2.0, 3.0, 4.0],
+        [0.0, 1.0, -1.0, 0.0],
+        [0.0, -2.0, 0.0, 0.0, 3.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 2.0],
+    ],
+)
+def test_find_crossings_matches_loop_on_edge_cases(values):
+    u = _short_axis(values)
+    _assert_same_pairs(find_crossings(u), _find_crossings_loop(u))
+
+
+def test_find_crossings_on_node_and_through_zero_run():
+    spec = GridSpec(1, 2.0, 8)  # nodes -2, -1.5, ..., 1.5
+    on_node = GridFunction(spec, np.array([0, 0, 2.0, 0, -2.0, 0, 0, 0]))
+    assert find_crossings(on_node) == [(-0.5, -4.0)]
+    off_node = GridFunction(spec, np.array([1.0, 0, 0, -3.0, 0, 0, 0, 0]))
+    assert find_crossings(off_node) == [(-2.0 + 0.25 * 1.5, -4.0 / 1.5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_functions())
+def test_positive_regions_match_masked_split(u):
+    crossings = find_crossings(u)
+    for part in (u, truncate(u, "pos"), truncate(u, "neg")):
+        want = _positive_regions_masked(part, crossings)
+        assert _positive_regions(part, crossings) == want
+
+
+def test_positive_regions_with_crossing_on_node():
+    crossings = find_crossings(ODD)
+    assert crossings[0][0] == 0.0 and 0.0 in ODD.spec.axis_nodes()
+    for mode in ("pos", "neg"):
+        part = truncate(ODD, mode)
+        got = _positive_regions(part, crossings)
+        assert got == _positive_regions_masked(part, crossings)
+        assert len(got) == 1
