@@ -25,7 +25,6 @@ from .experiments import (
     random_function_source,
     refined_form,
     sign_sweep,
-    thread_budget,
     truncation_bound_probe,
     truncation_kinks,
     verify_identity,

@@ -6,8 +6,7 @@ report (JSON or CSV), and exits 0 only when every verdict passed
 (inconclusive records are counted but do not fail the run). Validation
 and usage problems exit with status 2, runtime failures with status 1.
 A single optional JSON config file may supply the same keys as the
-flags; explicitly passed flags win. FRACLAB_THREADS caps internal
-parallelism.
+flags; explicitly passed flags win.
 """
 
 from __future__ import annotations

@@ -36,9 +36,7 @@ the exact polarization algebra of the plain sums.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -58,27 +56,6 @@ def discrepancy(a: float, b: float) -> float:
     a = float(a)
     b = float(b)
     return abs(a - b) / max(abs(a), abs(b), _TINY)
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("FRACLAB_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise DomainError(f"FRACLAB_THREADS must be an integer, got {raw!r}")
-    if k < 1:
-        raise DomainError(f"FRACLAB_THREADS must be >= 1, got {k}")
-    return k
-
-
-def _map_ordered(fn, items):
-    """Map preserving order, threaded only when the budget allows."""
-    items = list(items)
-    k = thread_budget()
-    if k <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(k, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -469,7 +446,7 @@ def sign_sweep(
         )
         return q_plain, q_abs
 
-    pairs = _map_ordered(one, orders)
+    pairs = [one(order) for order in orders]
     results = []
     verdicts = []
     for order, (q_plain, q_abs) in zip(orders, pairs):
@@ -609,7 +586,7 @@ def counterexample_scan(
         decreasing = bool(np.all(np.diff(np.abs(incs)) < 0))
         return svals, incs, slope_fit, cauchy_metric, decreasing
 
-    scans = _map_ordered(one, list(s_list))
+    scans = [one(s) for s in s_list]
     results = []
     verdicts = []
     for s, (svals, incs, slope_fit, cauchy_metric, decreasing) in zip(
@@ -700,7 +677,7 @@ def truncation_bound_probe(
         kk = truncation_kinks(shifted, "pos")
         return refined_form(ue, ue, order.s, kk, kk)
 
-    qs = _map_ordered(one, eps)
+    qs = [one(e) for e in eps]
     results = [
         _record(
             "reference form of the positive part",
@@ -836,7 +813,7 @@ def convergence_study(
         spectral = refined_form(u, u, order.s, extrapolate=extrapolate)
         return spectral, None, None
 
-    rows = _map_ordered(one, Ns)
+    rows = [one(N) for N in Ns]
     results = []
     spectral_vals = []
     kernel_vals = []
@@ -1000,7 +977,7 @@ def interp_sweep(
         i, tau, s, source, v = item
         return interpolation_ratio(v, tau, s)
 
-    ratios = _map_ordered(one, draws)
+    ratios = [one(item) for item in draws]
     results = []
     for (i, tau, s, source, _v), ratio in zip(draws, ratios):
         results.append(

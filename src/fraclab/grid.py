@@ -4,7 +4,7 @@ Functions live on [-L, L]^n with N nodes per axis at x_j = -L + j*(2L/N).
 The experiment pipeline needs exactly the pointwise maps that commute with
 sampling: positive/negative part, absolute value, the shifted truncation
 max(u - eps, 0), pointwise min, a smooth cutoff plateau, and mollification
-by a compactly supported bump kernel.
+by a compactly supported bump kernel (one-dimensional grids only).
 
 Everything here treats GridFunction as an immutable value; operations
 return new instances and never mutate samples in place.
@@ -16,7 +16,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import DomainError, GridMismatchError
 from .expr import ExprAst, evaluate_array, parse
@@ -169,21 +168,17 @@ def smooth_cutoff(spec: GridSpec, inner_radius: float, margin: float) -> GridFun
 
 
 def _mollifier_kernel(spec: GridSpec, h: int) -> np.ndarray:
-    """Samples of h^n * rho(h x) on grid offsets, normalized to unit
-    discrete mass; rho is the standard bump exp(-1/(1-|x|^2))."""
+    """Samples of h * rho(h x) on grid offsets, normalized to unit
+    discrete mass; rho is the standard bump exp(-1/(1-x^2))."""
     radius = 1.0 / h
     m = int(np.floor(radius / spec.delta))
     offsets = spec.delta * np.arange(-m, m + 1)
-    if spec.n == 1:
-        r2 = (offsets * h) ** 2
-    else:
-        o1, o2 = np.meshgrid(offsets, offsets, indexing="ij")
-        r2 = (o1 * h) ** 2 + (o2 * h) ** 2
+    r2 = (offsets * h) ** 2
     inside = r2 < 1.0
     safe = np.where(inside, r2, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         kern = np.where(inside, np.exp(-1.0 / (1.0 - safe)), 0.0)
-    mass = kern.sum() * spec.delta**spec.n
+    mass = kern.sum() * spec.delta
     return kern / mass
 
 
@@ -192,7 +187,10 @@ def mollify(u: GridFunction, h: int) -> GridFunction:
 
     Preserves the discrete integral exactly up to roundoff (the kernel is
     normalized on the grid) and widens the support by at most 1/h per side.
+    One-dimensional grids only.
     """
+    if u.spec.n != 1:
+        raise DomainError("mollify is one-dimensional")
     if h != int(h) or h <= 0:
         raise DomainError(f"mollifier scale must be a positive integer, got {h}")
     h = int(h)
@@ -201,12 +199,7 @@ def mollify(u: GridFunction, h: int) -> GridFunction:
             f"mollifier radius 1/{h} is below two grid steps; refine the grid"
         )
     kern = _mollifier_kernel(u.spec, h)
-    if u.spec.n == 1:
-        out = np.convolve(u.samples, kern, mode="same") * u.spec.delta
-    else:
-        out = convolve2d(u.samples, kern, mode="same", boundary="fill") * (
-            u.spec.delta**2
-        )
+    out = np.convolve(u.samples, kern, mode="same") * u.spec.delta
     return GridFunction(u.spec, out)
 
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as _scipy_zeta
 
 from .errors import DomainError, FraclabError, GridMismatchError, SupportRuleError
 from .grid import GridFunction, GridSpec, l2_inner, max_tail, SUPPORT_DECAY
@@ -52,8 +51,10 @@ class Spectrum:
 
 
 def _phase(N: int) -> np.ndarray:
-    k = np.arange(-N // 2, N // 2)
-    return np.where(k % 2 == 0, 1.0, -1.0)
+    # (-1)^k for k = -N/2 .. N/2-1; -N/2 is even for every allowed N.
+    ph = np.ones(N)
+    ph[1::2] = -1.0
+    return ph
 
 
 def forward_transform(u: GridFunction, enforce_support: bool = True) -> Spectrum:
@@ -110,8 +111,11 @@ def zeta_extended(x: float) -> float:
 
     The endpoint corrections below only need moderately negative
     arguments; far in the left half-line the values overflow the double
-    range and are rejected rather than returned as inf.
+    range and are rejected rather than returned as inf. scipy is imported
+    here, on first use, so that importing fraclab does not load it.
     """
+    from scipy.special import zeta as _scipy_zeta
+
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"zeta argument must be finite, got {x}")

@@ -21,7 +21,6 @@ from fraclab.experiments import (
     random_function_source,
     refined_form,
     sign_sweep,
-    thread_budget,
     truncation_bound_probe,
     truncation_kinks,
     verify_identity,
@@ -158,17 +157,13 @@ def test_convergence_study_degenerate_and_validation():
         convergence_study("x*exp(-x^2)", 1.25, [1024, 2048])
 
 
-def test_interp_sweep_bound_and_determinism(monkeypatch):
+def test_interp_sweep_bound_and_determinism():
     a = interp_sweep(10, seed=20260817, spec=SMALL)
     assert a.all_pass
     assert len(a.results) == 10
     assert all(r.spectral_value <= 1.0 + 1e-12 for r in a.results)
     b = interp_sweep(10, seed=20260817, spec=SMALL)
     assert strip_runtime(a) == strip_runtime(b)
-    # a thread budget must not change the values or their order
-    monkeypatch.setenv("FRACLAB_THREADS", "2")
-    c = interp_sweep(10, seed=20260817, spec=SMALL)
-    assert strip_runtime(a) == strip_runtime(c)
 
 
 def test_random_function_source_family():
@@ -247,19 +242,6 @@ def test_refined_form_polarization():
         lhs = 4.0 * cross.value
         rhs = full.value - whole.value
         assert abs(lhs - rhs) <= 1e-12 * max(abs(full.value), abs(whole.value))
-
-
-def test_thread_budget(monkeypatch):
-    monkeypatch.delenv("FRACLAB_THREADS", raising=False)
-    assert thread_budget() == 1
-    monkeypatch.setenv("FRACLAB_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("FRACLAB_THREADS", "0")
-    with pytest.raises(DomainError):
-        thread_budget()
-    monkeypatch.setenv("FRACLAB_THREADS", "many")
-    with pytest.raises(DomainError):
-        thread_budget()
 
 
 def test_all_pass_semantics():

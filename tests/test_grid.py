@@ -116,6 +116,13 @@ def test_mollify_validation():
         mollify(u, 100)
 
 
+def test_mollify_rejects_two_dimensional_grid():
+    spec = GridSpec(2, 4.0, 16)
+    u = GridFunction(spec, np.zeros(spec.shape))
+    with pytest.raises(DomainError, match="one-dimensional"):
+        mollify(u, 2)
+
+
 def test_smooth_cutoff_plateau_and_monotone():
     spec = GridSpec(1, 16.0, 2048)
     chi = smooth_cutoff(spec, inner_radius=4.0, margin=2.0)
