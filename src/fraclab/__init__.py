@@ -35,11 +35,8 @@ from .grid import (
     GridSpec,
     l2_inner,
     max_tail,
-    mollify,
-    pointwise_min,
     sample,
     satisfies_support_rule,
-    smooth_cutoff,
     truncate,
     write_csv,
 )

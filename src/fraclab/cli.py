@@ -43,7 +43,7 @@ def _grid_options(fn):
         type=int,
         default=16384,
         show_default=True,
-        help="Grid nodes per axis (power of two).",
+        help="Grid nodes (power of two).",
     )(fn)
     fn = click.option(
         "--L",
@@ -52,14 +52,6 @@ def _grid_options(fn):
         default=20.0,
         show_default=True,
         help="Half-width of the sampling box.",
-    )(fn)
-    fn = click.option(
-        "--n",
-        "n",
-        type=int,
-        default=1,
-        show_default=True,
-        help="Space dimension.",
     )(fn)
     return fn
 
@@ -90,8 +82,11 @@ def _io_options(fn):
     return fn
 
 
-def _apply_config(ctx, config_path, values: dict) -> dict:
-    """Overlay config-file values onto defaulted parameters (flags win)."""
+def _apply_config(ctx, params: dict) -> dict:
+    """The subcommand's parameters, without config_path, with the config
+    file's values overlaid onto defaulted ones (flags win)."""
+    values = dict(params)
+    config_path = values.pop("config_path")
     if not config_path:
         return values
     try:
@@ -174,28 +169,14 @@ def constants(n, s):
 @_grid_options
 @_io_options
 @click.pass_context
-def identity(ctx, func, s, tol, extrapolate, n, L, N, out, fmt, config_path):
+def identity(ctx, **params):
     """Cross-check the truncation identity spectrally and by quadrature."""
-    values = _apply_config(
-        ctx,
-        config_path,
-        {
-            "func": func,
-            "s": s,
-            "tol": tol,
-            "extrapolate": extrapolate,
-            "n": n,
-            "L": L,
-            "N": N,
-            "out": out,
-            "fmt": fmt,
-        },
-    )
+    values = _apply_config(ctx, params)
     report = _run(
         lambda: experiments.verify_identity(
             values["func"],
             values["s"],
-            GridSpec(values["n"], values["L"], values["N"]),
+            GridSpec(1, values["L"], values["N"]),
             tol=values["tol"],
             extrapolate=values["extrapolate"],
         )
@@ -217,27 +198,14 @@ def identity(ctx, func, s, tol, extrapolate, n, L, N, out, fmt, config_path):
 @_grid_options
 @_io_options
 @click.pass_context
-def sign_sweep(ctx, func, s_list, tol, n, L, N, out, fmt, config_path):
+def sign_sweep(ctx, **params):
     """Sign of the modulus-form defect across a list of orders."""
-    values = _apply_config(
-        ctx,
-        config_path,
-        {
-            "func": func,
-            "s_list": tuple(s_list),
-            "tol": tol,
-            "n": n,
-            "L": L,
-            "N": N,
-            "out": out,
-            "fmt": fmt,
-        },
-    )
+    values = _apply_config(ctx, params)
     report = _run(
         lambda: experiments.sign_sweep(
             values["func"],
             list(values["s_list"]),
-            GridSpec(values["n"], values["L"], values["N"]),
+            GridSpec(1, values["L"], values["N"]),
             tol=values["tol"],
         )
     )
@@ -265,28 +233,15 @@ def sign_sweep(ctx, func, s_list, tol, n, L, N, out, fmt, config_path):
 @_grid_options
 @_io_options
 @click.pass_context
-def counterexample(ctx, func, s_list, cutoffs, n, L, N, out, fmt, config_path):
+def counterexample(ctx, **params):
     """Partial-sum growth scan for kinked positive parts."""
-    values = _apply_config(
-        ctx,
-        config_path,
-        {
-            "func": func,
-            "s_list": tuple(s_list),
-            "cutoffs": tuple(cutoffs),
-            "n": n,
-            "L": L,
-            "N": N,
-            "out": out,
-            "fmt": fmt,
-        },
-    )
+    values = _apply_config(ctx, params)
     report = _run(
         lambda: experiments.counterexample_scan(
             values["func"],
             list(values["s_list"]),
             list(values["cutoffs"]),
-            GridSpec(values["n"], values["L"], values["N"]),
+            GridSpec(1, values["L"], values["N"]),
         )
     )
     _finish(report, values["out"], values["fmt"])
@@ -307,29 +262,15 @@ def counterexample(ctx, func, s_list, cutoffs, n, L, N, out, fmt, config_path):
 @_grid_options
 @_io_options
 @click.pass_context
-def truncation_bound(ctx, func, s, eps_list, tol, n, L, N, out, fmt, config_path):
+def truncation_bound(ctx, **params):
     """Boundedness and convergence of level-shifted truncations."""
-    values = _apply_config(
-        ctx,
-        config_path,
-        {
-            "func": func,
-            "s": s,
-            "eps_list": tuple(eps_list),
-            "tol": tol,
-            "n": n,
-            "L": L,
-            "N": N,
-            "out": out,
-            "fmt": fmt,
-        },
-    )
+    values = _apply_config(ctx, params)
     report = _run(
         lambda: experiments.truncation_bound_probe(
             values["func"],
             values["s"],
             list(values["eps_list"]),
-            GridSpec(values["n"], values["L"], values["N"]),
+            GridSpec(1, values["L"], values["N"]),
             tol=values["tol"],
         )
     )
@@ -342,26 +283,14 @@ def truncation_bound(ctx, func, s, eps_list, tol, n, L, N, out, fmt, config_path
 @_grid_options
 @_io_options
 @click.pass_context
-def interp(ctx, count, seed, n, L, N, out, fmt, config_path):
+def interp(ctx, **params):
     """Random sweep of the interpolation-bound ratio."""
-    values = _apply_config(
-        ctx,
-        config_path,
-        {
-            "count": count,
-            "seed": seed,
-            "n": n,
-            "L": L,
-            "N": N,
-            "out": out,
-            "fmt": fmt,
-        },
-    )
+    values = _apply_config(ctx, params)
     report = _run(
         lambda: experiments.interp_sweep(
             values["count"],
             values["seed"],
-            spec=GridSpec(values["n"], values["L"], values["N"]),
+            spec=GridSpec(1, values["L"], values["N"]),
         )
     )
     _finish(report, values["out"], values["fmt"])
@@ -378,7 +307,6 @@ def interp(ctx, count, seed, n, L, N, out, fmt, config_path):
     default=(2048, 4096, 8192, 16384),
     show_default=True,
 )
-@click.option("--n", "n", type=int, default=1, show_default=True)
 @click.option("--L", "L", type=float, default=20.0, show_default=True)
 @click.option("--tol", "tol", type=float, default=1e-3, show_default=True)
 @click.option(
@@ -389,29 +317,14 @@ def interp(ctx, count, seed, n, L, N, out, fmt, config_path):
 )
 @_io_options
 @click.pass_context
-def convergence(ctx, func, s, N_list, n, L, tol, extrapolate, out, fmt, config_path):
+def convergence(ctx, **params):
     """Spectral/kernel values versus grid resolution."""
-    values = _apply_config(
-        ctx,
-        config_path,
-        {
-            "func": func,
-            "s": s,
-            "N_list": tuple(N_list),
-            "n": n,
-            "L": L,
-            "tol": tol,
-            "extrapolate": extrapolate,
-            "out": out,
-            "fmt": fmt,
-        },
-    )
+    values = _apply_config(ctx, params)
     report = _run(
         lambda: experiments.convergence_study(
             values["func"],
             values["s"],
             list(values["N_list"]),
-            n=values["n"],
             L=values["L"],
             tol=values["tol"],
             extrapolate=values["extrapolate"],

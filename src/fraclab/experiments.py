@@ -123,8 +123,6 @@ def dealias_spectrum(spectrum: Spectrum, kinks) -> Spectrum:
     first derivative across the location. The ghost model keeps the
     (correct) m = 0 tail and removes only the lattice translates.
     """
-    if spectrum.spec.n != 1:
-        raise DomainError("de-aliasing is implemented for n = 1 only")
     if not kinks:
         return spectrum
     xi = spectrum.frequency_axis()
@@ -267,12 +265,39 @@ def _base_params(spec: GridSpec, **extra):
     return params
 
 
-def _sample_source(source, spec: GridSpec) -> GridFunction:
-    return sample(source, spec)
-
-
 def _sign_name(x: float) -> str:
     return "negative" if x < 0 else "positive" if x > 0 else "zero"
+
+
+def _sign_law_verdict(claim: str, defect: float, c_ns: float, errors) -> Verdict:
+    """Compare the defect sign with the kernel-constant sign law.
+
+    The law says the defect has the sign opposite to C(1, s). It is gated:
+    every error estimate must stay below a tenth of |defect|, otherwise the
+    verdict is inconclusive.
+    """
+    gate = abs(defect) / 10.0
+    if all(e < gate for e in errors):
+        expected = -1.0 if c_ns > 0 else 1.0
+        ok = math.copysign(1.0, defect) == expected
+        return Verdict(
+            claim=claim,
+            status="pass" if ok else "fail",
+            detail=(
+                f"defect is {_sign_name(defect)}, kernel constant is "
+                f"{_sign_name(c_ns)}"
+            ),
+        )
+    shown = ", ".join(f"{e:.2e}" for e in errors)
+    if len(errors) == 1:
+        subject = f"error estimate {shown} exceeds"
+    else:
+        subject = f"error estimates ({shown}) exceed"
+    return Verdict(
+        claim=claim,
+        status="inconclusive",
+        detail=f"{subject} a tenth of |defect| = {abs(defect):.2e}",
+    )
 
 
 def verify_identity(
@@ -296,7 +321,7 @@ def verify_identity(
         raise DomainError(
             f"identity check needs non-integer s in (0,1) or (1,1.5), got {s}"
         )
-    u = _sample_source(u_source, spec)
+    u = sample(u_source, spec)
     params = _base_params(
         spec, s=float(s), function=str(u_source), tolerance=float(tol),
         extrapolate=bool(extrapolate),
@@ -362,46 +387,26 @@ def verify_identity(
             k_err=phi.error_estimate,
         ),
     )
-    verdicts = []
-    verdicts.append(
+    verdicts = (
         Verdict(
             claim="spectral and kernel cross forms agree",
             status="pass" if disc <= tol else "fail",
             detail=(
                 f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}"
             ),
-        )
+        ),
+        _sign_law_verdict(
+            "defect sign follows the kernel-constant sign law",
+            defect,
+            c_ns,
+            (defect_err, 4.0 * kernel_err),
+        ),
     )
-    gate = abs(defect) / 10.0
-    if defect_err < gate and 4.0 * kernel_err < gate:
-        expected = -1.0 if c_ns > 0 else 1.0
-        ok = math.copysign(1.0, defect) == expected
-        verdicts.append(
-            Verdict(
-                claim="defect sign follows the kernel-constant sign law",
-                status="pass" if ok else "fail",
-                detail=(
-                    f"defect is {_sign_name(defect)}, kernel constant is "
-                    f"{_sign_name(c_ns)}"
-                ),
-            )
-        )
-    else:
-        verdicts.append(
-            Verdict(
-                claim="defect sign follows the kernel-constant sign law",
-                status="inconclusive",
-                detail=(
-                    f"error estimates ({defect_err:.2e}, {4*kernel_err:.2e}) "
-                    f"exceed a tenth of |defect| = {abs(defect):.2e}"
-                ),
-            )
-        )
     return ExperimentReport(
         experiment="identity",
         params=params,
         results=results,
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         runtime_seconds=time.perf_counter() - t0,
     )
 
@@ -427,7 +432,7 @@ def sign_sweep(
             raise DomainError(
                 f"sweep orders must be positive non-integer (not 1), got {o.s}"
             )
-    u = _sample_source(u_source, spec)
+    u = sample(u_source, spec)
     params = _base_params(
         spec,
         s_list=[float(s) for s in s_list],
@@ -478,30 +483,8 @@ def sign_sweep(
                     ),
                 )
             )
-        elif err < abs(defect) / 10.0:
-            expected = -1.0 if c_ns > 0 else 1.0
-            ok = math.copysign(1.0, defect) == expected
-            verdicts.append(
-                Verdict(
-                    claim=claim,
-                    status="pass" if ok else "fail",
-                    detail=(
-                        f"defect is {_sign_name(defect)}, kernel constant "
-                        f"is {_sign_name(c_ns)}"
-                    ),
-                )
-            )
         else:
-            verdicts.append(
-                Verdict(
-                    claim=claim,
-                    status="inconclusive",
-                    detail=(
-                        f"error estimate {err:.2e} exceeds a tenth of "
-                        f"|defect| = {abs(defect):.2e}"
-                    ),
-                )
-            )
+            verdicts.append(_sign_law_verdict(claim, defect, c_ns, (err,)))
     return ExperimentReport(
         experiment="sign-sweep",
         params=params,
@@ -532,7 +515,7 @@ def counterexample_scan(
         raise DomainError("need at least 4 cutoffs for a growth fit")
     if np.any(np.diff(cutoffs) <= 0):
         raise DomainError("cutoffs must be strictly increasing")
-    phi = _sample_source(phi_source, spec)
+    phi = sample(phi_source, spec)
     ximax = np.pi * (spec.N // 2) / spec.L
     if cutoffs[-1] > ximax:
         raise DomainError(
@@ -654,7 +637,7 @@ def truncation_bound_probe(
     eps = sorted(float(e) for e in eps_list)
     if not eps or eps[0] <= 0:
         raise DomainError("eps list must contain positive values")
-    u = _sample_source(u_source, spec)
+    u = sample(u_source, spec)
     if np.max(u.samples) <= 0.0:
         raise DomainError("u has no positive part to truncate")
     params = _base_params(
@@ -769,7 +752,6 @@ def convergence_study(
     u_source: str,
     s: float,
     N_list: Sequence[int],
-    n: int = 1,
     L: float = 20.0,
     tol: float = 1e-3,
     extrapolate: bool = True,
@@ -789,7 +771,7 @@ def convergence_study(
     if any(b <= a for a, b in zip(Ns[:-1], Ns[1:])):
         raise DomainError("resolutions must be strictly increasing")
     params = {
-        "n": n,
+        "n": 1,
         "L": float(L),
         "N_list": Ns,
         "s": float(order.s),
@@ -799,8 +781,7 @@ def convergence_study(
     }
 
     def one(N):
-        spec_n = GridSpec(n, L, N)
-        u = _sample_source(u_source, spec_n)
+        u = sample(u_source, GridSpec(1, L, N))
         crossings = find_crossings(u)
         if crossings and not order.is_integer and 0.0 < order.s < 1.5:
             kinks = truncation_kinks(u, "pos")
@@ -1002,8 +983,6 @@ def interp_sweep(
 
 def mollifier_bump(spec: GridSpec, center: float, radius: float) -> GridFunction:
     """Unit-mass smooth bump supported in |x - center| < radius."""
-    if spec.n != 1:
-        raise DomainError("bump helper is one-dimensional")
     if radius <= 0:
         raise DomainError(f"radius must be positive, got {radius}")
     x = spec.axis_nodes()

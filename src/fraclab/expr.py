@@ -1,4 +1,4 @@
-"""Tiny expression language for test functions R^n -> R.
+"""Tiny expression language for test functions R -> R.
 
 Grammar (conventional precedence, ^ tightest and right-associative, then
 unary minus, then * /, then + -):
@@ -10,13 +10,13 @@ unary minus, then * /, then + -):
     primary := number | ident | ident "(" expr ")" | "(" expr ")"
 
 Numbers are decimal literals with optional fraction and exponent. The only
-identifiers are the variables (x for n=1, x1 and x2 for n=2) and the
-functions exp, sin, cos, abs, bump. bump(t) = exp(-1/(1-t^2)) for |t| < 1
-and 0 otherwise; it is the one compactly supported atom, built in because
-the grammar has no conditionals.
+identifiers are the variable x and the functions exp, sin, cos, abs,
+bump. bump(t) = exp(-1/(1-t^2)) for |t| < 1 and 0 otherwise; it is the one
+compactly supported atom, built in because the grammar has no
+conditionals.
 
-Evaluation accepts scalars or numpy arrays per coordinate, so sampling a
-grid is a single vectorized tree walk.
+Evaluation accepts a scalar or a numpy array for x, so sampling a grid is
+a single vectorized tree walk.
 """
 
 from __future__ import annotations
@@ -78,14 +78,6 @@ class Call:
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 
 
-def _variables_for(n: int) -> dict:
-    if n == 1:
-        return {"x": 0}
-    if n == 2:
-        return {"x1": 0, "x2": 1}
-    raise ExpressionError(f"dimension must be 1 or 2, got {n}")
-
-
 def _tokenize(source: str):
     tokens = []
     pos = 0
@@ -103,11 +95,9 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    def __init__(self, source: str, n: int):
+    def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.index = 0
-        self.variables = _variables_for(n)
-        self.n = n
         self.depth = 0
 
     def peek(self):
@@ -189,7 +179,7 @@ class _Parser:
             nk, nt, npos = self.peek()
             if nk == "op" and nt == "(":
                 if text not in FUNCTIONS:
-                    if text in self.variables:
+                    if text == "x":
                         raise ExpressionError(
                             f"variable {text!r} is not callable", position=pos
                         )
@@ -204,17 +194,14 @@ class _Parser:
                     self.depth -= 1
                 self.expect_op(")")
                 return Call(text, arg)
-            if text in self.variables:
-                return Var(text, self.variables[text])
+            if text == "x":
+                return Var("x", 0)
             if text in FUNCTIONS:
                 raise ExpressionError(
                     f"function {text!r} requires exactly one argument",
                     position=pos,
                 )
-            raise ExpressionError(
-                f"unknown identifier {text!r} for dimension {self.n}",
-                position=pos,
-            )
+            raise ExpressionError(f"unknown identifier {text!r}", position=pos)
         if kind == "op" and text == "(":
             self._enter(pos)
             try:
@@ -228,11 +215,11 @@ class _Parser:
         )
 
 
-def parse(source: str, n: int = 1) -> ExprAst:
-    """Parse source text into an AST for dimension n (1 or 2)."""
+def parse(source: str) -> ExprAst:
+    """Parse source text in the variable x into an AST."""
     if not isinstance(source, str):
         raise ExpressionError("source must be text")
-    return _Parser(source, n).parse()
+    return _Parser(source).parse()
 
 
 def _bump(t):
@@ -282,7 +269,7 @@ def _eval_node(ast: ExprAst, coords):
 
 
 def evaluate(ast: ExprAst, point) -> float:
-    """Evaluate at a single point (scalar for n=1, or a length-n sequence)."""
+    """Evaluate at a single point x."""
     coords = np.atleast_1d(np.asarray(point, dtype=float))
     with np.errstate(all="ignore"):
         value = _eval_node(ast, coords)
@@ -293,7 +280,7 @@ def evaluate(ast: ExprAst, point) -> float:
 
 
 def evaluate_array(ast: ExprAst, coords):
-    """Vectorized evaluation; coords is a tuple of same-shape arrays.
+    """Vectorized evaluation; coords is the one-element tuple (x,).
 
     Non-finite entries are the caller's to report (the grid sampler knows
     the node indices).

@@ -85,8 +85,6 @@ def find_crossings(u: GridFunction):
     slope of every bracket with the operands and operation order of the
     scalar formulas, so results match a per-sample loop bit for bit.
     """
-    if u.spec.n != 1:
-        raise DomainError("crossing detection is implemented for n = 1 only")
     x = u.spec.axis_nodes()
     s = u.samples
     nz = np.flatnonzero(s != 0.0)
@@ -276,8 +274,6 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     crossing keeps the integral finite exactly in that range.
     """
     order = _as_order(s)
-    if u.spec.n != 1:
-        raise DomainError("kernel quadrature is implemented for n = 1 only")
     if order.is_integer or not (0.0 < order.s < 1.5):
         raise DomainError(
             f"phi integral requires non-integer s in (0, 1.5), got {order.s}"
@@ -329,8 +325,6 @@ def interaction_integral(
     order = _as_order(s)
     if v.spec != w.spec:
         raise DomainError("interaction integral needs a common grid")
-    if v.spec.n != 1:
-        raise DomainError("kernel quadrature is implemented for n = 1 only")
     if order.is_integer:
         raise DomainError(f"non-integer order required, got {order.s}")
     for name, f in (("v", v), ("w", w)):
@@ -392,8 +386,6 @@ def gagliardo_form(
     """
     if u.spec != v.spec:
         raise DomainError("gagliardo form needs a common grid")
-    if u.spec.n != 1:
-        raise DomainError("gagliardo form is implemented for n = 1 only")
     if not (0.0 < s < 1.0):
         raise DomainError(f"gagliardo form requires s in (0, 1), got {s}")
     if not (tol > 0):

@@ -2,22 +2,22 @@
 
 Conventions. The box [-L, L] truncates the line; the dual grid is
 xi_k = pi k / L for k = -N/2 .. N/2 - 1 with step dxi = pi / L. The forward
-transform approximates (2 pi)^{-n/2} integral of e^{-i xi x} u(x) dx by the
+transform approximates (2 pi)^{-1/2} integral of e^{-i xi x} u(x) dx by the
 scaled DFT
 
-    coeffs(k) = (2 pi)^{-n/2} Delta^n sum_j e^{-i xi_k x_j} u_j,
+    coeffs(k) = (2 pi)^{-1/2} Delta sum_j e^{-i xi_k x_j} u_j,
 
 which with x_j = -L + j Delta collapses to a (-1)^k-phased FFT. This pairing
 is exactly unitary on the grid: Parseval and the round trip hold to machine
 precision, not just asymptotically.
 
-The quadratic form Q_s(u, v) = sum |xi|^{2s} F[u] conj(F[v]) dxi^n has one
+The quadratic form Q_s(u, v) = sum |xi|^{2s} F[u] conj(F[v]) dxi has one
 subtle error source: the |xi|^{2s} multiplier has a kink at xi = 0, so the
 rectangle sum carries an N-independent endpoint error (generalized
 Euler-Maclaurin with zeta-function coefficients). For non-even 2s the form
 subtracts those endpoint terms by default; they are bilinear in (u, v), so
 exact polarization is preserved. The correction vanishes identically when
-2s is an even integer (smooth multiplier) and is disabled for n=2.
+2s is an even integer (smooth multiplier).
 """
 
 from __future__ import annotations
@@ -69,32 +69,16 @@ def forward_transform(u: GridFunction, enforce_support: bool = True) -> Spectrum
             f"the transform needs decay below {SUPPORT_DECAY:g} there"
         )
     spec = u.spec
-    N = spec.N
     pref = spec.delta / math.sqrt(2.0 * math.pi)
-    ph = _phase(N)
-    if spec.n == 1:
-        coeffs = pref * np.fft.fftshift(np.fft.fft(u.samples)) * ph
-    else:
-        coeffs = (
-            pref**2
-            * np.fft.fftshift(np.fft.fft2(u.samples))
-            * np.outer(ph, ph)
-        )
+    coeffs = pref * np.fft.fftshift(np.fft.fft(u.samples)) * _phase(spec.N)
     return Spectrum(spec, coeffs)
 
 
 def inverse_transform(spectrum: Spectrum) -> GridFunction:
     """Exact inverse of forward_transform (round trip is machine-exact)."""
     spec = spectrum.spec
-    N = spec.N
     pref = spec.delta / math.sqrt(2.0 * math.pi)
-    ph = _phase(N)
-    if spec.n == 1:
-        raw = np.fft.ifft(np.fft.ifftshift(spectrum.coeffs * ph / pref))
-    else:
-        raw = np.fft.ifft2(
-            np.fft.ifftshift(spectrum.coeffs * np.outer(ph, ph) / pref**2)
-        )
+    raw = np.fft.ifft(np.fft.ifftshift(spectrum.coeffs * _phase(spec.N) / pref))
     out = np.real(raw)
     resid = np.max(np.abs(np.imag(raw)))
     scale = max(np.max(np.abs(out)), 1e-300)
@@ -180,42 +164,28 @@ def _form_from_spectra(
     cutoff: float | None,
     endpoint_correction: bool,
 ) -> float:
-    spec = su.spec
     dxi = su.delta_xi
-    if spec.n == 1:
-        xi = su.frequency_axis()
-        abs_xi = np.abs(xi)
-        cross = su.coeffs * np.conj(sv.coeffs)
-    else:
-        ax = su.frequency_axis()
-        x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-        abs_xi = np.sqrt(x1 * x1 + x2 * x2)
-        cross = su.coeffs * np.conj(sv.coeffs)
+    abs_xi = np.abs(su.frequency_axis())
+    cross = su.coeffs * np.conj(sv.coeffs)
     weights = _multiplier(abs_xi, s)
     if cutoff is not None:
         weights = np.where(abs_xi <= cutoff * (1.0 + 1e-15), weights, 0.0)
     terms = weights * cross
-    total = complex(terms.sum()) * dxi**spec.n
+    total = complex(terms.sum()) * dxi
     value = total.real
     resid = abs(total.imag)
     # round-off rides on the term-magnitude sum, not on the (possibly
     # heavily cancelled) real part; a conjugation bug shows up at the
     # term scale itself
-    term_scale = float(np.abs(terms).sum()) * dxi**spec.n
+    term_scale = float(np.abs(terms).sum()) * dxi
     if resid > 1e-10 * max(abs(value), term_scale, 1e-300):
         raise FraclabError(
             f"form imaginary residual {resid:.3e} exceeds 1e-10 of the "
             f"term scale {term_scale:.3e}"
         )
     lam = 2.0 * s
-    if (
-        endpoint_correction
-        and spec.n == 1
-        and s > 0.0
-        and not _even_integer_lambda(lam)
-    ):
-        g = np.real(cross)
-        value -= _endpoint_terms(g, lam, dxi)
+    if endpoint_correction and s > 0.0 and not _even_integer_lambda(lam):
+        value -= _endpoint_terms(np.real(cross), lam, dxi)
     return value
 
 
@@ -227,7 +197,7 @@ def quadratic_form(
     *,
     endpoint_correction: bool = True,
 ) -> float:
-    """Bilinear multiplier form sum |xi|^{2s} F[u] conj(F[v]) dxi^n.
+    """Bilinear multiplier form sum |xi|^{2s} F[u] conj(F[v]) dxi.
 
     Real part, with the imaginary residual asserted below 1e-10 of the
     absolute term sum (round-off scale for oscillatory cross spectra).
@@ -263,14 +233,8 @@ def fractional_laplacian(u: GridFunction, s: float) -> GridFunction:
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"order s must be positive and finite, got {s}")
     su = forward_transform(u)
-    spec = u.spec
-    if spec.n == 1:
-        abs_xi = np.abs(su.frequency_axis())
-    else:
-        ax = su.frequency_axis()
-        x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-        abs_xi = np.sqrt(x1 * x1 + x2 * x2)
-    return inverse_transform(Spectrum(spec, su.coeffs * _multiplier(abs_xi, s)))
+    abs_xi = np.abs(su.frequency_axis())
+    return inverse_transform(Spectrum(u.spec, su.coeffs * _multiplier(abs_xi, s)))
 
 
 def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
@@ -298,14 +262,11 @@ def shell_partial_sums(
     """Partial sums of the form over frequency shells |xi| <= m dxi.
 
     Returns (shell_radii, partial) where partial[m] is the corrected form
-    restricted to the first m+1 shells. n = 1 only. The endpoint terms are a
-    constant shift, so shell increments are those of the plain sum.
+    restricted to the first m+1 shells. The endpoint terms are a constant
+    shift, so shell increments are those of the plain sum.
     """
-    spec = su.spec
-    if spec.n != 1:
-        raise DomainError("shell partial sums are implemented for n = 1 only")
     dxi = su.delta_xi
-    N = spec.N
+    N = su.spec.N
     k = np.arange(-N // 2, N // 2)
     abs_k = np.abs(k)
     g = np.real(su.coeffs * np.conj(sv.coeffs))
@@ -319,33 +280,11 @@ def shell_partial_sums(
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    """Serialize to CSV: frequency column(s), then real and imag parts."""
-    spec = spectrum.spec
+    """Serialize to CSV: the frequency, then real and imag parts."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if spec.n == 1:
-            writer.writerow(["frequency", "real", "imag"])
-            xi = spectrum.frequency_axis()
-            for i in range(xi.size):
-                c = spectrum.coeffs[i]
-                writer.writerow(
-                    [
-                        format(xi[i], ".17g"),
-                        format(c.real, ".17g"),
-                        format(c.imag, ".17g"),
-                    ]
-                )
-        else:
-            writer.writerow(["frequency1", "frequency2", "real", "imag"])
-            ax = spectrum.frequency_axis()
-            for i in range(ax.size):
-                for j in range(ax.size):
-                    c = spectrum.coeffs[i, j]
-                    writer.writerow(
-                        [
-                            format(ax[i], ".17g"),
-                            format(ax[j], ".17g"),
-                            format(c.real, ".17g"),
-                            format(c.imag, ".17g"),
-                        ]
-                    )
+        writer.writerow(["frequency", "real", "imag"])
+        for xi, c in zip(spectrum.frequency_axis(), spectrum.coeffs):
+            writer.writerow(
+                [format(xi, ".17g"), format(c.real, ".17g"), format(c.imag, ".17g")]
+            )

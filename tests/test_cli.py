@@ -73,6 +73,27 @@ def test_config_rejects_unknown_keys(runner, tmp_path):
     assert "nonsense" in res.output
 
 
+def test_config_list_values_reach_the_driver(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_list": [0.5, 1.25], "N": 4096}))
+    out = tmp_path / "sweep.json"
+    res = runner.invoke(
+        main, ["sign-sweep", "--config", str(cfg), "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert doc["params"]["s_list"] == [0.5, 1.25]
+    assert doc["params"]["N"] == 4096
+
+
+def test_config_rejects_config_path_key(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config_path": "other.json"}))
+    res = runner.invoke(main, ["identity", "--config", str(cfg), "--N", "4096"])
+    assert res.exit_code == 2
+    assert "config_path" in res.output
+
+
 def test_csv_report_format(runner, tmp_path):
     out = tmp_path / "identity.csv"
     res = runner.invoke(

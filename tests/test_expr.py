@@ -40,23 +40,15 @@ def test_power_is_right_associative():
     assert evaluate(parse("2^3^2"), 0.0) == 512.0
 
 
-def test_two_dimensional_variables():
-    tree = parse("x1*x2", n=2)
-    a = np.array([2.0, 3.0])
-    b = np.array([5.0, 7.0])
-    out = evaluate_array(tree, (a, b))
-    assert np.array_equal(out, a * b)
-
-
 def test_unknown_variable_reports_position():
     with pytest.raises(ExpressionError) as exc:
-        parse("x1*x3", n=2)
-    assert exc.value.position == 3
+        parse("x*x3")
+    assert exc.value.position == 2
 
 
 def test_one_dimensional_name_is_x():
     with pytest.raises(ExpressionError):
-        parse("x1", n=1)
+        parse("x1")
 
 
 def test_bump_profile():

@@ -1,4 +1,4 @@
-"""Grid container, truncations, mollifier, and cutoff tests."""
+"""Grid container and truncation tests."""
 
 import math
 
@@ -14,10 +14,8 @@ from fraclab.grid import (
     GridSpec,
     l2_inner,
     max_tail,
-    mollify,
     sample,
     satisfies_support_rule,
-    smooth_cutoff,
     truncate,
     write_csv,
 )
@@ -36,6 +34,8 @@ def test_gridspec_validation():
         GridSpec(1, 2.0, 6)  # not a power of two
     with pytest.raises(DomainError):
         GridSpec(1, -1.0, 8)
+    with pytest.raises(DomainError):
+        GridSpec(2, 4.0, 16)
     with pytest.raises(DomainError):
         GridSpec(3, 2.0, 8)
     with pytest.raises(DomainError):
@@ -85,55 +85,6 @@ def test_shifted_positive_part():
             truncate(u, "shifted_pos", eps=bad)
     with pytest.raises(DomainError):
         truncate(u, "nonsense")
-
-
-def test_mollify_preserves_mass_and_support_bound():
-    spec = GridSpec(1, 16.0, 4096)
-    u = truncate(sample("x*exp(-x^2)", spec), "pos")
-    h = 4
-    v = mollify(u, h)
-    mass_u = float(np.sum(u.samples)) * spec.delta
-    mass_v = float(np.sum(v.samples)) * spec.delta
-    assert abs(mass_v - mass_u) <= 1e-12 * abs(mass_u)
-    x = spec.axis_nodes()
-    supp_u = x[np.abs(u.samples) > 0.0]
-    supp_v = x[np.abs(v.samples) > 0.0]
-    growth_lo = supp_u.min() - supp_v.min()
-    growth_hi = supp_v.max() - supp_u.max()
-    assert growth_lo <= 1.0 / h + spec.delta + 1e-12
-    assert growth_hi <= 1.0 / h + spec.delta + 1e-12
-
-
-def test_mollify_validation():
-    spec = GridSpec(1, 4.0, 16)
-    u = sample("exp(-x^2)", spec)
-    with pytest.raises(DomainError):
-        mollify(u, 0)
-    with pytest.raises(DomainError):
-        mollify(u, 2.5)
-    # radius 1/h must cover at least two grid steps
-    with pytest.raises(DomainError):
-        mollify(u, 100)
-
-
-def test_mollify_rejects_two_dimensional_grid():
-    spec = GridSpec(2, 4.0, 16)
-    u = GridFunction(spec, np.zeros(spec.shape))
-    with pytest.raises(DomainError, match="one-dimensional"):
-        mollify(u, 2)
-
-
-def test_smooth_cutoff_plateau_and_monotone():
-    spec = GridSpec(1, 16.0, 2048)
-    chi = smooth_cutoff(spec, inner_radius=4.0, margin=2.0)
-    x = spec.axis_nodes()
-    r = np.abs(x)
-    assert np.all(chi.samples[r <= 4.0] == 1.0)
-    assert np.all(chi.samples[r >= 6.0] == 0.0)
-    right = chi.samples[x >= 0.0]
-    assert np.all(np.diff(right) <= 1e-15)
-    with pytest.raises(DomainError):
-        smooth_cutoff(spec, inner_radius=10.0, margin=8.0)
 
 
 def test_l2_inner_gaussian():
