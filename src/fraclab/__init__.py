@@ -26,7 +26,6 @@ from .experiments import (
     refined_form,
     sign_sweep,
     truncation_bound_probe,
-    truncation_kinks,
     verify_identity,
 )
 from .expr import evaluate, evaluate_array, parse

@@ -30,7 +30,9 @@ explicitly:
 
 Ghost strengths add linearly over crossings and over the truncations
 (|u| carries twice the jump of u+ or u-), so the refined route preserves
-the exact polarization algebra of the plain sums.
+the exact polarization algebra of the plain sums. u+, u- and |u| kink at
+the same crossings, so dealias_spectrum builds one ghost per crossing and
+scales it per truncation by -jump / sqrt(2 pi).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,59 +105,99 @@ def _record(quantity, spectral, kernel=None, s_err=None, k_err=None):
 # ----------------------------------------------------------------------
 # exact lattice de-aliasing of derivative-jump tails
 
-
-def _lattice_sum(theta: float, alpha: np.ndarray) -> np.ndarray:
-    """sum over all integers m of exp(2 pi i m theta) / (m + alpha)^2
-    for 0 <= theta < 1 and non-integer alpha."""
-    pa = np.pi * alpha
-    return (
-        np.pi**2
-        * np.exp(1j * pa * (1.0 - 2.0 * theta))
-        * (np.cos(pa) - 1j * (1.0 - 2.0 * theta) * np.sin(pa))
-        / np.sin(pa) ** 2
-    )
+# first-derivative jump of each truncation at a sign crossing of slope
+# kappa, in units of |kappa|: u+ and u- turn by |kappa|, |u| by 2 |kappa|
+_JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
 
 
-def dealias_spectrum(spectrum: Spectrum, kinks) -> Spectrum:
-    """Subtract the alias ghosts of first-derivative jumps.
+class _AliasBasis(NamedTuple):
+    """The crossing-independent arrays of the ghost model on one grid,
+    over the nonzero frequencies xi with alpha = xi / (2 ximax)."""
 
-    kinks: sequence of (location, jump) with jump the increase of the
-    first derivative across the location. The ghost model keeps the
-    (correct) m = 0 tail and removes only the lattice translates.
+    ximax: float
+    xi: np.ndarray
+    xi_sq: np.ndarray
+    pa: np.ndarray  # pi alpha
+    cos_pa: np.ndarray
+    sin_pa: np.ndarray
+    sin_sq: np.ndarray
+
+
+def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
+    """The _AliasBasis of the grid of spectrum."""
+    N = spectrum.spec.N
+    ximax = np.pi * (N // 2) / spectrum.spec.L
+    # the axis holds xi = 0 exactly, at index N // 2
+    xi = np.delete(spectrum.frequency_axis(), N // 2)
+    pa = np.pi * (xi / (2.0 * ximax))
+    sin_pa = np.sin(pa)
+    return _AliasBasis(ximax, xi, xi**2, pa, np.cos(pa), sin_pa, sin_pa**2)
+
+
+def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
+    """Write into ghost the alias ghost of a kink at z, per unit of the
+    scale -jump / sqrt(2 pi) that dealias_spectrum applies:
+
+        phase * lattice / (2 ximax)^2 - phase / xi^2,   phase = e^{-i xi z}
+
+    with lattice = sum_m exp(2 pi i m theta) / (m + alpha)^2 in its closed
+    form (see the module docstring). ghost and work are complex buffers of
+    the basis length; work is left holding phase / xi^2.
+
+    Every step runs in place on the operands, and in the order, of the
+    expression it stands for, so the result is the same to the last bit.
     """
-    if not kinks:
-        return spectrum
-    xi = spectrum.frequency_axis()
-    ximax = np.pi * (spectrum.spec.N // 2) / spectrum.spec.L
-    nz = np.abs(xi) > 1e-12
-    xi_nz = xi[nz]
-    alpha = xi_nz / (2.0 * ximax)
-    coeffs = spectrum.coeffs.copy()
-    for z, jump in kinks:
-        theta = (-ximax * z / np.pi) % 1.0
-        # in-place steps keep the operands and their order of the
-        # expression -(jump / sqrt(2 pi)) * (phase * lattice / (2 ximax)^2
-        # - phase / xi^2) while holding fewer full-length temporaries
-        phase = np.exp(-1j * xi_nz * z)
-        ghost = phase * _lattice_sum(theta, alpha)
-        ghost /= (2.0 * ximax) ** 2
-        ghost -= np.divide(phase, xi_nz**2, out=phase)
-        np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=ghost)
-        coeffs[nz] -= ghost
-    return Spectrum(spec=spectrum.spec, coeffs=coeffs)
+    b = basis
+    theta = (-b.ximax * z / np.pi) % 1.0
+    w = 1.0 - 2.0 * theta
+    # lattice = pi^2 e^{i pi alpha w} (cos(pi alpha) - i w sin(pi alpha))
+    #           / sin^2(pi alpha)
+    np.multiply(1j, b.pa, out=ghost)
+    np.multiply(ghost, w, out=ghost)
+    np.exp(ghost, out=ghost)
+    np.multiply(1j * w, b.sin_pa, out=work)
+    np.subtract(b.cos_pa, work, out=work)
+    np.multiply(np.pi**2, ghost, out=ghost)
+    np.multiply(ghost, work, out=ghost)
+    np.divide(ghost, b.sin_sq, out=ghost)
+    # phase
+    np.multiply(-1j, b.xi, out=work)
+    np.multiply(work, z, out=work)
+    np.exp(work, out=work)
+    np.multiply(work, ghost, out=ghost)
+    ghost /= (2.0 * b.ximax) ** 2
+    ghost -= np.divide(work, b.xi_sq, out=work)
 
 
-def truncation_kinks(crossings, mode: str):
-    """Derivative-jump list for a truncation of u, from the (location,
-    slope) pairs that find_crossings(u) returns.
+def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
+    """Spectra of the truncations of u named by modes ("pos", "neg" or
+    "abs"), with the alias ghosts of their derivative jumps subtracted.
 
-    A simple crossing with slope kappa gives u+ and u- a jump of |kappa|
-    and gives |u| a jump of 2 |kappa|; u itself stays smooth.
+    crossings is find_crossings(u): truncation puts a kink at every sign
+    crossing, with the jump given by the slope there and the truncation
+    (|u| turns twice as sharply as u+ and u-). The ghost of each crossing
+    is built once and scaled per truncation by -jump / sqrt(2 pi), so a
+    call costs one ghost per crossing whatever the number of modes. Each
+    spectrum receives its crossings' ghosts in crossing order. The ghost
+    model keeps the (correct) m = 0 tail and removes only the lattice
+    translates.
     """
-    if mode == "plain":
-        return []
-    factor = {"pos": 1.0, "neg": 1.0, "abs": 2.0}[mode]
-    return [(z, factor * abs(k)) for z, k in crossings]
+    spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
+    if not crossings:
+        return spectra
+    basis = _alias_basis(spectra[0])
+    c = spectra[0].spec.N // 2
+    ghost = np.empty(basis.xi.shape, dtype=complex)
+    work = np.empty_like(ghost)
+    for z, slope in crossings:
+        _crossing_ghost(z, basis, ghost, work)
+        for mode, spectrum in zip(modes, spectra):
+            jump = _JUMP_FACTOR[mode] * abs(slope)
+            np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
+            # the ghost skips xi = 0, which sits between these two slices
+            spectrum.coeffs[:c] -= work[:c]
+            spectrum.coeffs[c + 1 :] -= work[c:]
+    return spectra
 
 
 # ----------------------------------------------------------------------
@@ -179,35 +221,20 @@ def _fit_constant(cuts, vals, s):
 
 
 def refined_form(
-    u: GridFunction,
-    v: GridFunction,
+    su: Spectrum,
+    sv: Spectrum,
     s: float,
-    kinks: Sequence = (),
+    kinky: bool,
     extrapolate: bool = True,
 ) -> RefinedValue:
-    """Frequency-sum value of the s-form with de-aliasing and, for kinked
+    """Frequency-sum value of the s-form of two spectra with, for kinked
     inputs with s in the slowly convergent band, cutoff extrapolation.
 
-    kinks is the derivative-jump list of both inputs: every caller pairs
-    truncations of one function, whose kinks sit at the same crossings.
-    Divergent tails (growing octave increments) are flagged rather than
-    extrapolated; the reported value is then the bare partial sum.
+    kinky says whether the inputs have derivative jumps; their spectra
+    then come from dealias_spectrum. Divergent tails (growing octave
+    increments) are flagged rather than extrapolated; the reported value
+    is then the bare partial sum.
     """
-    su = _dealiased(u, kinks)
-    sv = su if v is u else _dealiased(v, kinks)
-    return _form_value(su, sv, s, kinky=bool(kinks), extrapolate=extrapolate)
-
-
-def _dealiased(u: GridFunction, kinks) -> Spectrum:
-    """Spectrum of u with the alias ghosts of its kinks removed."""
-    return dealias_spectrum(forward_transform(u), kinks)
-
-
-def _form_value(
-    su: Spectrum, sv: Spectrum, s: float, kinky: bool, extrapolate: bool
-) -> RefinedValue:
-    """The refined_form value of two de-aliased spectra; kinky says whether
-    either input had a kink."""
     xi, partial = shell_partial_sums(su, sv, s)
     total = float(partial[-1])
     scale = max(abs(total), _TINY)
@@ -249,6 +276,28 @@ def _form_value(
         est = abs(inc1)
     est = max(est, 1e-15 * scale)
     return RefinedValue(value=total, error_estimate=est, diverged=False)
+
+
+def _truncation_forms(
+    u: GridFunction, crossings, s: float, pairs, extrapolate: bool = True
+):
+    """refined_form of each (mode, mode) pair of truncations of u, with
+    every truncation de-aliased in one dealias_spectrum call. The spectra
+    go out of scope on return, so a caller that goes on to the kernel
+    route holds none of them."""
+    modes = tuple(dict.fromkeys(m for pair in pairs for m in pair))
+    spectra = dict(zip(modes, dealias_spectrum(u, crossings, modes)))
+    kinky = bool(crossings)
+    return [
+        refined_form(spectra[a], spectra[b], s, kinky, extrapolate)
+        for a, b in pairs
+    ]
+
+
+def _plain_form(u: GridFunction, s: float) -> RefinedValue:
+    """refined_form of u against itself, for u without kinks."""
+    su = forward_transform(u)
+    return refined_form(su, su, s, kinky=False)
 
 
 # ----------------------------------------------------------------------
@@ -343,14 +392,10 @@ def verify_identity(
             runtime_seconds=time.perf_counter() - t0,
         )
 
-    kinks = truncation_kinks(crossings, "pos")
-    kinks_abs = truncation_kinks(crossings, "abs")
-    up = truncate(u, "pos")
-    um = truncate(u, "neg")
-    ua = truncate(u, "abs")
-    cross = refined_form(up, um, order.s, kinks, extrapolate)
-    q_plain = refined_form(u, u, order.s)
-    q_abs = refined_form(ua, ua, order.s, kinks_abs, extrapolate)
+    cross, q_abs = _truncation_forms(
+        u, crossings, order.s, [("pos", "neg"), ("abs", "abs")], extrapolate
+    )
+    q_plain = _plain_form(u, order.s)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
 
@@ -435,16 +480,14 @@ def sign_sweep(
         function=str(u_source),
         tolerance=float(tol),
     )
-    kinks_abs = truncation_kinks(find_crossings(u), "abs")
+    crossings = find_crossings(u)
     # both spectra serve every order, so transform each input once
-    su = _dealiased(u, [])
-    sa = _dealiased(truncate(u, "abs"), kinks_abs)
+    su = forward_transform(u)
+    (sa,) = dealias_spectrum(u, crossings, ("abs",))
 
     def one(order):
-        q_plain = _form_value(su, su, order.s, kinky=False, extrapolate=True)
-        q_abs = _form_value(
-            sa, sa, order.s, kinky=bool(kinks_abs), extrapolate=True
-        )
+        q_plain = refined_form(su, su, order.s, kinky=False)
+        q_abs = refined_form(sa, sa, order.s, kinky=bool(crossings))
         return q_plain, q_abs
 
     pairs = [one(order) for order in orders]
@@ -544,9 +587,7 @@ def counterexample_scan(
         cutoffs=[float(c) for c in cutoffs],
         function=str(phi_source),
     )
-    kinks = truncation_kinks(find_crossings(phi), "pos")
-    up = truncate(phi, "pos")
-    su = _dealiased(up, kinks)
+    (su,) = dealias_spectrum(phi, find_crossings(phi), ("pos",))
 
     def one(s):
         xi, partial = shell_partial_sums(su, su, s)
@@ -649,17 +690,16 @@ def truncation_bound_probe(
         function=str(u_source),
         tolerance=float(tol),
     )
-    kinks = truncation_kinks(find_crossings(u), "pos")
-    up = truncate(u, "pos")
-    ref = refined_form(up, up, order.s, kinks)
+    (ref,) = _truncation_forms(u, find_crossings(u), order.s, [("pos", "pos")])
 
     def one(e):
         shifted = GridFunction(spec, u.samples - e)
         if np.max(shifted.samples) <= 0.0:
             return RefinedValue(0.0, 0.0, False)
-        kinks_e = truncation_kinks(find_crossings(shifted), "pos")
-        ue = truncate(shifted, "pos")
-        return refined_form(ue, ue, order.s, kinks_e)
+        (q,) = _truncation_forms(
+            shifted, find_crossings(shifted), order.s, [("pos", "pos")]
+        )
+        return q
 
     qs = [one(e) for e in eps]
     results = [
@@ -785,14 +825,13 @@ def convergence_study(
         u = sample(u_source, GridSpec(1, L, N))
         crossings = find_crossings(u)
         if crossings and not order.is_integer and 0.0 < order.s < 1.5:
-            kinks = truncation_kinks(crossings, "pos")
-            up = truncate(u, "pos")
-            um = truncate(u, "neg")
-            spectral = refined_form(up, um, order.s, kinks, extrapolate)
+            (spectral,) = _truncation_forms(
+                u, crossings, order.s, [("pos", "neg")], extrapolate
+            )
             phi = phi_integral(u, order.s, tol=1e-10)
             c_ns = kernel_constant(1, order.s).value
             return spectral, -c_ns * phi.value, abs(c_ns) * phi.error_estimate
-        spectral = refined_form(u, u, order.s, extrapolate=extrapolate)
+        spectral = _plain_form(u, order.s)
         return spectral, None, None
 
     rows = [one(N) for N in Ns]

@@ -4,6 +4,8 @@ Heavier grids live in the acceptance suite; these runs use 2^12..2^14
 nodes so the whole file stays in the seconds range.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from fraclab.experiments import (
     refined_form,
     sign_sweep,
     truncation_bound_probe,
-    truncation_kinks,
     verify_identity,
 )
 from fraclab.grid import GridSpec, sample, truncate
@@ -32,6 +33,12 @@ from fraclab.spectral import forward_transform
 
 SPEC = GridSpec(1, 20.0, 16384)
 SMALL = GridSpec(1, 20.0, 4096)
+# sign_change_source(np.random.default_rng(0), 3) of bench/workloads.py:
+# three simple roots, none on a grid node
+THREE_ROOTS = (
+    "-0.52479145329279364*(x+1.3770794281914158)*(x+0.69063985870838907)"
+    "*(x-0.41088506196436292)*exp(-1.4127555772777218*(x-0.10663577576717986)^2)"
+)
 
 
 def strip_runtime(report):
@@ -192,15 +199,27 @@ def test_random_function_source_family():
     ]
 
 
-def test_truncation_kinks_factors():
-    crossings = find_crossings(sample("x*exp(-x^2)", SPEC))
-    z, slope = truncation_kinks(crossings, "pos")[0]
-    assert z == 0.0
-    assert truncation_kinks(crossings, "neg")[0][1] == slope
-    assert truncation_kinks(crossings, "abs")[0][1] == pytest.approx(
-        2.0 * slope, rel=1e-15
-    )
-    assert truncation_kinks(crossings, "plain") == []
+def _dealias_one_at_a_time(spectrum, kinks):
+    # reference: each spectrum de-aliased on its own, one (location, jump)
+    # kink at a time, with the ghost model written as one expression
+    xi = spectrum.frequency_axis()
+    ximax = np.pi * (spectrum.spec.N // 2) / spectrum.spec.L
+    nz = np.abs(xi) > 1e-12
+    xi_nz = xi[nz]
+    pa = np.pi * (xi_nz / (2.0 * ximax))
+    coeffs = spectrum.coeffs.copy()
+    for z, jump in kinks:
+        theta = (-ximax * z / np.pi) % 1.0
+        lattice = (
+            np.pi**2
+            * np.exp(1j * pa * (1.0 - 2.0 * theta))
+            * (np.cos(pa) - 1j * (1.0 - 2.0 * theta) * np.sin(pa))
+            / np.sin(pa) ** 2
+        )
+        phase = np.exp(-1j * xi_nz * z)
+        ghost = phase * lattice / (2.0 * ximax) ** 2 - phase / xi_nz**2
+        coeffs[nz] -= -(jump / np.sqrt(2.0 * np.pi)) * ghost
+    return coeffs
 
 
 def test_dealias_matches_direct_image_sum():
@@ -209,16 +228,17 @@ def test_dealias_matches_direct_image_sum():
     # direct sum has an elementary closed form
     spec = GridSpec(1, 20.0, 4096)
     u = sample("x*exp(-x^2)", spec)
-    pos = truncate(u, "pos")
-    kinks = truncation_kinks(find_crossings(u), "pos")
-    su = forward_transform(pos)
-    ghost = su.coeffs - dealias_spectrum(su, kinks).coeffs
+    crossings = find_crossings(u)
+    (dealiased,) = dealias_spectrum(u, crossings, ("pos",))
+    su = forward_transform(truncate(u, "pos"))
+    ghost = su.coeffs - dealiased.coeffs
 
     xi = su.frequency_axis()
     ximax = np.pi * (spec.N // 2) / spec.L
     idx = np.flatnonzero(np.abs(xi) >= ximax / 8.0)[::37]
-    z, jump = kinks[0]
+    z, slope = crossings[0]
     assert z == 0.0
+    jump = abs(slope)
     M = 10000
     m = np.arange(1, M + 1, dtype=float)
     tail = (1.0 / (2.0 * ximax**2)) * (
@@ -235,22 +255,76 @@ def test_dealias_matches_direct_image_sum():
 
 
 def test_dealias_noop_without_kinks():
-    su = forward_transform(sample("exp(-x^2)", SMALL))
-    out = dealias_spectrum(su, [])
-    assert out is su
+    u = sample("exp(-x^2)", SMALL)
+    (out,) = dealias_spectrum(u, [], ("abs",))
+    assert np.array_equal(out.coeffs, forward_transform(truncate(u, "abs")).coeffs)
+
+
+def test_shared_dealias_matches_one_spectrum_at_a_time():
+    # u+ and u- carry the jump |slope| at every crossing, |u| twice it
+    u = sample(THREE_ROOTS, SMALL)
+    crossings = find_crossings(u)
+    assert len(crossings) == 3
+    modes = ("pos", "neg", "abs")
+    shared = dealias_spectrum(u, crossings, modes)
+    for mode, spectrum, factor in zip(modes, shared, (1.0, 1.0, 2.0)):
+        kinks = [(z, factor * abs(slope)) for z, slope in crossings]
+        alone = _dealias_one_at_a_time(forward_transform(truncate(u, mode)), kinks)
+        assert np.array_equal(spectrum.coeffs, alone)
+
+
+def test_one_ghost_per_crossing(monkeypatch):
+    # the tracer of bench/ binds experiments.dealias_spectrum by name, so
+    # the drivers must look it up there
+    ghosts, calls = [], []
+    build = experiments._crossing_ghost
+    dealias = experiments.dealias_spectrum
+
+    def counting_build(z, *args):
+        ghosts.append(z)
+        return build(z, *args)
+
+    def counting_dealias(u, crossings, modes):
+        calls.append((len(crossings), tuple(modes)))
+        return dealias(u, crossings, modes)
+
+    monkeypatch.setattr(experiments, "_crossing_ghost", counting_build)
+    monkeypatch.setattr(experiments, "dealias_spectrum", counting_dealias)
+    rep = verify_identity(THREE_ROOTS, 0.6, spec=SMALL)
+    assert rep.all_pass
+    assert len(ghosts) == 3
+    assert calls == [(3, ("pos", "neg", "abs"))]
+
+    ghosts.clear()
+    Ns = [1024, 2048, 4096]
+    # roots +-0.625 are grid nodes at every N here, so the kernel route
+    # converges as well
+    convergence_study("(x^2-0.390625)*exp(-x^2)", 1.25, Ns)
+    assert len(ghosts) == 2 * len(Ns)
+
+
+def test_verify_identity_peak_memory():
+    # tracemalloc peak of this call before the ghosts were shared:
+    # 12,261,288 bytes (numpy 2.4.6, Python 3.11, after the same warm-up);
+    # the shared de-aliasing measured 9,049,832
+    verify_identity("x*exp(-x^2)", 1.25, spec=GridSpec(1, 20.0, 1024))
+    tracemalloc.start()
+    try:
+        verify_identity("x*exp(-x^2)", 1.25, spec=GridSpec(1, 20.0, 2**16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_261_288
 
 
 def test_refined_form_polarization():
     u = sample("x*exp(-x^2)", SPEC)
-    pos, neg = truncate(u, "pos"), truncate(u, "neg")
-    absu = truncate(u, "abs")
-    crossings = find_crossings(u)
-    kp = truncation_kinks(crossings, "pos")
-    ka = truncation_kinks(crossings, "abs")
+    sp, sm, sa = dealias_spectrum(u, find_crossings(u), ("pos", "neg", "abs"))
+    su = forward_transform(u)
     for s in (1.1, 1.25):
-        cross = refined_form(pos, neg, s, kp)
-        whole = refined_form(u, u, s)
-        full = refined_form(absu, absu, s, ka)
+        cross = refined_form(sp, sm, s, kinky=True)
+        whole = refined_form(su, su, s, kinky=False)
+        full = refined_form(sa, sa, s, kinky=True)
         lhs = 4.0 * cross.value
         rhs = full.value - whole.value
         assert abs(lhs - rhs) <= 1e-12 * max(abs(full.value), abs(whole.value))
@@ -304,13 +378,13 @@ def test_sign_sweep_transforms_each_input_once(monkeypatch, orders):
 
 def test_sign_sweep_matches_refined_form_per_order():
     u = sample("(x-0.3)*exp(-x^2)", SMALL)
-    ua = truncate(u, "abs")
-    kinks_abs = truncation_kinks(find_crossings(u), "abs")
+    su = forward_transform(u)
+    (sa,) = dealias_spectrum(u, find_crossings(u), ("abs",))
     orders = [0.5, 1.25]
     rep = sign_sweep("(x-0.3)*exp(-x^2)", orders, spec=SMALL)
     for s, rec in zip(orders, rep.results):
-        q_plain = refined_form(u, u, s)
-        q_abs = refined_form(ua, ua, s, kinks_abs)
+        q_plain = refined_form(su, su, s, kinky=False)
+        q_abs = refined_form(sa, sa, s, kinky=True)
         assert rec.spectral_value == q_abs.value - q_plain.value
         assert rec.spectral_error == q_abs.error_estimate + q_plain.error_estimate
 

@@ -1,4 +1,5 @@
-"""Golden bytes: the six experiment drivers on small inputs.
+"""Golden bytes: the six experiment drivers on small inputs, and the
+de-aliasing drivers again on inputs with several crossings between nodes.
 
 Each report is serialized with its wall time zeroed and compared by sha256
 against a digest recorded from a known-good commit. A refactor that moves
@@ -26,6 +27,22 @@ from fraclab.reports import report_to_json
 
 SPEC = GridSpec(1, 20.0, 4096)
 SOURCE = "x*exp(-x^2)"
+# SOURCE crosses zero once, on a grid node. These two come from
+# sign_change_source(np.random.default_rng(0), k) of bench/workloads.py with
+# k = 2 and 3, and cross zero between nodes. At s > 1 the kernel route
+# raises on both (for every order tried), so their identity checks run at
+# s = 0.6 and the sweep carries the upper band.
+TWO_ROOTS = (
+    "-0.56146028590429209*(x+0.69063985870838907)*(x-0.41088506196436292)"
+    "*exp(-1.3132702392002724*(x-0.41275557727772172)^2)"
+)
+THREE_ROOTS = (
+    "-0.52479145329279364*(x+1.3770794281914158)*(x+0.69063985870838907)"
+    "*(x-0.41088506196436292)*exp(-1.4127555772777218*(x-0.10663577576717986)^2)"
+)
+# roots +-0.625 sit on grid nodes at every N of the study: the kernel
+# route's fixed 1e-10 tolerance is out of reach for off-node crossings
+ON_NODE_TWO_ROOTS = "(x^2-0.390625)*exp(-x^2)"
 
 DRIVERS = {
     "identity": lambda: verify_identity(SOURCE, 1.25, spec=SPEC),
@@ -40,6 +57,12 @@ DRIVERS = {
     ),
     "interp": lambda: interp_sweep(5, seed=0, spec=SPEC),
     "convergence": lambda: convergence_study(SOURCE, 1.25, [1024, 2048, 4096]),
+    "identity-2-roots": lambda: verify_identity(TWO_ROOTS, 0.6, spec=SPEC),
+    "identity-3-roots": lambda: verify_identity(THREE_ROOTS, 0.6, spec=SPEC),
+    "sign-sweep-3-roots": lambda: sign_sweep(THREE_ROOTS, [0.6, 0.9, 1.3], spec=SPEC),
+    "convergence-2-roots": lambda: convergence_study(
+        ON_NODE_TWO_ROOTS, 1.25, [1024, 2048, 4096]
+    ),
 }
 
 DIGESTS = {
@@ -49,6 +72,10 @@ DIGESTS = {
     "truncation-bound": "8fa9103e8150324977bb5fc40cc98a53296dc7012cb581de2d5198733e0603fc",
     "interp": "cd935c6996117bd3ceb4b95f93247267fa8c87f01c41ded51ca9bfb845cfa994",
     "convergence": "1e908cd7c18c8c099d372c50da4a5744f79cf6d19ac6150e00b6fe4d97e1e363",
+    "identity-2-roots": "3404d9ac9893601b1754ae33db15425cdc97ad1445bf79813eaaa8ce6117347d",
+    "identity-3-roots": "6998835bc022c109c27fd11314d2dab430204e89fec82c8ce59c6c57dc3fb542",
+    "sign-sweep-3-roots": "7196bd7c07d96bb3ec5df198cf47a6464a1b3e9d35af381ecd19f9437a9c2dbd",
+    "convergence-2-roots": "36722a02dd31dfef6816b5e0ef8a8d75ef7f9753607d477fa3edcedaa03c66c5",
 }
 
 
