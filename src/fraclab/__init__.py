@@ -53,6 +53,7 @@ from .special import (
 )
 from .spectral import (
     Spectrum,
+    cross_spectrum,
     forward_transform,
     fractional_laplacian,
     interpolation_ratio,

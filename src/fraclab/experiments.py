@@ -33,6 +33,14 @@ Ghost strengths add linearly over crossings and over the truncations
 the exact polarization algebra of the plain sums. u+, u- and |u| kink at
 the same crossings, so dealias_spectrum builds one ghost per crossing and
 scales it per truncation by -jump / sqrt(2 pi).
+
+The ghost is conjugate-symmetric, G(-xi) = conj(G(xi)), so it is built on
+the negative frequencies only and mirrored onto the positive ones. The
+mirror reproduces the full-axis arithmetic to the last bit: dxi * (-k) ==
+-(dxi * k) and x / y, pi * x change sign exactly with x, np.sin is odd and
+np.cos even bit for bit, and every later step is a complex product, sum,
+quotient or exponential whose result conjugates exactly when its operands
+do. tests/test_experiments.py checks this against the full-axis ghost.
 """
 
 from __future__ import annotations
@@ -48,7 +56,12 @@ from .errors import DomainError
 from .grid import GridFunction, GridSpec, sample, truncate
 from .kernel import find_crossings, phi_integral
 from .special import _as_order, kernel_constant
-from .spectral import Spectrum, forward_transform, shell_partial_sums
+from .spectral import (
+    Spectrum,
+    cross_spectrum,
+    forward_transform,
+    shell_partial_sums,
+)
 
 _TINY = 1e-300
 
@@ -112,7 +125,8 @@ _JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
 
 class _AliasBasis(NamedTuple):
     """The crossing-independent arrays of the ghost model on one grid,
-    over the nonzero frequencies xi with alpha = xi / (2 ximax)."""
+    over the negative frequencies xi_k, k = -N/2 .. -1, with
+    alpha = xi / (2 ximax)."""
 
     ximax: float
     xi: np.ndarray
@@ -125,10 +139,9 @@ class _AliasBasis(NamedTuple):
 
 def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
     """The _AliasBasis of the grid of spectrum."""
-    N = spectrum.spec.N
-    ximax = np.pi * (N // 2) / spectrum.spec.L
-    # the axis holds xi = 0 exactly, at index N // 2
-    xi = np.delete(spectrum.frequency_axis(), N // 2)
+    c = spectrum.spec.N // 2
+    ximax = np.pi * c / spectrum.spec.L
+    xi = spectrum.delta_xi * np.arange(-c, 0)
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
     return _AliasBasis(ximax, xi, xi**2, pa, np.cos(pa), sin_pa, sin_pa**2)
@@ -141,8 +154,9 @@ def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
         phase * lattice / (2 ximax)^2 - phase / xi^2,   phase = e^{-i xi z}
 
     with lattice = sum_m exp(2 pi i m theta) / (m + alpha)^2 in its closed
-    form (see the module docstring). ghost and work are complex buffers of
-    the basis length; work is left holding phase / xi^2.
+    form (see the module docstring), on the frequencies of the basis.
+    ghost and work are complex buffers of the basis length; work is left
+    holding phase / xi^2.
 
     Every step runs in place on the operands, and in the order, of the
     expression it stands for, so the result is the same to the last bit.
@@ -187,10 +201,12 @@ def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
         return spectra
     basis = _alias_basis(spectra[0])
     c = spectra[0].spec.N // 2
-    ghost = np.empty(basis.xi.shape, dtype=complex)
+    # over the nonzero frequencies: k = -N/2 .. -1, then k = 1 .. N/2 - 1
+    ghost = np.empty(2 * c - 1, dtype=complex)
     work = np.empty_like(ghost)
     for z, slope in crossings:
-        _crossing_ghost(z, basis, ghost, work)
+        _crossing_ghost(z, basis, ghost[:c], work[:c])
+        np.conjugate(ghost[c - 1 : 0 : -1], out=ghost[c:])
         for mode, spectrum in zip(modes, spectra):
             jump = _JUMP_FACTOR[mode] * abs(slope)
             np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
@@ -221,21 +237,21 @@ def _fit_constant(cuts, vals, s):
 
 
 def refined_form(
-    su: Spectrum,
-    sv: Spectrum,
+    cross: Spectrum,
     s: float,
     kinky: bool,
     extrapolate: bool = True,
 ) -> RefinedValue:
-    """Frequency-sum value of the s-form of two spectra with, for kinked
-    inputs with s in the slowly convergent band, cutoff extrapolation.
+    """Frequency-sum value of the s-form of two spectra, given as their
+    cross_spectrum, with cutoff extrapolation for kinked inputs with s in
+    the slowly convergent band.
 
     kinky says whether the inputs have derivative jumps; their spectra
     then come from dealias_spectrum. Divergent tails (growing octave
     increments) are flagged rather than extrapolated; the reported value
     is then the bare partial sum.
     """
-    xi, partial = shell_partial_sums(su, sv, s)
+    xi, partial = shell_partial_sums(cross, s)
     total = float(partial[-1])
     scale = max(abs(total), _TINY)
     top = partial[-1]
@@ -289,7 +305,7 @@ def _truncation_forms(
     spectra = dict(zip(modes, dealias_spectrum(u, crossings, modes)))
     kinky = bool(crossings)
     return [
-        refined_form(spectra[a], spectra[b], s, kinky, extrapolate)
+        refined_form(cross_spectrum(spectra[a], spectra[b]), s, kinky, extrapolate)
         for a, b in pairs
     ]
 
@@ -297,7 +313,7 @@ def _truncation_forms(
 def _plain_form(u: GridFunction, s: float) -> RefinedValue:
     """refined_form of u against itself, for u without kinks."""
     su = forward_transform(u)
-    return refined_form(su, su, s, kinky=False)
+    return refined_form(cross_spectrum(su, su), s, kinky=False)
 
 
 # ----------------------------------------------------------------------
@@ -481,13 +497,16 @@ def sign_sweep(
         tolerance=float(tol),
     )
     crossings = find_crossings(u)
-    # both spectra serve every order, so transform each input once
+    # both cross spectra serve every order, so form each one once
     su = forward_transform(u)
+    plain = cross_spectrum(su, su)
     (sa,) = dealias_spectrum(u, crossings, ("abs",))
+    modulus = cross_spectrum(sa, sa)
+    del su, sa
 
     def one(order):
-        q_plain = refined_form(su, su, order.s, kinky=False)
-        q_abs = refined_form(sa, sa, order.s, kinky=bool(crossings))
+        q_plain = refined_form(plain, order.s, kinky=False)
+        q_abs = refined_form(modulus, order.s, kinky=bool(crossings))
         return q_plain, q_abs
 
     pairs = [one(order) for order in orders]
@@ -588,9 +607,11 @@ def counterexample_scan(
         function=str(phi_source),
     )
     (su,) = dealias_spectrum(phi, find_crossings(phi), ("pos",))
+    cross = cross_spectrum(su, su)
+    del su
 
     def one(s):
-        xi, partial = shell_partial_sums(su, su, s)
+        xi, partial = shell_partial_sums(cross, s)
         idx = np.searchsorted(xi, cutoffs, side="right") - 1
         svals = partial[idx]
         incs = np.diff(svals)
@@ -970,32 +991,26 @@ def interp_sweep(
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    draws = []
+    ratios = []
+    results = []
+    # one draw at a time: its samples are dropped once its ratio is taken
     for i in range(count):
         for _attempt in range(32):
             # 0.05 <= tau / s < 0.95, so 0 < tau < s holds for every draw
             s = float(rng.uniform(0.1, 1.45))
             tau = s * float(rng.uniform(0.05, 0.95))
-            source = random_function_source(rng)
-            v = sample(source, spec)
-            if float(np.max(np.abs(v.samples))) < 1e-8:
-                continue
-            draws.append((i, tau, s, source, v))
-            break
+            v = sample(random_function_source(rng), spec)
+            if float(np.max(np.abs(v.samples))) >= 1e-8:
+                break
         else:
             raise DomainError("sweep kept drawing the zero function")
-    params = _base_params(spec, count=int(count), seed=int(seed))
-
-    def one(item):
-        i, tau, s, source, v = item
-        return interpolation_ratio(v, tau, s)
-
-    ratios = [one(item) for item in draws]
-    results = []
-    for (i, tau, s, source, _v), ratio in zip(draws, ratios):
+        ratio = interpolation_ratio(v, tau, s)
+        del v
+        ratios.append(ratio)
         results.append(
             _record(f"interpolation ratio, draw {i} (tau={tau:.4f}, s={s:.4f})", ratio)
         )
+    params = _base_params(spec, count=int(count), seed=int(seed))
     worst = max(ratios)
     verdicts = (
         Verdict(

@@ -64,29 +64,32 @@ def find_crossings(u: GridFunction):
     O(N) and vectorised: one comparison finds the sign flips between
     consecutive nonzero samples, and array arithmetic evaluates the root and
     slope of every bracket with the operands and operation order of the
-    scalar formulas, so results match a per-sample loop bit for bit.
+    scalar formulas, so results match a per-sample loop bit for bit. Only
+    the bracket nodes are computed, with the arithmetic of axis_nodes.
     """
-    x = u.spec.axis_nodes()
+    spec = u.spec
     s = u.samples
     nz = np.flatnonzero(s != 0.0)
     positive = (s > 0.0)[nz]
     flips = np.flatnonzero(positive[:-1] != positive[1:])
     a = nz[flips]
     b = nz[flips + 1]
-    sa, sb, xa, xb = s[a], s[b], x[a], x[b]
+    sa, sb = s[a], s[b]
+    xa = -spec.L + spec.delta * a
+    xb = -spec.L + spec.delta * b
     t = sa / (sa - sb)
     z = xa + t * (xb - xa)
     slope = (sb - sa) / (xb - xa)
     return list(zip(z.tolist(), slope.tolist()))
 
 
-def _positive_regions(u: GridFunction, crossings):
-    """Maximal intervals where the interpolant of u is positive.
+def _positive_regions(u: GridFunction, crossings, x: np.ndarray):
+    """Maximal intervals where the interpolant of u is positive; x is
+    u.spec.axis_nodes().
 
     The axis is sorted, so the nodes of [lo, hi] form one slice found by
     binary search; each region reads only its own samples.
     """
-    x = u.spec.axis_nodes()
     s = u.samples
     bounds = [x[0]] + [z for z, _ in crossings] + [x[-1]]
     starts = np.searchsorted(x, bounds[:-1], side="left")
@@ -169,8 +172,8 @@ def _pair_quadrature(
     )
 
 
-def _interp_pos(u: GridFunction):
-    x = u.spec.axis_nodes()
+def _interp_pos(u: GridFunction, x: np.ndarray):
+    # x is u.spec.axis_nodes()
     s = u.samples
     return lambda pts: np.maximum(np.interp(pts, x, s), 0.0)
 
@@ -210,14 +213,15 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
     crossings = find_crossings(u)
+    x = u.spec.axis_nodes()
     up = truncate(u, "pos")
     um = truncate(u, "neg")
-    p_regs = _positive_regions(up, crossings)
-    m_regs = _positive_regions(um, crossings)
+    p_regs = _positive_regions(up, crossings, x)
+    m_regs = _positive_regions(um, crossings, x)
     if not p_regs or not m_regs:
         return QuadratureResult(value=0.0, error_estimate=0.0, depth=1)
-    fp = _interp_pos(up)
-    fm = _interp_pos(um)
+    fp = _interp_pos(up, x)
+    fm = _interp_pos(um, x)
     pair_tol = tol / (2.0 * len(p_regs) * len(m_regs))
     value = 0.0
     est = 0.0
@@ -234,11 +238,11 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     return QuadratureResult(value=float(value), error_estimate=float(est), depth=depth)
 
 
-def _support_hull(w: GridFunction):
+def _support_hull(w: GridFunction, x: np.ndarray):
+    # x is w.spec.axis_nodes()
     idx = np.flatnonzero(w.samples != 0.0)
     if idx.size == 0:
         return None
-    x = w.spec.axis_nodes()
     return float(x[idx[0]]), float(x[idx[-1]])
 
 
@@ -259,8 +263,9 @@ def interaction_integral(
     for name, f in (("v", v), ("w", w)):
         if np.min(f.samples) < -1e-13 * max(np.max(np.abs(f.samples)), 1e-300):
             raise DomainError(f"{name} must be nonnegative")
-    hv = _support_hull(v)
-    hw = _support_hull(w)
+    x = v.spec.axis_nodes()
+    hv = _support_hull(v, x)
+    hw = _support_hull(w, x)
     if hv is None or hw is None:
         return QuadratureResult(value=0.0, error_estimate=0.0, depth=1)
     delta = v.spec.delta
@@ -274,8 +279,8 @@ def interaction_integral(
             f"supports touch (gap {gap:.3e} <= two grid cells); "
             f"use phi_integral for interface contact"
         )
-    fx = _interp_pos(v)
-    fy = _interp_pos(w)
+    fx = _interp_pos(v, x)
+    fy = _interp_pos(w, x)
     # Away from the gap the integrand is smooth in the kernel but can lose
     # analyticity at the support edges (compactly supported profiles), so
     # split each hull at its midpoint and grade every quadrant toward its

@@ -18,6 +18,16 @@ Euler-Maclaurin with zeta-function coefficients). For non-even 2s the form
 subtracts those endpoint terms by default; they are bilinear in (u, v), so
 exact polarization is preserved. The correction vanishes identically when
 2s is an even integer (smooth multiplier).
+
+Half-axis evaluation. The spectra of real inputs are Hermitian, so the
+forms need only the cross spectrum F[u] conj(F[v]) (cross_spectrum, formed
+once per pair of inputs and shared across orders) and a multiplier that
+depends on |xi| alone. The multiplier is raised to 2s only on the N/2 + 1
+shell radii m dxi, m = 0 .. N/2, and mirrored onto the axis. The mirror is
+exact to the last bit: dxi * (-m) == -(dxi * m) in IEEE arithmetic, so
+|xi_{-m}| and |xi_m| are the same double and so are their powers. The
+shell sums add the two terms of shell m in np.bincount's order,
+(0.0 + t_{-m}) + t_m, which keeps even the sign of a zero sum.
 """
 
 from __future__ import annotations
@@ -48,12 +58,22 @@ class Spectrum:
         N = self.spec.N
         return self.delta_xi * np.arange(-N // 2, N // 2)
 
+    def shell_radii(self) -> np.ndarray:
+        """|xi| of the shells m = 0 .. N/2, i.e. m dxi."""
+        return self.delta_xi * np.arange(self.spec.N // 2 + 1)
+
 
 def _phase(N: int) -> np.ndarray:
     # (-1)^k for k = -N/2 .. N/2-1; -N/2 is even for every allowed N.
     ph = np.ones(N)
     ph[1::2] = -1.0
     return ph
+
+
+def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
+    """The products F[u] conj(F[v]) on the dual grid, on which every
+    multiplier form of the pair depends."""
+    return Spectrum(su.spec, su.coeffs * np.conj(sv.coeffs))
 
 
 def forward_transform(u: GridFunction) -> Spectrum:
@@ -69,7 +89,17 @@ def forward_transform(u: GridFunction) -> Spectrum:
         )
     spec = u.spec
     pref = spec.delta / math.sqrt(2.0 * math.pi)
-    coeffs = pref * np.fft.fftshift(np.fft.fft(u.samples)) * _phase(spec.N)
+    raw = np.fft.fft(u.samples)
+    c = spec.N // 2
+    # fftshift, then pref * coeffs * (-1)^k in place with the complex
+    # products of that expression; -N/2 is even. The factor 1 + 0j is not
+    # skipped: it can turn a -0.0 part into +0.0.
+    coeffs = np.empty_like(raw)
+    coeffs[:c] = raw[c:]
+    coeffs[c:] = raw[:c]
+    np.multiply(pref, coeffs, out=coeffs)
+    coeffs[0::2] *= 1.0
+    coeffs[1::2] *= -1.0
     return Spectrum(spec, coeffs)
 
 
@@ -117,6 +147,12 @@ def _multiplier(abs_xi: np.ndarray, s: float) -> np.ndarray:
     return abs_xi ** (2.0 * s)
 
 
+def _on_axis(shells: np.ndarray) -> np.ndarray:
+    """A function of |xi| given on the shells m = 0 .. N/2, laid out on the
+    axis k = -N/2 .. N/2 - 1."""
+    return np.concatenate((shells[:0:-1], shells[:-1]))
+
+
 def _even_integer_lambda(lam: float) -> bool:
     r = round(lam)
     return abs(lam - r) < _EVEN_TOL and r >= 0 and r % 2 == 0
@@ -157,15 +193,14 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
 
 
 def _form_from_spectra(
-    su: Spectrum,
-    sv: Spectrum,
+    cross: Spectrum,
+    radii: np.ndarray,
     s: float,
     endpoint_correction: bool,
 ) -> float:
-    dxi = su.delta_xi
-    abs_xi = np.abs(su.frequency_axis())
-    cross = su.coeffs * np.conj(sv.coeffs)
-    terms = _multiplier(abs_xi, s) * cross
+    """The form of a cross spectrum; radii is cross.shell_radii()."""
+    dxi = cross.delta_xi
+    terms = _on_axis(_multiplier(radii, s)) * cross.coeffs
     total = complex(terms.sum()) * dxi
     value = total.real
     resid = abs(total.imag)
@@ -180,7 +215,7 @@ def _form_from_spectra(
         )
     lam = 2.0 * s
     if endpoint_correction and s > 0.0 and not _even_integer_lambda(lam):
-        value -= _endpoint_terms(np.real(cross), lam, dxi)
+        value -= _endpoint_terms(np.real(cross.coeffs), lam, dxi)
     return value
 
 
@@ -205,7 +240,8 @@ def quadratic_form(
         raise DomainError(f"order s must be a finite non-negative real, got {s}")
     su = forward_transform(u)
     sv = su if v is u else forward_transform(v)
-    return _form_from_spectra(su, sv, s, endpoint_correction)
+    cross = cross_spectrum(su, sv)
+    return _form_from_spectra(cross, cross.shell_radii(), s, endpoint_correction)
 
 
 def fractional_laplacian(u: GridFunction, s: float) -> GridFunction:
@@ -218,8 +254,8 @@ def fractional_laplacian(u: GridFunction, s: float) -> GridFunction:
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"order s must be positive and finite, got {s}")
     su = forward_transform(u)
-    abs_xi = np.abs(su.frequency_axis())
-    return inverse_transform(Spectrum(u.spec, su.coeffs * _multiplier(abs_xi, s)))
+    mult = _on_axis(_multiplier(su.shell_radii(), s))
+    return inverse_transform(Spectrum(u.spec, su.coeffs * mult))
 
 
 def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
@@ -234,30 +270,34 @@ def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
     if not np.any(v.samples != 0.0):
         raise DomainError("interpolation ratio undefined for the zero function")
     sv = forward_transform(v)
-    q_tau = _form_from_spectra(sv, sv, tau, False)
-    q_s = _form_from_spectra(sv, sv, s, False)
+    cross = cross_spectrum(sv, sv)
+    radii = cross.shell_radii()
+    q_tau = _form_from_spectra(cross, radii, tau, False)
+    q_s = _form_from_spectra(cross, radii, s, False)
     low = l2_inner(v, v)
     theta = tau / s
     return q_tau / (q_s**theta * low ** (1.0 - theta))
 
 
-def shell_partial_sums(su: Spectrum, sv: Spectrum, s: float):
-    """Partial sums of the form over frequency shells |xi| <= m dxi.
+def shell_partial_sums(cross: Spectrum, s: float):
+    """Partial sums of the form of a cross spectrum over the frequency
+    shells |xi| <= m dxi.
 
     Returns (shell_radii, partial) where partial[m] is the corrected form
     restricted to the first m+1 shells. The endpoint terms are a constant
     shift, so shell increments are those of the plain sum.
     """
-    dxi = su.delta_xi
-    N = su.spec.N
-    k = np.arange(-N // 2, N // 2)
-    abs_k = np.abs(k)
-    g = np.real(su.coeffs * np.conj(sv.coeffs))
-    weights = _multiplier(dxi * abs_k.astype(float), s)
-    terms = weights * g * dxi
-    shell_sums = np.bincount(abs_k, weights=terms, minlength=N // 2 + 1)
+    dxi = cross.delta_xi
+    c = cross.spec.N // 2
+    radii = cross.shell_radii()
+    g = np.real(cross.coeffs)
+    weights = _multiplier(radii, s)
+    # g[c - m] and g[c + m] are the two halves of shell m; shell N/2 has
+    # only k = -N/2 and shell 0 only k = 0
+    shell_sums = np.zeros(c + 1)
+    shell_sums[1:] += weights[1:] * g[c - 1 :: -1] * dxi
+    shell_sums[:c] += weights[:c] * g[c:] * dxi
     partial = np.cumsum(shell_sums)
     if s > 0.0 and not _even_integer_lambda(2.0 * s):
         partial = partial - _endpoint_terms(g, 2.0 * s, dxi)
-    return dxi * np.arange(N // 2 + 1), partial
-
+    return radii, partial

@@ -27,9 +27,9 @@ from fraclab.experiments import (
     truncation_bound_probe,
     verify_identity,
 )
-from fraclab.grid import GridSpec, sample, truncate
+from fraclab.grid import GridFunction, GridSpec, sample, truncate
 from fraclab.kernel import find_crossings
-from fraclab.spectral import forward_transform
+from fraclab.spectral import cross_spectrum, forward_transform
 
 SPEC = GridSpec(1, 20.0, 16384)
 SMALL = GridSpec(1, 20.0, 4096)
@@ -273,6 +273,119 @@ def test_shared_dealias_matches_one_spectrum_at_a_time():
         assert np.array_equal(spectrum.coeffs, alone)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _alias_basis_full_axis(spectrum):
+    """Reference: the alias basis over every nonzero frequency, k = -N/2
+    .. -1 and then k = 1 .. N/2 - 1."""
+    N = spectrum.spec.N
+    ximax = np.pi * (N // 2) / spectrum.spec.L
+    xi = np.delete(spectrum.frequency_axis(), N // 2)
+    pa = np.pi * (xi / (2.0 * ximax))
+    sin_pa = np.sin(pa)
+    return experiments._AliasBasis(
+        ximax, xi, xi**2, pa, np.cos(pa), sin_pa, sin_pa**2
+    )
+
+
+def _dealias_full_axis(u, crossings, modes):
+    """Reference: dealias_spectrum with every ghost evaluated on the whole
+    axis instead of mirrored from its negative half."""
+    spectra = [forward_transform(truncate(u, m)) for m in modes]
+    basis = _alias_basis_full_axis(spectra[0])
+    c = u.spec.N // 2
+    ghost = np.empty(u.spec.N - 1, dtype=complex)
+    work = np.empty_like(ghost)
+    for z, slope in crossings:
+        experiments._crossing_ghost(z, basis, ghost, work)
+        for mode, spectrum in zip(modes, spectra):
+            jump = experiments._JUMP_FACTOR[mode] * abs(slope)
+            np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
+            spectrum.coeffs[:c] -= work[:c]
+            spectrum.coeffs[c + 1 :] -= work[c:]
+    return spectra
+
+
+def _two_crossings(N):
+    """An input with two crossings that the transform accepts at N: below
+    2^10 nodes only the inner half of the box may carry samples above the
+    1e-12 support floor."""
+    if N == 4:  # nodes -20, -10, 0, 10
+        return GridFunction(GridSpec(1, 20.0, 4), np.array([0.0, -1e-13, 1.0, -1e-13]))
+    if N == 8:  # nodes -12, -9, ..., 9
+        return GridFunction(
+            GridSpec(1, 12.0, 8), np.array([0.0, 0.0, 0.0, -1.0, 0.5, -2.0, 0.0, 0.0])
+        )
+    return sample("(x-0.3)*(x+1.1)*exp(-x^2)", GridSpec(1, 20.0, N))
+
+
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+@pytest.mark.parametrize("L", [20.0, 7.3])
+def test_alias_basis_is_the_mirrored_negative_half(N, L):
+    # the half-axis basis is the first half of the full one, and the full
+    # one is odd (xi, pi alpha, sin) or even (cos, sin^2, xi^2) bit for bit
+    spectrum = forward_transform(GridFunction(GridSpec(1, L, N), np.zeros(N)))
+    half = experiments._alias_basis(spectrum)
+    full = _alias_basis_full_axis(spectrum)
+    c = N // 2
+    assert half.ximax == full.ximax
+    for name, sign in [
+        ("xi", -1.0), ("pa", -1.0), ("sin_pa", -1.0),
+        ("cos_pa", 1.0), ("sin_sq", 1.0), ("xi_sq", 1.0),
+    ]:
+        h, f = getattr(half, name), getattr(full, name)
+        assert np.array_equal(_bits(h), _bits(f[:c])), name
+        assert np.array_equal(_bits(f[c:]), _bits(sign * h[c - 1 : 0 : -1])), name
+
+
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+def test_mirrored_ghosts_match_full_axis_ghosts(N):
+    u = _two_crossings(N)
+    crossings = find_crossings(u)
+    assert len(crossings) == 2
+    modes = ("pos", "neg", "abs")
+    got = dealias_spectrum(u, crossings, modes)
+    want = _dealias_full_axis(u, crossings, modes)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a.coeffs), _bits(b.coeffs))
+
+
+def test_each_cross_spectrum_formed_once_across_orders(monkeypatch):
+    calls = []
+
+    def counting(su, sv):
+        calls.append(1)
+        return cross_spectrum(su, sv)
+
+    monkeypatch.setattr(experiments, "cross_spectrum", counting)
+    orders = [0.5, 1.25, 1.75, 0.75]
+    rep = sign_sweep("(x-0.3)*exp(-x^2)", orders, spec=SMALL)
+    assert len(rep.results) == len(orders)
+    assert len(calls) == 2  # u against u and |u| against |u|
+    calls.clear()
+    counterexample_scan(
+        "x*exp(-x^2)", [1.3, 1.4, 1.6, 1.7], [80.0, 160.0, 320.0, 640.0, 1280.0],
+        spec=SPEC,
+    )
+    assert len(calls) == 1
+
+
+def test_interp_sweep_holds_one_draw_at_a_time():
+    # tracemalloc peak of interp_sweep(50) at 2^14 after the same warm-up:
+    # 7,775,592 bytes while every draw was held to the end, 1,262,514 once
+    # each draw is dropped after its ratio (numpy 2.4.6, Python 3.11)
+    interp_sweep(3, seed=1, spec=GridSpec(1, 20.0, 1024))
+    tracemalloc.start()
+    try:
+        interp_sweep(50, seed=0, spec=SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_500_000
+
+
 def test_one_ghost_per_crossing(monkeypatch):
     # the tracer of bench/ binds experiments.dealias_spectrum by name, so
     # the drivers must look it up there
@@ -322,9 +435,9 @@ def test_refined_form_polarization():
     sp, sm, sa = dealias_spectrum(u, find_crossings(u), ("pos", "neg", "abs"))
     su = forward_transform(u)
     for s in (1.1, 1.25):
-        cross = refined_form(sp, sm, s, kinky=True)
-        whole = refined_form(su, su, s, kinky=False)
-        full = refined_form(sa, sa, s, kinky=True)
+        cross = refined_form(cross_spectrum(sp, sm), s, kinky=True)
+        whole = refined_form(cross_spectrum(su, su), s, kinky=False)
+        full = refined_form(cross_spectrum(sa, sa), s, kinky=True)
         lhs = 4.0 * cross.value
         rhs = full.value - whole.value
         assert abs(lhs - rhs) <= 1e-12 * max(abs(full.value), abs(whole.value))
@@ -383,8 +496,8 @@ def test_sign_sweep_matches_refined_form_per_order():
     orders = [0.5, 1.25]
     rep = sign_sweep("(x-0.3)*exp(-x^2)", orders, spec=SMALL)
     for s, rec in zip(orders, rep.results):
-        q_plain = refined_form(su, su, s, kinky=False)
-        q_abs = refined_form(sa, sa, s, kinky=True)
+        q_plain = refined_form(cross_spectrum(su, su), s, kinky=False)
+        q_abs = refined_form(cross_spectrum(sa, sa), s, kinky=True)
         assert rec.spectral_value == q_abs.value - q_plain.value
         assert rec.spectral_error == q_abs.error_estimate + q_plain.error_estimate
 

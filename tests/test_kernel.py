@@ -247,7 +247,7 @@ def _short_axis(values):
     than GridSpec allows."""
     arr = np.asarray(values, dtype=float)
     nodes = -1.0 + 0.5 * np.arange(arr.size)
-    spec = SimpleNamespace(n=1, axis_nodes=lambda: nodes)
+    spec = SimpleNamespace(n=1, L=1.0, delta=0.5, axis_nodes=lambda: nodes)
     return SimpleNamespace(spec=spec, samples=arr)
 
 
@@ -313,7 +313,7 @@ def test_positive_regions_match_masked_split(u):
     crossings = find_crossings(u)
     for part in (u, truncate(u, "pos"), truncate(u, "neg")):
         want = _positive_regions_masked(part, crossings)
-        assert _positive_regions(part, crossings) == want
+        assert _positive_regions(part, crossings, u.spec.axis_nodes()) == want
 
 
 def test_positive_regions_with_crossing_on_node():
@@ -321,6 +321,23 @@ def test_positive_regions_with_crossing_on_node():
     assert crossings[0][0] == 0.0 and 0.0 in ODD.spec.axis_nodes()
     for mode in ("pos", "neg"):
         part = truncate(ODD, mode)
-        got = _positive_regions(part, crossings)
+        got = _positive_regions(part, crossings, ODD.spec.axis_nodes())
         assert got == _positive_regions_masked(part, crossings)
         assert len(got) == 1
+
+
+def test_phi_integral_builds_the_node_axis_once(monkeypatch):
+    # find_crossings computes only its bracket nodes; the regions and the
+    # interpolants share one axis
+    calls = []
+    axis_nodes = GridSpec.axis_nodes
+
+    def counting(spec):
+        calls.append(spec.N)
+        return axis_nodes(spec)
+
+    u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 4096))
+    monkeypatch.setattr(GridSpec, "axis_nodes", counting)
+    result = phi_integral(u, 0.5)
+    assert calls == [4096]
+    assert result.value > 0.0

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from fraclab import spectral
 from fraclab.errors import DomainError, GridMismatchError, SupportRuleError
 from fraclab.grid import GridFunction, GridSpec, l2_inner, sample, truncate
 from fraclab.spectral import (
     Spectrum,
+    cross_spectrum,
     forward_transform,
     fractional_laplacian,
     interpolation_ratio,
@@ -156,7 +158,7 @@ def test_shell_partial_sums_monotone_and_complete():
     u = sample("x*exp(-x^2)", SPEC)
     su = forward_transform(u)
     s = 1.25
-    radii, partial = shell_partial_sums(su, su, s)
+    radii, partial = shell_partial_sums(cross_spectrum(su, su), s)
     assert radii.shape == partial.shape
     assert np.all(np.diff(partial) >= -1e-15)
     full = quadratic_form(u, u, s)
@@ -203,3 +205,128 @@ def test_zeta_against_scipy_grid():
         ours = zeta_extended(float(x))
         ref = float(scipy.special.zeta(x))
         assert abs(ours - ref) <= 1e-12 * max(1.0, abs(ref)), x
+
+
+# ----------------------------------------------------------------------
+# half-axis evaluation against the full-axis arithmetic it replaced
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _forward_transform_expression(u):
+    """Reference: the transform as one expression over the whole axis."""
+    pref = u.spec.delta / math.sqrt(2.0 * math.pi)
+    phase = np.where(np.arange(u.spec.N) % 2 == 0, 1.0, -1.0)
+    return pref * np.fft.fftshift(np.fft.fft(u.samples)) * phase
+
+
+def _shell_partial_sums_full_axis(cross, s):
+    """Reference: every frequency raised to 2s and the shells summed by
+    np.bincount over |k|."""
+    dxi = cross.delta_xi
+    N = cross.spec.N
+    k = np.arange(-N // 2, N // 2)
+    abs_k = np.abs(k)
+    g = np.real(cross.coeffs)
+    weights = spectral._multiplier(dxi * abs_k.astype(float), s)
+    terms = weights * g * dxi
+    shell_sums = np.bincount(abs_k, weights=terms, minlength=N // 2 + 1)
+    partial = np.cumsum(shell_sums)
+    if s > 0.0 and not spectral._even_integer_lambda(2.0 * s):
+        partial = partial - spectral._endpoint_terms(g, 2.0 * s, dxi)
+    return dxi * np.arange(N // 2 + 1), partial
+
+
+def _form_full_axis(cross, s, endpoint_correction):
+    """Reference: the form with the multiplier evaluated on every
+    frequency."""
+    abs_xi = np.abs(cross.frequency_axis())
+    terms = spectral._multiplier(abs_xi, s) * cross.coeffs
+    total = complex(terms.sum()) * cross.delta_xi
+    value = total.real
+    lam = 2.0 * s
+    if endpoint_correction and s > 0.0 and not spectral._even_integer_lambda(lam):
+        value -= spectral._endpoint_terms(
+            np.real(cross.coeffs), lam, cross.delta_xi
+        )
+    return value
+
+
+def _unequal_pair(N, seed):
+    """Two unrelated Hermitian spectra. Many of their cross products are
+    negative; the one at k = -N/2 always is. The products at k = 0 and
+    k = +-1 are -0.0, so shells 0 and 1 test the order of the signed-zero
+    sums."""
+    rng = np.random.default_rng(seed)
+    c = N // 2
+
+    def hermitian():
+        a = rng.normal(size=N) + 1j * rng.normal(size=N)
+        a[c + 1 :] = np.conj(a[c - 1 : 0 : -1])
+        a[0], a[c] = a[0].real, a[c].real
+        return a
+
+    a, b = hermitian(), hermitian()
+    a[0], b[0] = 1.0, -0.5
+    for k in (c - 1, c, c + 1):
+        a[k], b[k] = complex(-0.0, 0.0), complex(1.0, -0.0)
+    spec = GridSpec(1, 3.0, N)
+    return Spectrum(spec, a), Spectrum(spec, b)
+
+
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+@pytest.mark.parametrize("s", [0.0, 0.25, 1.0, 1.25, 1.75, 2.0])
+def test_shell_partial_sums_match_full_axis_bincount(N, s):
+    su, sv = _unequal_pair(N, seed=N)
+    cross = cross_spectrum(su, sv)
+    g = np.real(cross.coeffs)
+    assert g[0] < 0.0 and np.all(np.signbit(g[N // 2 - 1 : N // 2 + 2]))
+    radii, partial = shell_partial_sums(cross, s)
+    want_radii, want = _shell_partial_sums_full_axis(cross, s)
+    assert np.array_equal(_bits(radii), _bits(want_radii))
+    assert np.array_equal(_bits(partial), _bits(want))
+
+
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+def test_forms_match_full_axis_multiplier(N):
+    su, sv = _unequal_pair(N, seed=N + 1)
+    cross = cross_spectrum(su, sv)
+    radii = cross.shell_radii()
+    for s in (0.0, 0.25, 1.0, 1.25, 1.75, 2.0):
+        for corrected in (False, True):
+            want = _form_full_axis(cross, s, corrected)
+            got = spectral._form_from_spectra(cross, radii, s, corrected)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        GAUSS,
+        sample("x*exp(-x^2)", SPEC),
+        sample("(x-0.3)*exp(-x^2)", GridSpec(1, 20.0, 4)),
+        sample("(x-0.3)*exp(-x^2)", GridSpec(1, 20.0, 2**14)),
+        GridFunction(GridSpec(1, 20.0, 8), np.full(8, -0.0)),
+        GridFunction(GridSpec(1, 20.0, 8), np.array([0, 0, 0, -0.0, 1, -1, 0, 0])),
+        # k = 2 is (-5e-324, -5e-324) before scaling: its imaginary part
+        # becomes -0.0, which the factor 1 + 0j turns into +0.0
+        GridFunction(GridSpec(1, 0.1, 8), np.array([0, 5e-324, 5e-324, 0, 0, 0, 0, 0])),
+    ],
+)
+def test_forward_transform_matches_one_expression(u):
+    got = forward_transform(u).coeffs
+    assert np.array_equal(_bits(got), _bits(_forward_transform_expression(u)))
+
+
+def test_interpolation_ratio_forms_one_cross_spectrum(monkeypatch):
+    calls = []
+
+    def counting(su, sv):
+        calls.append(1)
+        return cross_spectrum(su, sv)
+
+    monkeypatch.setattr(spectral, "cross_spectrum", counting)
+    interpolation_ratio(GAUSS, 0.3, 0.9)
+    assert len(calls) == 1
