@@ -609,10 +609,19 @@ def counterexample_scan(
     (su,) = dealias_spectrum(phi, find_crossings(phi), ("pos",))
     cross = cross_spectrum(su, su)
     del su
+    # the last shell m dxi <= c, i.e. floor(c / dxi) on the radii that
+    # shell_partial_sums returns; a zero or repeated index selects no new
+    # shell and leaves the growth fit without data
+    idx = np.searchsorted(cross.shell_radii(), cutoffs, side="right") - 1
+    if idx[0] < 1 or np.any(np.diff(idx) <= 0):
+        raise DomainError(
+            f"cutoffs must fall in distinct nonzero frequency shells of "
+            f"width dxi = pi/L = {cross.delta_xi:g}; they select shells "
+            f"{[int(m) for m in idx]}"
+        )
 
     def one(s):
         xi, partial = shell_partial_sums(cross, s)
-        idx = np.searchsorted(xi, cutoffs, side="right") - 1
         svals = partial[idx]
         incs = np.diff(svals)
         good = np.abs(incs) > 0
@@ -702,8 +711,12 @@ def truncation_bound_probe(
     if len(set(eps)) < len(eps):
         raise DomainError("eps levels must be distinct")
     u = sample(u_source, spec)
-    if np.max(u.samples) <= 0.0:
-        raise DomainError("u has no positive part to truncate")
+    if np.max(u.samples - eps[0]) <= 0.0:
+        # every shifted form would be 0, which carries no information
+        raise DomainError(
+            f"the smallest eps level {eps[0]:g} leaves no positive part: "
+            f"max(u) = {float(np.max(u.samples)):g}"
+        )
     params = _base_params(
         spec,
         s=float(order.s),

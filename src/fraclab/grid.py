@@ -120,9 +120,31 @@ def l2_inner(u: GridFunction, v: GridFunction) -> float:
     return float(np.dot(u.samples, v.samples) * u.spec.delta)
 
 
+def outer_window(spec: GridSpec) -> tuple[int, int]:
+    """(a, b) such that the nodes with |x_j| >= L/2 are exactly j < a and
+    j >= b.
+
+    The nodes increase with j, so the outer half of the box is a prefix
+    and a suffix. Rounding moves a node by a few ulps of L, far less than
+    the node spacing, so only the nodes N/4 and 3N/4 can land on either
+    side of -L/2 and L/2; they are evaluated with the axis_nodes
+    arithmetic.
+    """
+    q = spec.N // 4
+    half = spec.L / 2.0
+    a = q + int(-spec.L + spec.delta * q <= -half)
+    b = 3 * q + int(-spec.L + spec.delta * (3 * q) < half)
+    return a, b
+
+
 def max_tail(u: GridFunction) -> float:
     """Largest |u| on the outer half of the box, |x| >= L/2."""
-    # never empty: the first node, x = -L, lies outside
-    outside = np.abs(u.spec.axis_nodes()) >= u.spec.L / 2.0
-    return float(np.max(np.abs(u.samples[outside])))
+    a, b = outer_window(u.spec)
+    # the prefix is never empty: the first node, x = -L, lies outside;
+    # the suffix is empty when node 3N/4 rounds below L/2 and N = 4
+    s = u.samples
+    tail = float(np.max(np.abs(s[:a])))
+    if b < s.size:
+        tail = max(tail, float(np.max(np.abs(s[b:]))))
+    return tail
 

@@ -175,6 +175,23 @@ def test_counterexample_rejects_nonpositive_cutoff(runner):
     assert "validation error" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # every level is above max(u), so each shifted form is 0
+        "truncation-bound --eps 5 --eps 6",
+        # below the first nonzero shell pi/L, and all inside shell 1
+        "counterexample --cutoff 0.001 --cutoff 0.002 --cutoff 0.003 --cutoff 0.004",
+        "counterexample --cutoff 0.2 --cutoff 0.21 --cutoff 0.22 --cutoff 0.23",
+    ],
+)
+def test_uninformative_levels_exit_2(runner, args):
+    cmd, *rest = args.split()
+    res = runner.invoke(main, [cmd, "--N", "4096", *rest])
+    assert res.exit_code == 2, res.output
+    assert "validation error" in res.output
+
+
 def test_interp_subcommand(runner):
     res = runner.invoke(main, ["interp", "--count", "5", "--seed", "7", "--N", "4096"])
     assert res.exit_code == 0, res.output

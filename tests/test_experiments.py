@@ -118,6 +118,14 @@ def test_counterexample_scan_validation():
     # a negative cutoff lies below the first shell, xi = 0
     with pytest.raises(DomainError, match="positive"):
         counterexample_scan("x*exp(-x^2)", [1.6], [-5.0, *cuts[:3]], spec=SMALL)
+    # cutoffs that select no new shell leave the growth fit without data:
+    # all below the first nonzero shell pi/L, or all inside shell 1 at L = 20
+    for low in ([0.001, 0.002, 0.003, 0.004], [0.2, 0.21, 0.22, 0.23]):
+        with pytest.raises(DomainError, match="dxi = pi/L = 0.15708"):
+            counterexample_scan("x*exp(-x^2)", [1.6], low, spec=SMALL)
+    # two cutoffs in one shell repeat a partial sum
+    with pytest.raises(DomainError, match=r"select shells \[1, 2, 2, 3\]"):
+        counterexample_scan("x*exp(-x^2)", [1.6], [0.2, 0.32, 0.4, 0.5], spec=SMALL)
     # the scan needs a model-shaped input: zero at the origin...
     with pytest.raises(DomainError):
         counterexample_scan("exp(-x^2)", [1.6], cuts, spec=SMALL)
@@ -146,6 +154,9 @@ def test_truncation_bound_probe_validation():
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.1], spec=SMALL)
     with pytest.raises(DomainError, match="distinct"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.1, 0.1], spec=SMALL)
+    # max(u) is about 0.43: every shifted form would be exactly 0
+    with pytest.raises(DomainError, match="eps level 5 leaves no positive part"):
+        truncation_bound_probe("x*exp(-x^2)", 1.25, [5.0, 6.0], spec=SMALL)
 
 
 def test_convergence_study_orders_and_limit():

@@ -14,9 +14,11 @@ from fraclab.grid import (
     GridSpec,
     l2_inner,
     max_tail,
+    outer_window,
     sample,
     truncate,
 )
+from fraclab.spectral import forward_transform
 
 
 def test_axis_nodes_layout():
@@ -96,3 +98,66 @@ def test_support_rule_detection():
     assert max_tail(ok) < SUPPORT_DECAY
     wide = sample("exp(-x^2/200)", spec)
     assert max_tail(wide) >= SUPPORT_DECAY
+
+
+# ----------------------------------------------------------------------
+# the outer half of the box as a prefix and a suffix
+
+
+def _outer_mask(spec):
+    """Reference: the mask over the whole node axis."""
+    return np.abs(spec.axis_nodes()) >= spec.L / 2.0
+
+
+# at L = 7.3, N = 4 node 3 rounds below L/2, so the suffix is empty
+_WINDOW_LS = [7.3, *np.random.default_rng(0).uniform(0.1, 100.0, 200)]
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 1024, 2**14])
+def test_outer_window_matches_node_mask(N):
+    for L in _WINDOW_LS:
+        spec = GridSpec(1, float(L), N)
+        a, b = outer_window(spec)
+        got = np.zeros(N, dtype=bool)
+        got[:a] = True
+        got[b:] = True
+        assert np.array_equal(got, _outer_mask(spec)), L
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 1024, 2**14])
+def test_max_tail_equals_masked_max(N):
+    rng = np.random.default_rng(N)
+    for L in _WINDOW_LS[:20]:
+        spec = GridSpec(1, float(L), N)
+        u = GridFunction(spec, rng.normal(size=N))
+        want = np.max(np.abs(u.samples[_outer_mask(spec)]))
+        assert np.float64(max_tail(u)).view(np.uint64) == want.view(np.uint64)
+
+
+def test_support_rule_message_unchanged():
+    spec = GridSpec(1, 16.0, 1024)
+    wide = sample("exp(-x^2/200)", spec)
+    tail = float(np.max(np.abs(wide.samples[_outer_mask(spec)])))
+    want = (
+        f"samples reach {tail:.3e} on the outer half of the box; "
+        f"the transform needs decay below {SUPPORT_DECAY:g} there"
+    )
+    with pytest.raises(SupportRuleError) as err:
+        forward_transform(wide)
+    assert str(err.value) == want
+
+
+def test_forward_transform_builds_no_node_axis(monkeypatch):
+    spec = GridSpec(1, 20.0, 1024)
+    u = sample("exp(-x^2)", spec)
+    calls = []
+    axis_nodes = GridSpec.axis_nodes
+
+    def counting(self):
+        calls.append(1)
+        return axis_nodes(self)
+
+    monkeypatch.setattr(GridSpec, "axis_nodes", counting)
+    forward_transform(u)
+    forward_transform(truncate(u, "abs"))
+    assert calls == []

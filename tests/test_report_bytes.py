@@ -1,5 +1,6 @@
-"""Golden bytes: the six experiment drivers on small inputs, and the
-de-aliasing drivers again on inputs with several crossings between nodes.
+"""Golden bytes: the six experiment drivers on small inputs, the interp
+sweep once more at N = 2^14, and the de-aliasing drivers again on inputs
+with several crossings between nodes.
 
 Each report is serialized with its wall time zeroed and compared by sha256
 against a digest recorded from a known-good commit. A refactor that moves
@@ -26,6 +27,7 @@ from fraclab.grid import GridSpec
 from fraclab.reports import report_to_json
 
 SPEC = GridSpec(1, 20.0, 4096)
+FINE = GridSpec(1, 20.0, 16384)
 SOURCE = "x*exp(-x^2)"
 # SOURCE crosses zero once, on a grid node. These two come from
 # sign_change_source(np.random.default_rng(0), k) of bench/workloads.py with
@@ -56,6 +58,8 @@ DRIVERS = {
         SOURCE, 1.25, [0.2, 0.1, 0.05, 0.02, 0.01], spec=SPEC
     ),
     "interp": lambda: interp_sweep(5, seed=0, spec=SPEC),
+    # the op shape of the random-sweep benchmark workload
+    "interp-2^14": lambda: interp_sweep(100, seed=42, spec=FINE),
     "convergence": lambda: convergence_study(SOURCE, 1.25, [1024, 2048, 4096]),
     "identity-2-roots": lambda: verify_identity(TWO_ROOTS, 0.6, spec=SPEC),
     "identity-3-roots": lambda: verify_identity(THREE_ROOTS, 0.6, spec=SPEC),
@@ -71,6 +75,7 @@ DIGESTS = {
     "counterexample": "ef03855ae933291a7204f85378e574cdcd03e9350364dc268072c7f64c3faa63",
     "truncation-bound": "8fa9103e8150324977bb5fc40cc98a53296dc7012cb581de2d5198733e0603fc",
     "interp": "cd935c6996117bd3ceb4b95f93247267fa8c87f01c41ded51ca9bfb845cfa994",
+    "interp-2^14": "75e17858eb6bea04468c6fb99b3f355131eebcc64ea2f1d6b869372c9d161b8f",
     "convergence": "1e908cd7c18c8c099d372c50da4a5744f79cf6d19ac6150e00b6fe4d97e1e363",
     "identity-2-roots": "3404d9ac9893601b1754ae33db15425cdc97ad1445bf79813eaaa8ce6117347d",
     "identity-3-roots": "6998835bc022c109c27fd11314d2dab430204e89fec82c8ce59c6c57dc3fb542",

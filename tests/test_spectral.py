@@ -12,7 +12,12 @@ import pytest
 import scipy.special
 
 from fraclab import spectral
-from fraclab.errors import DomainError, GridMismatchError, SupportRuleError
+from fraclab.errors import (
+    DomainError,
+    FraclabError,
+    GridMismatchError,
+    SupportRuleError,
+)
 from fraclab.grid import GridFunction, GridSpec, l2_inner, sample, truncate
 from fraclab.spectral import (
     Spectrum,
@@ -330,3 +335,71 @@ def test_interpolation_ratio_forms_one_cross_spectrum(monkeypatch):
     monkeypatch.setattr(spectral, "cross_spectrum", counting)
     interpolation_ratio(GAUSS, 0.3, 0.9)
     assert len(calls) == 1
+
+
+def _form_eager_check(cross, s, endpoint_correction):
+    """Reference: the form with the term scale summed on every call, and
+    whether the residual passes the threshold without it."""
+    dxi = cross.delta_xi
+    weights = spectral._multiplier(cross.shell_radii(), s)
+    terms = spectral._on_axis(weights) * cross.coeffs
+    total = complex(terms.sum()) * dxi
+    value = total.real
+    resid = abs(total.imag)
+    term_scale = float(np.abs(terms).sum()) * dxi
+    if resid > 1e-10 * max(abs(value), term_scale, 1e-300):
+        raise FraclabError("residual")
+    gated = resid > 1e-10 * max(abs(value), 1e-300)
+    lam = 2.0 * s
+    if endpoint_correction and s > 0.0 and not spectral._even_integer_lambda(lam):
+        value -= spectral._endpoint_terms(np.real(cross.coeffs), lam, dxi)
+    return value, gated
+
+
+@pytest.mark.parametrize("N", [1024, 2**14])
+def test_form_residual_check_matches_eager(N):
+    spec = GridSpec(1, 20.0, N)
+    su, sv = _unequal_pair(N, seed=N + 2)
+    u, w, z = (
+        forward_transform(sample(src, spec))
+        for src in ("(x-0.3)*exp(-x^2)", "exp(-x^2)", "x*exp(-x^2)")
+    )
+    gated = 0
+    # w against z is even against odd: the real part cancels to round-off,
+    # so the residual passes the cheap gate and the term scale decides
+    for a, b in ((su, sv), (su, su), (u, w), (u, u), (w, z)):
+        cross = cross_spectrum(a, b)
+        radii = cross.shell_radii()
+        for s in (0.0, 0.25, 1.0, 1.25, 1.75):
+            for corrected in (False, True):
+                want, passed_gate = _form_eager_check(cross, s, corrected)
+                gated += passed_gate
+                got = spectral._form_from_spectra(cross, radii, s, corrected)
+                got_bits = np.float64(got).view(np.uint64)
+                assert got_bits == np.float64(want).view(np.uint64)
+    assert gated > 0
+
+
+def test_form_residual_check_rejects_non_hermitian_products():
+    # su * sv without conj is itself Hermitian for real u and v (it is the
+    # spectrum of their convolution), so the broken products here are a
+    # one-bin misalignment and a stray factor i
+    u = sample("(x-0.3)*exp(-x^2)", SPEC)
+    v = sample("x*exp(-x^2)", SPEC)
+    su, sv = forward_transform(u), forward_transform(v)
+    for coeffs in (
+        su.coeffs * np.conj(np.roll(sv.coeffs, 1)),
+        1j * su.coeffs * np.conj(sv.coeffs),
+    ):
+        bad = Spectrum(SPEC, coeffs)
+        weights = spectral._multiplier(bad.shell_radii(), 0.75)
+        terms = spectral._on_axis(weights) * coeffs
+        total = complex(terms.sum()) * bad.delta_xi
+        term_scale = float(np.abs(terms).sum()) * bad.delta_xi
+        want = (
+            f"form imaginary residual {abs(total.imag):.3e} exceeds 1e-10 of "
+            f"the term scale {term_scale:.3e}"
+        )
+        with pytest.raises(FraclabError) as err:
+            spectral._form_from_spectra(bad, bad.shell_radii(), 0.75, False)
+        assert str(err.value) == want
