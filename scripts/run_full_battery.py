@@ -62,8 +62,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    c = kernel_constant(1, 0.5)
-    print(f"kernel constant C(1, 0.5) = {c.value!r}")
+    print(f"kernel constant C(1, 0.5) = {kernel_constant(1, 0.5)!r}")
 
     t0 = time.perf_counter()
     first = battery()

@@ -46,8 +46,6 @@ from .kernel import (
 )
 from .reports import report_to_csv, report_to_json, write_report
 from .special import (
-    FractionalOrder,
-    KernelConstant,
     gamma,
     kernel_constant,
 )

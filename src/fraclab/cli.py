@@ -175,7 +175,7 @@ def _run(builder):
 def constants(n, s):
     """Print the kernel normalization constant for (n, s)."""
     value = _run(lambda: kernel_constant(n, s))
-    click.echo(f"C({n}, {s:g}) = {value.value!r}")
+    click.echo(f"C({n}, {s:g}) = {value!r}")
 
 
 @main.command()

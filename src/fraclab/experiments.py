@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DomainError
 from .grid import GridFunction, GridSpec, sample, truncate
 from .kernel import find_crossings, phi_integral
-from .special import _as_order, kernel_constant
+from .special import _as_order, _is_integer, kernel_constant
 from .spectral import (
     Spectrum,
     cross_spectrum,
@@ -101,6 +101,21 @@ class ExperimentReport:
     @property
     def all_pass(self) -> bool:
         return all(v.status != "fail" for v in self.verdicts)
+
+
+def _report(experiment, params, results, verdicts, t0) -> ExperimentReport:
+    """The report of an experiment that started at perf_counter() t0."""
+    return ExperimentReport(
+        experiment=experiment,
+        params=params,
+        results=tuple(results),
+        verdicts=tuple(verdicts),
+        runtime_seconds=time.perf_counter() - t0,
+    )
+
+
+def _check(claim: str, ok, detail: str) -> Verdict:
+    return Verdict(claim, "pass" if ok else "fail", detail)
 
 
 def _record(quantity, spectral, kernel=None, s_err=None, k_err=None):
@@ -340,14 +355,11 @@ def _sign_law_verdict(claim: str, defect: float, c_ns: float, errors) -> Verdict
     gate = abs(defect) / 10.0
     if all(e < gate for e in errors):
         expected = -1.0 if c_ns > 0 else 1.0
-        ok = math.copysign(1.0, defect) == expected
-        return Verdict(
-            claim=claim,
-            status="pass" if ok else "fail",
-            detail=(
-                f"defect is {_sign_name(defect)}, kernel constant is "
-                f"{_sign_name(c_ns)}"
-            ),
+        return _check(
+            claim,
+            math.copysign(1.0, defect) == expected,
+            f"defect is {_sign_name(defect)}, kernel constant is "
+            f"{_sign_name(c_ns)}",
         )
     shown = ", ".join(f"{e:.2e}" for e in errors)
     if len(errors) == 1:
@@ -359,6 +371,11 @@ def _sign_law_verdict(claim: str, defect: float, c_ns: float, errors) -> Verdict
         status="inconclusive",
         detail=f"{subject} a tenth of |defect| = {abs(defect):.2e}",
     )
+
+
+def _check_tol(tol) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
 def verify_identity(
@@ -378,45 +395,42 @@ def verify_identity(
     """
     t0 = time.perf_counter()
     order = _as_order(s)
-    if order.is_integer or not (0.0 < order.s < 1.5) or abs(order.s - 1.0) < 1e-9:
+    if _is_integer(order) or not (0.0 < order < 1.5) or abs(order - 1.0) < 1e-9:
         raise DomainError(
             f"identity check needs non-integer s in (0,1) or (1,1.5), got {s}"
         )
+    _check_tol(tol)
     u = sample(u_source, spec)
     params = _base_params(
         spec, s=float(s), function=str(u_source), tolerance=float(tol),
         extrapolate=bool(extrapolate),
     )
     crossings = find_crossings(u)
-    c_ns = kernel_constant(1, order.s).value
+    c_ns = kernel_constant(1, order)
     if not crossings:
-        results = (
-            _record("cross form of u+ against u-", 0.0, 0.0, s_err=0.0, k_err=0.0),
-        )
-        verdicts = (
-            Verdict(
-                claim="identity holds trivially for single-signed input",
-                status="pass",
-                detail="no sign change detected; both sides vanish identically",
-            ),
-        )
-        return ExperimentReport(
-            experiment="identity",
-            params=params,
-            results=results,
-            verdicts=verdicts,
-            runtime_seconds=time.perf_counter() - t0,
+        return _report(
+            "identity",
+            params,
+            [_record("cross form of u+ against u-", 0.0, 0.0, s_err=0.0, k_err=0.0)],
+            [
+                _check(
+                    "identity holds trivially for single-signed input",
+                    True,
+                    "no sign change detected; both sides vanish identically",
+                )
+            ],
+            t0,
         )
 
     cross, q_abs = _truncation_forms(
-        u, crossings, order.s, [("pos", "neg"), ("abs", "abs")], extrapolate
+        u, crossings, order, [("pos", "neg"), ("abs", "abs")], extrapolate
     )
-    q_plain = _plain_form(u, order.s)
+    q_plain = _plain_form(u, order)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
 
     phi_tol = max(tol * max(abs(cross.value), 1e-8), 1e-13)
-    phi = phi_integral(u, order.s, tol=phi_tol)
+    phi = phi_integral(u, order, tol=phi_tol)
     kernel_cross = -c_ns * phi.value
     kernel_err = abs(c_ns) * phi.error_estimate
 
@@ -445,12 +459,10 @@ def verify_identity(
         ),
     )
     verdicts = (
-        Verdict(
-            claim="spectral and kernel cross forms agree",
-            status="pass" if disc <= tol else "fail",
-            detail=(
-                f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}"
-            ),
+        _check(
+            "spectral and kernel cross forms agree",
+            disc <= tol,
+            f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}",
         ),
         _sign_law_verdict(
             "defect sign follows the kernel-constant sign law",
@@ -459,13 +471,7 @@ def verify_identity(
             (defect_err, 4.0 * kernel_err),
         ),
     )
-    return ExperimentReport(
-        experiment="identity",
-        params=params,
-        results=results,
-        verdicts=verdicts,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("identity", params, results, verdicts, t0)
 
 
 def sign_sweep(
@@ -484,11 +490,12 @@ def sign_sweep(
     if not s_list:
         raise DomainError("s list must be nonempty")
     orders = [_as_order(s) for s in s_list]
-    for o in orders:
-        if o.is_integer or o.s <= 0 or abs(o.s - 1.0) < 1e-9:
+    for s in orders:
+        if _is_integer(s) or abs(s - 1.0) < 1e-9:
             raise DomainError(
-                f"sweep orders must be positive non-integer (not 1), got {o.s}"
+                f"sweep orders must be positive non-integer (not 1), got {s}"
             )
+    _check_tol(tol)
     u = sample(u_source, spec)
     params = _base_params(
         spec,
@@ -503,21 +510,15 @@ def sign_sweep(
     (sa,) = dealias_spectrum(u, crossings, ("abs",))
     modulus = cross_spectrum(sa, sa)
     del su, sa
-
-    def one(order):
-        q_plain = refined_form(plain, order.s, kinky=False)
-        q_abs = refined_form(modulus, order.s, kinky=bool(crossings))
-        return q_plain, q_abs
-
-    pairs = [one(order) for order in orders]
     results = []
     verdicts = []
-    for order, (q_plain, q_abs) in zip(orders, pairs):
-        s = order.s
+    for s in orders:
+        q_plain = refined_form(plain, s, kinky=False)
+        q_abs = refined_form(modulus, s, kinky=bool(crossings))
         defect = q_abs.value - q_plain.value
         err = q_abs.error_estimate + q_plain.error_estimate
         diverged = q_abs.diverged or q_plain.diverged
-        c_ns = kernel_constant(1, s).value
+        c_ns = kernel_constant(1, s)
         results.append(
             _record(f"defect at s={s:g}", defect, s_err=err)
         )
@@ -543,13 +544,7 @@ def sign_sweep(
             )
         else:
             verdicts.append(_sign_law_verdict(claim, defect, c_ns, (err,)))
-    return ExperimentReport(
-        experiment="sign-sweep",
-        params=params,
-        results=tuple(results),
-        verdicts=tuple(verdicts),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("sign-sweep", params, results, verdicts, t0)
 
 
 def counterexample_scan(
@@ -596,9 +591,10 @@ def counterexample_scan(
     if np.min(x * sp) < -1e-12 * scale * spec.L:
         raise DomainError("input must satisfy x * phi(x) >= 0")
 
+    if not s_list:
+        raise DomainError("s list must be nonempty")
     for s in s_list:
-        order = _as_order(s)
-        if order.is_integer or order.s <= 0:
+        if _is_integer(_as_order(s)):
             raise DomainError(f"orders must be positive non-integer, got {s}")
     params = _base_params(
         spec,
@@ -620,7 +616,9 @@ def counterexample_scan(
             f"{[int(m) for m in idx]}"
         )
 
-    def one(s):
+    results = []
+    verdicts = []
+    for s in s_list:
         xi, partial = shell_partial_sums(cross, s)
         svals = partial[idx]
         incs = np.diff(svals)
@@ -636,14 +634,6 @@ def counterexample_scan(
         rel = np.abs(shell_inc) / denom
         cauchy_metric = float(np.mean(rel)) if rel.size else math.nan
         decreasing = bool(np.all(np.diff(np.abs(incs)) < 0))
-        return svals, incs, slope_fit, cauchy_metric, decreasing
-
-    scans = [one(s) for s in s_list]
-    results = []
-    verdicts = []
-    for s, (svals, incs, slope_fit, cauchy_metric, decreasing) in zip(
-        s_list, scans
-    ):
         for c, v in zip(cutoffs, svals):
             results.append(
                 _record(f"partial sum at s={s:g}, cutoff={c:g}", float(v))
@@ -652,37 +642,25 @@ def counterexample_scan(
         results.append(_record(f"cauchy metric at s={s:g}", cauchy_metric))
         predicted = 2.0 * s - 3.0
         if s > 1.5:
-            ok = abs(slope_fit - predicted) <= 0.15
             verdicts.append(
-                Verdict(
-                    claim=f"partial sums at s={s:g} grow with exponent 2s-3",
-                    status="pass" if ok else "fail",
-                    detail=(
-                        f"fitted exponent {slope_fit:.4f} vs predicted "
-                        f"{predicted:.4f} (tolerance 0.15)"
-                    ),
+                _check(
+                    f"partial sums at s={s:g} grow with exponent 2s-3",
+                    abs(slope_fit - predicted) <= 0.15,
+                    f"fitted exponent {slope_fit:.4f} vs predicted "
+                    f"{predicted:.4f} (tolerance 0.15)",
                 )
             )
         else:
-            ok = decreasing and cauchy_metric < 1e-4
             verdicts.append(
-                Verdict(
-                    claim=f"partial sums at s={s:g} are Cauchy",
-                    status="pass" if ok else "fail",
-                    detail=(
-                        f"octave increments decreasing: {decreasing}; mean "
-                        f"relative shell increment {cauchy_metric:.3e} "
-                        f"(threshold 1e-4)"
-                    ),
+                _check(
+                    f"partial sums at s={s:g} are Cauchy",
+                    decreasing and cauchy_metric < 1e-4,
+                    f"octave increments decreasing: {decreasing}; mean "
+                    f"relative shell increment {cauchy_metric:.3e} "
+                    f"(threshold 1e-4)",
                 )
             )
-    return ExperimentReport(
-        experiment="counterexample",
-        params=params,
-        results=tuple(results),
-        verdicts=tuple(verdicts),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("counterexample", params, results, verdicts, t0)
 
 
 def truncation_bound_probe(
@@ -699,10 +677,11 @@ def truncation_bound_probe(
     """
     t0 = time.perf_counter()
     order = _as_order(s)
-    if order.is_integer or not (0.0 < order.s < 1.5):
+    if _is_integer(order) or not (0.0 < order < 1.5):
         raise DomainError(
             f"probe requires non-integer s in (0, 1.5), got {s}"
         )
+    _check_tol(tol)
     eps = sorted(float(e) for e in eps_list)
     if not eps or eps[0] <= 0:
         raise DomainError("eps list must contain positive values")
@@ -719,23 +698,12 @@ def truncation_bound_probe(
         )
     params = _base_params(
         spec,
-        s=float(order.s),
+        s=order,
         eps_list=list(eps),
         function=str(u_source),
         tolerance=float(tol),
     )
-    (ref,) = _truncation_forms(u, find_crossings(u), order.s, [("pos", "pos")])
-
-    def one(e):
-        shifted = GridFunction(spec, u.samples - e)
-        if np.max(shifted.samples) <= 0.0:
-            return RefinedValue(0.0, 0.0, False)
-        (q,) = _truncation_forms(
-            shifted, find_crossings(shifted), order.s, [("pos", "pos")]
-        )
-        return q
-
-    qs = [one(e) for e in eps]
+    (ref,) = _truncation_forms(u, find_crossings(u), order, [("pos", "pos")])
     results = [
         _record(
             "reference form of the positive part",
@@ -743,24 +711,31 @@ def truncation_bound_probe(
             s_err=ref.error_estimate,
         )
     ]
-    for e, q in zip(eps, qs):
+    values = []
+    for e in eps:
+        shifted = GridFunction(spec, u.samples - e)
+        if np.max(shifted.samples) <= 0.0:
+            q = RefinedValue(0.0, 0.0, False)
+        else:
+            (q,) = _truncation_forms(
+                shifted, find_crossings(shifted), order, [("pos", "pos")]
+            )
+        values.append(q.value)
         results.append(
             _record(f"shifted form at eps={e:g}", q.value, s_err=q.error_estimate)
         )
-    values = np.array([q.value for q in qs])
+    values = np.array(values)
     scale = max(abs(ref.value), _TINY)
 
     bounded = bool(np.all(np.isfinite(values))) and float(
         np.max(np.abs(values))
     ) <= 2.0 * max(scale, float(np.abs(values[0])))
     verdicts = [
-        Verdict(
-            claim="shifted forms stay uniformly bounded",
-            status="pass" if bounded else "fail",
-            detail=(
-                f"max |q(eps)| = {float(np.max(np.abs(values))):.6e} vs "
-                f"reference {ref.value:.6e}"
-            ),
+        _check(
+            "shifted forms stay uniformly bounded",
+            bounded,
+            f"max |q(eps)| = {float(np.max(np.abs(values))):.6e} vs "
+            f"reference {ref.value:.6e}",
         )
     ]
     # the family approaches its limit linearly in eps (the level shift
@@ -789,14 +764,12 @@ def truncation_bound_probe(
     )
     conv = discrepancy(float(limit), ref.value)
     verdicts.append(
-        Verdict(
-            claim="shifted forms converge to the positive-part form",
-            status="pass" if conv <= tol else "fail",
-            detail=(
-                f"extrapolated limit {limit:.8e} vs reference "
-                f"{ref.value:.8e}: relative gap {conv:.6e} "
-                f"(tolerance {tol:.1e})"
-            ),
+        _check(
+            "shifted forms converge to the positive-part form",
+            conv <= tol,
+            f"extrapolated limit {limit:.8e} vs reference "
+            f"{ref.value:.8e}: relative gap {conv:.6e} "
+            f"(tolerance {tol:.1e})",
         )
     )
     # minimal quadratic coefficient that keeps the family under
@@ -805,22 +778,14 @@ def truncation_bound_probe(
     b_req = float(np.max((values - limit) / np.square(eps)))
     fit_ok = math.isfinite(b_req) and b_req * max(eps) ** 2 <= scale
     verdicts.append(
-        Verdict(
-            claim="shifted forms fit under a quadratic envelope",
-            status="pass" if fit_ok else "fail",
-            detail=(
-                f"envelope A={limit:.6e}, B={max(b_req, 0.0):.6e} covers "
-                f"the family; quadratic excess stays below the form scale"
-            ),
+        _check(
+            "shifted forms fit under a quadratic envelope",
+            fit_ok,
+            f"envelope A={limit:.6e}, B={max(b_req, 0.0):.6e} covers "
+            f"the family; quadratic excess stays below the form scale",
         )
     )
-    return ExperimentReport(
-        experiment="truncation-bound",
-        params=params,
-        results=tuple(results),
-        verdicts=tuple(verdicts),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("truncation-bound", params, results, verdicts, t0)
 
 
 def convergence_study(
@@ -845,34 +810,32 @@ def convergence_study(
         raise DomainError("need at least 3 resolutions")
     if any(b <= a for a, b in zip(Ns[:-1], Ns[1:])):
         raise DomainError("resolutions must be strictly increasing")
+    _check_tol(tol)
     params = {
         "n": 1,
         "L": float(L),
         "N_list": Ns,
-        "s": float(order.s),
+        "s": order,
         "function": str(u_source),
         "tolerance": float(tol),
         "extrapolate": bool(extrapolate),
     }
-
-    def one(N):
-        u = sample(u_source, GridSpec(1, L, N))
-        crossings = find_crossings(u)
-        if crossings and not order.is_integer and 0.0 < order.s < 1.5:
-            (spectral,) = _truncation_forms(
-                u, crossings, order.s, [("pos", "neg")], extrapolate
-            )
-            phi = phi_integral(u, order.s, tol=1e-10)
-            c_ns = kernel_constant(1, order.s).value
-            return spectral, -c_ns * phi.value, abs(c_ns) * phi.error_estimate
-        spectral = _plain_form(u, order.s)
-        return spectral, None, None
-
-    rows = [one(N) for N in Ns]
     results = []
     spectral_vals = []
     kernel_vals = []
-    for N, (spectral, kernel, kerr) in zip(Ns, rows):
+    for N in Ns:
+        u = sample(u_source, GridSpec(1, L, N))
+        crossings = find_crossings(u)
+        if crossings and not _is_integer(order) and 0.0 < order < 1.5:
+            (spectral,) = _truncation_forms(
+                u, crossings, order, [("pos", "neg")], extrapolate
+            )
+            phi = phi_integral(u, order, tol=1e-10)
+            c_ns = kernel_constant(1, order)
+            kernel, kerr = -c_ns * phi.value, abs(c_ns) * phi.error_estimate
+        else:
+            spectral = _plain_form(u, order)
+            kernel, kerr = None, None
         results.append(
             _record(
                 f"cross form at N={N}",
@@ -914,13 +877,11 @@ def convergence_study(
         limit = track[-1] + (track[-1] - track[-2]) / (2.0**p - 1.0)
         results.append(_record(f"richardson limit of the {label} route", limit))
         verdicts.append(
-            Verdict(
-                claim="resolution study converges monotonically",
-                status="pass",
-                detail=(
-                    f"{label} differences decrease; last observed order "
-                    f"{p:.3f}"
-                ),
+            _check(
+                "resolution study converges monotonically",
+                True,
+                f"{label} differences decrease; last observed order "
+                f"{p:.3f}",
             )
         )
     else:
@@ -940,19 +901,13 @@ def convergence_study(
     if both:
         final = discrepancy(both[-1][0], both[-1][1])
         verdicts.append(
-            Verdict(
-                claim="routes agree at the finest resolution",
-                status="pass" if final <= tol else "fail",
-                detail=f"relative discrepancy {final:.6e} vs tolerance {tol:.1e}",
+            _check(
+                "routes agree at the finest resolution",
+                final <= tol,
+                f"relative discrepancy {final:.6e} vs tolerance {tol:.1e}",
             )
         )
-    return ExperimentReport(
-        experiment="convergence",
-        params=params,
-        results=tuple(results),
-        verdicts=tuple(verdicts),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("convergence", params, results, verdicts, t0)
 
 
 # ----------------------------------------------------------------------
@@ -1004,7 +959,6 @@ def interp_sweep(
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    ratios = []
     results = []
     # one draw at a time: its samples are dropped once its ratio is taken
     for i in range(count):
@@ -1019,26 +973,17 @@ def interp_sweep(
             raise DomainError("sweep kept drawing the zero function")
         ratio = interpolation_ratio(v, tau, s)
         del v
-        ratios.append(ratio)
         results.append(
             _record(f"interpolation ratio, draw {i} (tau={tau:.4f}, s={s:.4f})", ratio)
         )
     params = _base_params(spec, count=int(count), seed=int(seed))
-    worst = max(ratios)
-    verdicts = (
-        Verdict(
-            claim="every sampled ratio obeys the interpolation bound",
-            status="pass" if worst <= 1.0 + 1e-12 else "fail",
-            detail=f"largest ratio is 1 {worst - 1.0:+.3e}",
-        ),
+    worst = max(r.spectral_value for r in results)
+    verdict = _check(
+        "every sampled ratio obeys the interpolation bound",
+        worst <= 1.0 + 1e-12,
+        f"largest ratio is 1 {worst - 1.0:+.3e}",
     )
-    return ExperimentReport(
-        experiment="interp",
-        params=params,
-        results=tuple(results),
-        verdicts=verdicts,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report("interp", params, results, [verdict], t0)
 
 
 def mollifier_bump(spec: GridSpec, center: float, radius: float) -> GridFunction:

@@ -34,7 +34,7 @@ from .errors import (
     QuadratureToleranceError,
 )
 from .grid import GridFunction, truncate
-from .special import _as_order, kernel_constant
+from .special import _as_order, _is_integer, kernel_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -172,6 +172,23 @@ def _pair_quadrature(
     )
 
 
+def _sum_pairs(fx, fy, pairs, s, tol) -> QuadratureResult:
+    """_pair_quadrature over pairs of (xreg, yreg, x_anchor_lo,
+    y_anchor_lo, contact) in their order: values and estimates summed in
+    that order, depth the deepest reached."""
+    value = 0.0
+    est = 0.0
+    depth = 1
+    for xreg, yreg, x_anchor_lo, y_anchor_lo, contact in pairs:
+        v, e, d = _pair_quadrature(
+            fx, fy, xreg, yreg, x_anchor_lo, y_anchor_lo, s, tol, contact
+        )
+        value += v
+        est += e
+        depth = max(depth, d)
+    return QuadratureResult(value=float(value), error_estimate=float(est), depth=depth)
+
+
 def _interp_pos(u: GridFunction, x: np.ndarray):
     # x is u.spec.axis_nodes()
     s = u.samples
@@ -205,10 +222,10 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     Non-integer s in (0, 3/2); the linear vanishing of u+ and u- at each
     crossing keeps the integral finite exactly in that range.
     """
-    order = _as_order(s)
-    if order.is_integer or not (0.0 < order.s < 1.5):
+    s = _as_order(s)
+    if _is_integer(s) or not (0.0 < s < 1.5):
         raise DomainError(
-            f"phi integral requires non-integer s in (0, 1.5), got {order.s}"
+            f"phi integral requires non-integer s in (0, 1.5), got {s}"
         )
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -223,19 +240,8 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     fp = _interp_pos(up, x)
     fm = _interp_pos(um, x)
     pair_tol = tol / (2.0 * len(p_regs) * len(m_regs))
-    value = 0.0
-    est = 0.0
-    depth = 1
-    for p in p_regs:
-        for m in m_regs:
-            x_anchor_lo, y_anchor_lo, contact = _contact_geometry(p, m)
-            v, e, d = _pair_quadrature(
-                fp, fm, p, m, x_anchor_lo, y_anchor_lo, order.s, pair_tol, contact
-            )
-            value += v
-            est += e
-            depth = max(depth, d)
-    return QuadratureResult(value=float(value), error_estimate=float(est), depth=depth)
+    pairs = ((p, m, *_contact_geometry(p, m)) for p in p_regs for m in m_regs)
+    return _sum_pairs(fp, fm, pairs, s, pair_tol)
 
 
 def _support_hull(w: GridFunction, x: np.ndarray):
@@ -255,11 +261,11 @@ def interaction_integral(
     is smooth; any non-integer s > 0 is allowed. Overlapping or touching
     supports are rejected (that configuration needs phi_integral).
     """
-    order = _as_order(s)
+    s = _as_order(s)
     if v.spec != w.spec:
         raise DomainError("interaction integral needs a common grid")
-    if order.is_integer:
-        raise DomainError(f"non-integer order required, got {order.s}")
+    if _is_integer(s):
+        raise DomainError(f"non-integer order required, got {s}")
     for name, f in (("v", v), ("w", w)):
         if np.min(f.samples) < -1e-13 * max(np.max(np.abs(f.samples)), 1e-300):
             raise DomainError(f"{name} must be nonnegative")
@@ -286,18 +292,12 @@ def interaction_integral(
     # split each hull at its midpoint and grade every quadrant toward its
     # own support-edge corner; anchoring only at the facing edges leaves
     # fixed coarse panels whose error the refinement never sees.
-    value = 0.0
-    est = 0.0
-    depth = 1
-    for xreg, xa in _edge_halves(hv):
-        for yreg, ya in _edge_halves(hw):
-            val_q, est_q, depth_q = _pair_quadrature(
-                fx, fy, xreg, yreg, xa, ya, order.s, tol / 8.0, False
-            )
-            value += val_q
-            est += est_q
-            depth = max(depth, depth_q)
-    return QuadratureResult(value=float(value), error_estimate=float(est), depth=depth)
+    pairs = (
+        (xreg, yreg, xa, ya, False)
+        for xreg, xa in _edge_halves(hv)
+        for yreg, ya in _edge_halves(hw)
+    )
+    return _sum_pairs(fx, fy, pairs, s, tol / 8.0)
 
 
 def gagliardo_form(
@@ -425,5 +425,4 @@ def gagliardo_form(
             "gagliardo near-field refinement did not reach tolerance"
         )
 
-    c_ns = kernel_constant(1, s).value
-    return c_ns * (plain + tail + near + remainder)
+    return kernel_constant(1, s) * (plain + tail + near + remainder)

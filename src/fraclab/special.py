@@ -13,7 +13,6 @@ Laplacians of the Riesz kernel computable in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
 
@@ -120,40 +119,19 @@ def gamma(x: float) -> float:
     return math.pi / denom
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """A positive order s together with floor(s) and an integer flag."""
-
-    s: float
-    floor_s: int
-    is_integer: bool
-
-    @classmethod
-    def from_value(cls, s: float) -> "FractionalOrder":
-        s = float(s)
-        if not (s > 0.0) or not math.isfinite(s):
-            raise DomainError(f"order must be positive and finite, got {s}")
-        is_int = abs(s - round(s)) < _INTEGER_TOL
-        floor_s = int(round(s)) if is_int else int(math.floor(s))
-        return cls(s=s, floor_s=floor_s, is_integer=is_int)
+def _as_order(s) -> float:
+    """The order s as a float, checked positive and finite."""
+    s = float(s)
+    if not (s > 0.0) or not math.isfinite(s):
+        raise DomainError(f"order must be positive and finite, got {s}")
+    return s
 
 
-def _as_order(s) -> FractionalOrder:
-    if isinstance(s, FractionalOrder):
-        return s
-    return FractionalOrder.from_value(s)
+def _is_integer(s: float) -> bool:
+    return abs(s - round(s)) < _INTEGER_TOL
 
 
-@dataclass(frozen=True)
-class KernelConstant:
-    """C(n, s) with its defining data; sign(value) = (-1)^floor(s)."""
-
-    n: int
-    s: FractionalOrder
-    value: float
-
-
-def kernel_constant(n: int, s) -> KernelConstant:
+def kernel_constant(n: int, s) -> float:
     """The constant C(n, s) of the singular-kernel representation.
 
     Integer s is rejected: Gamma(1 - s) has a pole there and the kernel
@@ -161,19 +139,17 @@ def kernel_constant(n: int, s) -> KernelConstant:
     """
     if n < 1 or n != int(n):
         raise DomainError(f"dimension must be a positive integer, got {n}")
-    order = _as_order(s)
-    if order.is_integer:
+    s = _as_order(s)
+    if _is_integer(s):
         raise DomainError(
-            f"kernel constant undefined at integer order s={order.s}"
+            f"kernel constant undefined at integer order s={s}"
         )
     # sequential divides: at (n, s) = (1, 1/2) this lands on the double
     # nearest 1/pi, which the command-line contract prints verbatim
-    value = (
-        2.0 ** (2.0 * order.s)
-        * order.s
-        * gamma(n / 2.0 + order.s)
+    return (
+        2.0 ** (2.0 * s)
+        * s
+        * gamma(n / 2.0 + s)
         / math.pi ** (n / 2.0)
-        / gamma(1.0 - order.s)
+        / gamma(1.0 - s)
     )
-    return KernelConstant(n=int(n), s=order, value=value)
-

@@ -39,7 +39,7 @@ def _finish(num, started, limit, detail):
 
 def test_criterion_01_kernel_constants():
     t0 = time.perf_counter()
-    c_half = kernel_constant(1, 0.5).value
+    c_half = kernel_constant(1, 0.5)
     assert abs(c_half - 1.0 / math.pi) <= 1e-12
 
     rng = np.random.default_rng(42)
@@ -50,8 +50,8 @@ def test_criterion_01_kernel_constants():
         a = float(rng.uniform(0.0, 3.0))
         if min(abs(a - k) for k in range(0, 5)) < 1e-6 or a <= 0.0:
             continue
-        lhs = kernel_constant(n, a).value * (n + 2.0 * a) * (2.0 * a + 2.0)
-        rhs = kernel_constant(n, a + 1.0).value
+        lhs = kernel_constant(n, a) * (n + 2.0 * a) * (2.0 * a + 2.0)
+        rhs = kernel_constant(n, a + 1.0)
         worst = max(worst, abs(lhs + rhs) / abs(rhs))
         checked += 1
     assert worst <= 1e-12
@@ -61,7 +61,7 @@ def test_criterion_01_kernel_constants():
             s = 0.05 * k
             if abs(s - round(s)) < 1e-9:
                 continue
-            c = kernel_constant(n, s).value
+            c = kernel_constant(n, s)
             assert math.copysign(1.0, c) == (-1.0) ** math.floor(s), (n, s)
     _finish(1, t0, 1.0, f"constants exact at (1,1/2); recursion worst {worst:.2e}")
 
@@ -100,7 +100,7 @@ def test_criterion_04_disjoint_support_identity():
     worst = 0.0
     for s in (0.5, 1.25, 2.5):
         spectral = quadratic_form(v, w, s)
-        c = kernel_constant(1, s).value
+        c = kernel_constant(1, s)
         kernel = -c * interaction_integral(v, w, s).value
         rel = abs(spectral - kernel) / max(abs(spectral), abs(kernel))
         worst = max(worst, rel)

@@ -192,6 +192,30 @@ def test_uninformative_levels_exit_2(runner, args):
     assert "validation error" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "identity --N 4096 --tol -1",
+        "identity --N 4096 --tol 0",
+        "truncation-bound --N 4096 --tol nan",
+        "convergence --N-list 1024 --N-list 2048 --N-list 4096 --tol 0",
+        "sign-sweep --N 4096 --tol -5",
+    ],
+)
+def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == 2, res.output
+    assert "tolerance must be positive" in res.output
+
+
+def test_counterexample_empty_order_list_in_config_exits_2(runner, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"s_list": []}))
+    res = runner.invoke(main, ["counterexample", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "s list must be nonempty" in res.output
+
+
 def test_interp_subcommand(runner):
     res = runner.invoke(main, ["interp", "--count", "5", "--seed", "7", "--N", "4096"])
     assert res.exit_code == 0, res.output

@@ -4,6 +4,7 @@ Heavier grids live in the acceptance suite; these runs use 2^12..2^14
 nodes so the whole file stays in the seconds range.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,10 @@ def test_verify_identity_validation():
     for bad in (1.0, 1.5, 2.0, -0.3):
         with pytest.raises(DomainError):
             verify_identity("x*exp(-x^2)", bad, spec=SMALL)
+    # a tolerance that no discrepancy can meet is invalid input, not a fail
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            verify_identity("x*exp(-x^2)", 1.25, spec=SMALL, tol=tol)
 
 
 def test_report_determinism():
@@ -96,6 +101,9 @@ def test_sign_sweep_gated_and_probe_orders():
 def test_sign_sweep_validation():
     with pytest.raises(DomainError):
         sign_sweep("x*exp(-x^2)", [], spec=SMALL)
+    for tol in (-5.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            sign_sweep("x*exp(-x^2)", [0.5], spec=SMALL, tol=tol)
 
 
 def test_counterexample_scan_exponents():
@@ -109,6 +117,8 @@ def test_counterexample_scan_exponents():
 
 def test_counterexample_scan_validation():
     cuts = [80.0, 160.0, 320.0, 640.0]
+    with pytest.raises(DomainError, match="s list must be nonempty"):
+        counterexample_scan("x*exp(-x^2)", [], [40.0, 80.0, 160.0, 320.0], spec=SMALL)
     with pytest.raises(DomainError):
         counterexample_scan("x*exp(-x^2)", [1.6], [80.0, 160.0], spec=SMALL)
     with pytest.raises(DomainError):
@@ -157,6 +167,11 @@ def test_truncation_bound_probe_validation():
     # max(u) is about 0.43: every shifted form would be exactly 0
     with pytest.raises(DomainError, match="eps level 5 leaves no positive part"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [5.0, 6.0], spec=SMALL)
+    for tol in (math.nan, 0.0, -1e-3):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            truncation_bound_probe(
+                "x*exp(-x^2)", 1.25, [0.02, 0.01], spec=SMALL, tol=tol
+            )
 
 
 def test_convergence_study_orders_and_limit():
@@ -183,6 +198,9 @@ def test_convergence_study_degenerate_and_validation():
     assert any(v.status == "inconclusive" for v in rep.verdicts)
     with pytest.raises(DomainError):
         convergence_study("x*exp(-x^2)", 1.25, [1024, 2048])
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            convergence_study("x*exp(-x^2)", 1.25, [1024, 2048, 4096], tol=tol)
 
 
 def test_interp_sweep_bound_and_determinism():

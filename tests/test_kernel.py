@@ -56,7 +56,7 @@ def test_phi_of_single_sign_function_is_zero():
 
 @pytest.mark.parametrize("s", [0.5, 1.25])
 def test_phi_matches_transported_cross_form(s):
-    c = kernel_constant(1, s).value
+    c = kernel_constant(1, s)
     expect = -CROSS_FORM[s] / c
     res = phi_integral(ODD, s)
     assert res.value == pytest.approx(expect, rel=5e-5)

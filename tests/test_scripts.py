@@ -1,0 +1,26 @@
+"""The scripts under scripts/ run end to end."""
+
+import importlib.util
+import pathlib
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_full_battery_is_reproducible(tmp_path, capsys):
+    assert _load("run_full_battery").main(["--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "kernel constant C(1, 0.5) = 0.3183098861837907" in out
+    assert "bitwise reproducible: True" in out
+    assert len(list(tmp_path.glob("*.json"))) == 6
+
+
+def test_convergence_table_runs():
+    script = _load("convergence_table")
+    assert script.main(["--s", "1.25", "--N", "1024", "2048", "4096"]) == 0

@@ -11,11 +11,11 @@ import pytest
 import scipy.special
 
 from fraclab.errors import DomainError, PoleError
-from fraclab.special import FractionalOrder, gamma, kernel_constant
+from fraclab.special import gamma, kernel_constant
 
 
 def C(n, s):
-    return kernel_constant(n, s).value
+    return kernel_constant(n, s)
 
 
 def test_gamma_matches_scipy_on_positive_axis():
@@ -72,14 +72,6 @@ def test_kernel_constant_reference_value():
     c = C(1, 0.5)
     assert repr(c) == "0.3183098861837907"
     assert abs(c - 1.0 / math.pi) <= 1e-16
-
-
-def test_kernel_constant_carries_order_metadata():
-    k = kernel_constant(1, 1.25)
-    assert k.n == 1
-    assert isinstance(k.s, FractionalOrder)
-    assert k.s.floor_s == 1
-    assert not k.s.is_integer
 
 
 def test_kernel_constant_rejects_integer_order():

@@ -71,6 +71,11 @@ def test_shift_theorem_on_the_lattice():
 def test_parseval_at_order_zero():
     u = sample("x*exp(-x^2)", SPEC)
     assert quadratic_form(u, u, 0.0) == pytest.approx(l2_inner(u, u), rel=1e-13)
+    # a pair without symmetry: a cross spectrum that drops the conjugate
+    # gives -0.608 here instead of 0.152
+    u = sample("(x-0.3)*exp(-x^2)", SPEC)
+    v = sample("exp(-(x-1)^2)", SPEC)
+    assert quadratic_form(u, v, 0.0) == pytest.approx(l2_inner(u, v), rel=1e-13)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.1, 1.25, 1.4])
