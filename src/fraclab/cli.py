@@ -36,50 +36,55 @@ def main():
     """Numerical experiments on sign-truncated fractional-order forms."""
 
 
-def _grid_options(fn):
-    fn = click.option(
-        "--N",
-        "N",
-        type=int,
-        default=16384,
-        show_default=True,
-        help="Grid nodes (power of two).",
-    )(fn)
-    fn = click.option(
-        "--L",
-        "L",
-        type=float,
-        default=20.0,
-        show_default=True,
-        help="Half-width of the sampling box.",
-    )(fn)
-    return fn
+def _option(*decls, **attrs):
+    """A flag whose help shows its default."""
+    return click.option(*decls, show_default=True, **attrs)
 
 
-def _io_options(fn):
-    fn = click.option(
-        "--config",
-        "config_path",
-        type=click.Path(exists=True, dir_okay=False),
-        default=None,
-        help="JSON config file with the same keys as the flags; flags win.",
-    )(fn)
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Report file format.",
-    )(fn)
-    fn = click.option(
+def _many(flag, name, default, type=float):
+    return _option(flag, name, type=type, multiple=True, default=default)
+
+
+_FUNC = _option("--func", "func", default=_DEFAULT_FUNC)
+_S = _option("--s", "s", type=float, default=1.25)
+_TOL = _option("--tol", "tol", type=float, default=1e-3)
+_EXTRAPOLATE = _option(
+    "--extrapolate/--no-extrapolate",
+    "extrapolate",
+    default=True,
+    help="Extrapolate the frequency-cutoff tail of kinked integrands.",
+)
+_L = _option(
+    "--L", "L", type=float, default=20.0, help="Half-width of the sampling box."
+)
+_N = _option("--N", "N", type=int, default=16384, help="Grid nodes (power of two).")
+_IO = (
+    click.option(
         "--out",
         "out",
         type=click.Path(dir_okay=False, writable=True),
         default=None,
         help="Report output path.",
-    )(fn)
-    return fn
+    ),
+    _option(
+        "--format",
+        "fmt",
+        type=click.Choice(["json", "csv"]),
+        default="json",
+        help="Report file format.",
+    ),
+    click.option(
+        "--config",
+        "config_path",
+        type=click.Path(exists=True, dir_okay=False),
+        default=None,
+        help="JSON config file with the same keys as the flags; flags win.",
+    ),
+)
+
+
+def _spec(values) -> GridSpec:
+    return GridSpec(1, values["L"], values["N"])
 
 
 def _apply_config(ctx, params: dict) -> dict:
@@ -169,6 +174,27 @@ def _run(builder):
         sys.exit(1)
 
 
+def _experiment(*flags):
+    """Register the decorated body as a subcommand with the given flags
+    (in help order) plus --out/--format/--config. The body takes the
+    flag values, overlaid with the config file, and returns a report;
+    the subcommand prints it, writes it and exits by the status contract."""
+
+    def register(body):
+        @click.pass_context
+        def command(ctx, **params):
+            values = _apply_config(ctx, params)
+            report = _run(lambda: body(values))
+            _finish(report, values["out"], values["fmt"])
+
+        for flag in reversed(flags + _IO):
+            command = flag(command)
+        name = body.__name__.replace("_", "-")
+        return main.command(name=name, help=body.__doc__)(command)
+
+    return register
+
+
 @main.command()
 @click.option("--n", "n", type=int, default=1, show_default=True)
 @click.option("--s", "s", type=float, required=True, help="Fractional order.")
@@ -178,182 +204,82 @@ def constants(n, s):
     click.echo(f"C({n}, {s:g}) = {value!r}")
 
 
-@main.command()
-@click.option("--func", "func", default=_DEFAULT_FUNC, show_default=True)
-@click.option("--s", "s", type=float, default=1.25, show_default=True)
-@click.option("--tol", "tol", type=float, default=1e-3, show_default=True)
-@click.option(
-    "--extrapolate/--no-extrapolate",
-    "extrapolate",
-    default=True,
-    show_default=True,
-    help="Extrapolate the frequency-cutoff tail of kinked integrands.",
-)
-@_grid_options
-@_io_options
-@click.pass_context
-def identity(ctx, **params):
+@_experiment(_FUNC, _S, _TOL, _EXTRAPOLATE, _L, _N)
+def identity(v):
     """Cross-check the truncation identity spectrally and by quadrature."""
-    values = _apply_config(ctx, params)
-    report = _run(
-        lambda: experiments.verify_identity(
-            values["func"],
-            values["s"],
-            GridSpec(1, values["L"], values["N"]),
-            tol=values["tol"],
-            extrapolate=values["extrapolate"],
-        )
+    return experiments.verify_identity(
+        v["func"], v["s"], _spec(v), tol=v["tol"], extrapolate=v["extrapolate"]
     )
-    _finish(report, values["out"], values["fmt"])
 
 
-@main.command(name="sign-sweep")
-@click.option("--func", "func", default=_DEFAULT_FUNC, show_default=True)
-@click.option(
-    "--s",
-    "s_list",
-    type=float,
-    multiple=True,
-    default=(0.25, 0.5, 0.75, 1.1, 1.25, 1.4),
-    show_default=True,
+@_experiment(
+    _FUNC, _many("--s", "s_list", (0.25, 0.5, 0.75, 1.1, 1.25, 1.4)), _TOL, _L, _N
 )
-@click.option("--tol", "tol", type=float, default=1e-3, show_default=True)
-@_grid_options
-@_io_options
-@click.pass_context
-def sign_sweep(ctx, **params):
+def sign_sweep(v):
     """Sign of the modulus-form defect across a list of orders."""
-    values = _apply_config(ctx, params)
-    report = _run(
-        lambda: experiments.sign_sweep(
-            values["func"],
-            list(values["s_list"]),
-            GridSpec(1, values["L"], values["N"]),
-            tol=values["tol"],
-        )
+    return experiments.sign_sweep(
+        v["func"], list(v["s_list"]), _spec(v), tol=v["tol"]
     )
-    _finish(report, values["out"], values["fmt"])
 
 
-@main.command()
-@click.option("--func", "func", default=_DEFAULT_FUNC, show_default=True)
-@click.option(
-    "--s",
-    "s_list",
-    type=float,
-    multiple=True,
-    default=(1.3, 1.4, 1.6, 1.7),
-    show_default=True,
+@_experiment(
+    _FUNC,
+    _many("--s", "s_list", (1.3, 1.4, 1.6, 1.7)),
+    _many("--cutoff", "cutoffs", (80.0, 160.0, 320.0, 640.0, 1280.0)),
+    _L,
+    _N,
 )
-@click.option(
-    "--cutoff",
-    "cutoffs",
-    type=float,
-    multiple=True,
-    default=(80.0, 160.0, 320.0, 640.0, 1280.0),
-    show_default=True,
-)
-@_grid_options
-@_io_options
-@click.pass_context
-def counterexample(ctx, **params):
+def counterexample(v):
     """Partial-sum growth scan for kinked positive parts."""
-    values = _apply_config(ctx, params)
-    report = _run(
-        lambda: experiments.counterexample_scan(
-            values["func"],
-            list(values["s_list"]),
-            list(values["cutoffs"]),
-            GridSpec(1, values["L"], values["N"]),
-        )
+    return experiments.counterexample_scan(
+        v["func"], list(v["s_list"]), list(v["cutoffs"]), _spec(v)
     )
-    _finish(report, values["out"], values["fmt"])
 
 
-@main.command(name="truncation-bound")
-@click.option("--func", "func", default=_DEFAULT_FUNC, show_default=True)
-@click.option("--s", "s", type=float, default=1.25, show_default=True)
-@click.option(
-    "--eps",
-    "eps_list",
-    type=float,
-    multiple=True,
-    default=(0.2, 0.1, 0.05, 0.02, 0.01),
-    show_default=True,
+@_experiment(
+    _FUNC,
+    _S,
+    _many("--eps", "eps_list", (0.2, 0.1, 0.05, 0.02, 0.01)),
+    _TOL,
+    _L,
+    _N,
 )
-@click.option("--tol", "tol", type=float, default=1e-3, show_default=True)
-@_grid_options
-@_io_options
-@click.pass_context
-def truncation_bound(ctx, **params):
+def truncation_bound(v):
     """Boundedness and convergence of level-shifted truncations."""
-    values = _apply_config(ctx, params)
-    report = _run(
-        lambda: experiments.truncation_bound_probe(
-            values["func"],
-            values["s"],
-            list(values["eps_list"]),
-            GridSpec(1, values["L"], values["N"]),
-            tol=values["tol"],
-        )
+    return experiments.truncation_bound_probe(
+        v["func"], v["s"], list(v["eps_list"]), _spec(v), tol=v["tol"]
     )
-    _finish(report, values["out"], values["fmt"])
 
 
-@main.command()
-@click.option("--count", "count", type=int, default=100, show_default=True)
-@click.option("--seed", "seed", type=int, default=42, show_default=True)
-@_grid_options
-@_io_options
-@click.pass_context
-def interp(ctx, **params):
+@_experiment(
+    _option("--count", "count", type=int, default=100),
+    _option("--seed", "seed", type=int, default=42),
+    _L,
+    _N,
+)
+def interp(v):
     """Random sweep of the interpolation-bound ratio."""
-    values = _apply_config(ctx, params)
-    report = _run(
-        lambda: experiments.interp_sweep(
-            values["count"],
-            values["seed"],
-            spec=GridSpec(1, values["L"], values["N"]),
-        )
-    )
-    _finish(report, values["out"], values["fmt"])
+    return experiments.interp_sweep(v["count"], v["seed"], spec=_spec(v))
 
 
-@main.command()
-@click.option("--func", "func", default=_DEFAULT_FUNC, show_default=True)
-@click.option("--s", "s", type=float, default=1.25, show_default=True)
-@click.option(
-    "--N-list",
-    "N_list",
-    type=int,
-    multiple=True,
-    default=(2048, 4096, 8192, 16384),
-    show_default=True,
+@_experiment(
+    _FUNC,
+    _S,
+    _many("--N-list", "N_list", (2048, 4096, 8192, 16384), type=int),
+    _L,
+    _TOL,
+    _EXTRAPOLATE,
 )
-@click.option("--L", "L", type=float, default=20.0, show_default=True)
-@click.option("--tol", "tol", type=float, default=1e-3, show_default=True)
-@click.option(
-    "--extrapolate/--no-extrapolate",
-    "extrapolate",
-    default=True,
-    show_default=True,
-)
-@_io_options
-@click.pass_context
-def convergence(ctx, **params):
+def convergence(v):
     """Spectral/kernel values versus grid resolution."""
-    values = _apply_config(ctx, params)
-    report = _run(
-        lambda: experiments.convergence_study(
-            values["func"],
-            values["s"],
-            list(values["N_list"]),
-            L=values["L"],
-            tol=values["tol"],
-            extrapolate=values["extrapolate"],
-        )
+    return experiments.convergence_study(
+        v["func"],
+        v["s"],
+        list(v["N_list"]),
+        L=v["L"],
+        tol=v["tol"],
+        extrapolate=v["extrapolate"],
     )
-    _finish(report, values["out"], values["fmt"])
 
 
 if __name__ == "__main__":

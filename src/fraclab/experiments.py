@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DomainError
 from .grid import GridFunction, GridSpec, sample, truncate
 from .kernel import find_crossings, phi_integral
-from .special import _as_order, _is_integer, kernel_constant
+from .special import _as_order, _check_tol, _is_integer, kernel_constant
 from .spectral import (
     Spectrum,
     cross_spectrum,
@@ -325,12 +325,6 @@ def _truncation_forms(
     ]
 
 
-def _plain_form(u: GridFunction, s: float) -> RefinedValue:
-    """refined_form of u against itself, for u without kinks."""
-    su = forward_transform(u)
-    return refined_form(cross_spectrum(su, su), s, kinky=False)
-
-
 # ----------------------------------------------------------------------
 # experiment drivers
 
@@ -371,11 +365,6 @@ def _sign_law_verdict(claim: str, defect: float, c_ns: float, errors) -> Verdict
         status="inconclusive",
         detail=f"{subject} a tenth of |defect| = {abs(defect):.2e}",
     )
-
-
-def _check_tol(tol) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
 def verify_identity(
@@ -425,7 +414,8 @@ def verify_identity(
     cross, q_abs = _truncation_forms(
         u, crossings, order, [("pos", "neg"), ("abs", "abs")], extrapolate
     )
-    q_plain = _plain_form(u, order)
+    su = forward_transform(u)
+    q_plain = refined_form(cross_spectrum(su, su), order, kinky=False)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
 
@@ -798,6 +788,8 @@ def convergence_study(
 ) -> ExperimentReport:
     """Spectral and kernel values of the cross form versus resolution.
 
+    Needs non-integer s in (0, 3/2), where the kernel route exists, and a
+    sign change at every resolution, without which the cross form is 0.
     Reports observed orders from consecutive differences and a Richardson
     limit for the kernel route (second order in the grid step); the
     spectral route saturates at the extrapolation floor, and non-monotone
@@ -805,6 +797,10 @@ def convergence_study(
     """
     t0 = time.perf_counter()
     order = _as_order(s)
+    if _is_integer(order) or not (0.0 < order < 1.5):
+        raise DomainError(
+            f"convergence study needs non-integer s in (0, 1.5), got {s}"
+        )
     Ns = [int(N) for N in N_list]
     if len(Ns) < 3:
         raise DomainError("need at least 3 resolutions")
@@ -820,29 +816,29 @@ def convergence_study(
         "tolerance": float(tol),
         "extrapolate": bool(extrapolate),
     }
+    c_ns = kernel_constant(1, order)
     results = []
     spectral_vals = []
     kernel_vals = []
     for N in Ns:
         u = sample(u_source, GridSpec(1, L, N))
         crossings = find_crossings(u)
-        if crossings and not _is_integer(order) and 0.0 < order < 1.5:
-            (spectral,) = _truncation_forms(
-                u, crossings, order, [("pos", "neg")], extrapolate
+        if not crossings:
+            raise DomainError(
+                f"no sign change at N={N}, so the cross form of u+ and u- is 0"
             )
-            phi = phi_integral(u, order, tol=1e-10)
-            c_ns = kernel_constant(1, order)
-            kernel, kerr = -c_ns * phi.value, abs(c_ns) * phi.error_estimate
-        else:
-            spectral = _plain_form(u, order)
-            kernel, kerr = None, None
+        (spectral,) = _truncation_forms(
+            u, crossings, order, [("pos", "neg")], extrapolate
+        )
+        phi = phi_integral(u, order, tol=1e-10)
+        kernel = -c_ns * phi.value
         results.append(
             _record(
                 f"cross form at N={N}",
                 spectral.value,
                 kernel,
                 s_err=spectral.error_estimate,
-                k_err=kerr,
+                k_err=abs(c_ns) * phi.error_estimate,
             )
         )
         spectral_vals.append(spectral.value)
@@ -856,11 +852,7 @@ def convergence_study(
             orders = np.log2(diffs[:-1] / diffs[1:])
         return diffs, orders
 
-    have_kernel = all(v is not None for v in kernel_vals)
-    tracks = [("spectral", spectral_vals)]
-    if have_kernel:
-        tracks.append(("kernel", kernel_vals))
-    for name, vals in tracks:
+    for name, vals in (("spectral", spectral_vals), ("kernel", kernel_vals)):
         _, obs_t = orders_of(vals)
         for i, p in enumerate(obs_t):
             results.append(
@@ -869,19 +861,18 @@ def convergence_study(
                     float(p) if np.isfinite(p) else math.nan,
                 )
             )
-    label, track = tracks[-1]
-    diffs, obs = orders_of(track)
+    diffs, obs = orders_of(kernel_vals)
     monotone = bool(np.all(np.diff(diffs) < 0)) and bool(np.all(diffs > 0))
     if monotone and np.isfinite(obs[-1]) and diffs[-1] > 0:
         p = float(obs[-1])
-        limit = track[-1] + (track[-1] - track[-2]) / (2.0**p - 1.0)
-        results.append(_record(f"richardson limit of the {label} route", limit))
+        fine, coarse = kernel_vals[-1], kernel_vals[-2]
+        limit = fine + (fine - coarse) / (2.0**p - 1.0)
+        results.append(_record("richardson limit of the kernel route", limit))
         verdicts.append(
             _check(
                 "resolution study converges monotonically",
                 True,
-                f"{label} differences decrease; last observed order "
-                f"{p:.3f}",
+                f"kernel differences decrease; last observed order {p:.3f}",
             )
         )
     else:
@@ -890,23 +881,19 @@ def convergence_study(
                 claim="resolution study converges monotonically",
                 status="inconclusive",
                 detail=(
-                    f"{label} difference sequence is non-monotone "
+                    "kernel difference sequence is non-monotone "
                     "(saturation or noise floor); no extrapolation"
                 ),
             )
         )
-    both = [
-        (sv, kv) for sv, kv in zip(spectral_vals, kernel_vals) if kv is not None
-    ]
-    if both:
-        final = discrepancy(both[-1][0], both[-1][1])
-        verdicts.append(
-            _check(
-                "routes agree at the finest resolution",
-                final <= tol,
-                f"relative discrepancy {final:.6e} vs tolerance {tol:.1e}",
-            )
+    final = discrepancy(spectral_vals[-1], kernel_vals[-1])
+    verdicts.append(
+        _check(
+            "routes agree at the finest resolution",
+            final <= tol,
+            f"relative discrepancy {final:.6e} vs tolerance {tol:.1e}",
         )
+    )
     return _report("convergence", params, results, verdicts, t0)
 
 

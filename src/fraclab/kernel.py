@@ -34,7 +34,7 @@ from .errors import (
     QuadratureToleranceError,
 )
 from .grid import GridFunction, truncate
-from .special import _as_order, _is_integer, kernel_constant
+from .special import _as_order, _check_tol, _is_integer, kernel_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -227,8 +227,7 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
         raise DomainError(
             f"phi integral requires non-integer s in (0, 1.5), got {s}"
         )
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     crossings = find_crossings(u)
     x = u.spec.axis_nodes()
     up = truncate(u, "pos")
@@ -266,6 +265,7 @@ def interaction_integral(
         raise DomainError("interaction integral needs a common grid")
     if _is_integer(s):
         raise DomainError(f"non-integer order required, got {s}")
+    _check_tol(tol)
     for name, f in (("v", v), ("w", w)):
         if np.min(f.samples) < -1e-13 * max(np.max(np.abs(f.samples)), 1e-300):
             raise DomainError(f"{name} must be nonnegative")
@@ -322,8 +322,7 @@ def gagliardo_form(
         raise DomainError("gagliardo form needs a common grid")
     if not (0.0 < s < 1.0):
         raise DomainError(f"gagliardo form requires s in (0, 1), got {s}")
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     su = u.samples
     sv = v.samples
     N = u.spec.N

@@ -1,20 +1,22 @@
 """Bit-stable report serialization.
 
-JSON documents use a fixed field order (experiment, params, results,
-verdicts, runtime_seconds) and 17-significant-digit decimal floats, so
-identical reports serialize to identical bytes. The CSV flattening emits
-one row per result record; verdicts live in the JSON document and on the
-console.
+JSON documents and the CSV header take their keys, in declaration order,
+from the fields of ExperimentReport, ResultRecord and Verdict (experiment,
+params, results, verdicts, runtime_seconds at the top level), and write
+floats with 17 significant digits, so identical reports serialize to
+identical bytes. The CSV flattening emits one row per result record;
+verdicts live in the JSON document and on the console.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
 from .errors import FraclabError
-from .experiments import ExperimentReport
+from .experiments import ExperimentReport, ResultRecord
 
 _FLOAT_FMT = ".17g"
 
@@ -62,45 +64,19 @@ def _json_value(value, indent: int) -> str:
     return _json_scalar(value)
 
 
-def _record_dict(record) -> dict:
-    return {
-        "quantity": record.quantity,
-        "spectral_value": record.spectral_value,
-        "kernel_value": record.kernel_value,
-        "discrepancy": record.discrepancy,
-        "spectral_error": record.spectral_error,
-        "kernel_error": record.kernel_error,
-    }
-
-
-def _verdict_dict(verdict) -> dict:
-    return {
-        "claim": verdict.claim,
-        "status": verdict.status,
-        "detail": verdict.detail,
-    }
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    doc = {
-        "experiment": report.experiment,
-        "params": dict(report.params),
-        "results": [_record_dict(r) for r in report.results],
-        "verdicts": [_verdict_dict(v) for v in report.verdicts],
-        "runtime_seconds": float(report.runtime_seconds),
-    }
+    doc = _fields(report)
+    doc["results"] = [_fields(r) for r in report.results]
+    doc["verdicts"] = [_fields(v) for v in report.verdicts]
     return _json_value(doc, 0) + "\n"
 
 
-_CSV_HEADER = (
-    "experiment",
-    "quantity",
-    "spectral_value",
-    "kernel_value",
-    "discrepancy",
-    "spectral_error",
-    "kernel_error",
-)
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRecord))
 
 
 def _csv_cell(value) -> str:
@@ -114,19 +90,10 @@ def _csv_cell(value) -> str:
 def report_to_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    writer.writerow(("experiment",) + _RECORD_FIELDS)
     for r in report.results:
-        writer.writerow(
-            [
-                report.experiment,
-                r.quantity,
-                _csv_cell(r.spectral_value),
-                _csv_cell(r.kernel_value),
-                _csv_cell(r.discrepancy),
-                _csv_cell(r.spectral_error),
-                _csv_cell(r.kernel_error),
-            ]
-        )
+        row = [_csv_cell(getattr(r, name)) for name in _RECORD_FIELDS]
+        writer.writerow([report.experiment, *row])
     return buf.getvalue()
 
 

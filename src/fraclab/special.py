@@ -127,6 +127,12 @@ def _as_order(s) -> float:
     return s
 
 
+def _check_tol(tol) -> None:
+    """Reject a tolerance that is not positive and finite."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _is_integer(s: float) -> bool:
     return abs(s - round(s)) < _INTEGER_TOL
 

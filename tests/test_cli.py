@@ -248,3 +248,49 @@ def test_help_lists_all_subcommands(runner):
         "convergence",
     ):
         assert name in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a positive input has no u- and a cross form of 0
+        '--func exp(-x^2)',
+        # no kernel route above 3/2 or at an integer order
+        "--s 1.7",
+        "--s 1.0",
+    ],
+)
+def test_convergence_without_cross_form_exits_2(runner, args):
+    grid = ["--N-list", "1024", "--N-list", "2048", "--N-list", "4096"]
+    res = runner.invoke(main, ["convergence", *grid, *args.split()])
+    assert res.exit_code == 2, res.output
+    assert "validation error" in res.output
+
+
+SMALL_RUNS = {
+    "identity": "--N 4096",
+    "sign-sweep": "--N 4096 --s 0.5 --s 1.25",
+    "counterexample": "--N 4096 --cutoff 40 --cutoff 80 --cutoff 160 --cutoff 320",
+    "truncation-bound": "--N 4096 --eps 0.04 --eps 0.02 --eps 0.01",
+    "interp": "--N 4096 --count 5",
+    "convergence": "--N-list 1024 --N-list 2048 --N-list 4096",
+}
+CSV_HEADER = (
+    "experiment,quantity,spectral_value,kernel_value,discrepancy,"
+    "spectral_error,kernel_error"
+)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_experiment_writes_json_and_csv(runner, tmp_path, command):
+    args = [command, *SMALL_RUNS[command].split()]
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["experiment"] == command
+    out = tmp_path / "report.csv"
+    res = runner.invoke(main, [*args, "--out", str(out), "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    header, *rows = out.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert rows and all(row.startswith(f"{command},") for row in rows)

@@ -194,8 +194,13 @@ def test_convergence_study_extrapolated_routes_agree():
 
 
 def test_convergence_study_degenerate_and_validation():
-    rep = convergence_study("exp(-x^2)", 1.25, [1024, 2048, 4096])
-    assert any(v.status == "inconclusive" for v in rep.verdicts)
+    # no sign change: the cross form is 0, there is nothing to converge
+    with pytest.raises(DomainError, match="no sign change"):
+        convergence_study("exp(-x^2)", 1.25, [1024, 2048, 4096])
+    # orders without a kernel route
+    for bad_s in (1.7, 1.0):
+        with pytest.raises(DomainError, match="non-integer s"):
+            convergence_study("x*exp(-x^2)", bad_s, [1024, 2048, 4096])
     with pytest.raises(DomainError):
         convergence_study("x*exp(-x^2)", 1.25, [1024, 2048])
     for tol in (0.0, -1.0, math.nan):

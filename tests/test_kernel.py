@@ -7,6 +7,7 @@ the integral tends to |distance|^{-1-2s}, and high-precision cross-form
 values transported through the kernel constant.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,8 +78,9 @@ def test_phi_validation():
     for bad_s in (1.0, 1.5, 1.7, -0.5):
         with pytest.raises(DomainError):
             phi_integral(ODD, bad_s)
-    with pytest.raises(DomainError):
-        phi_integral(ODD, 0.75, tol=0.0)
+    for bad_tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="tolerance"):
+            phi_integral(ODD, 0.75, tol=bad_tol)
 
 
 def test_phi_unreachable_tolerance_raises():
@@ -138,6 +140,9 @@ def test_interaction_rejects_overlap_touch_and_signs():
         interaction_integral(GridFunction(fine, -v.samples), far, 0.75)
     with pytest.raises(DomainError):
         interaction_integral(v, far, 1.0)
+    for bad_tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="tolerance"):
+            interaction_integral(v, far, 0.75, tol=bad_tol)
 
 
 def test_interaction_monotone_in_shift():
@@ -196,8 +201,9 @@ def test_gagliardo_validation():
     for bad_s in (0.0, 1.0, 1.2, -0.3):
         with pytest.raises(DomainError):
             gagliardo_form(u, u, bad_s)
-    with pytest.raises(DomainError):
-        gagliardo_form(u, u, 0.5, tol=0.0)
+    for bad_tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="tolerance"):
+            gagliardo_form(u, u, 0.5, tol=bad_tol)
     ramp = GridFunction(spec, spec.axis_nodes())
     with pytest.raises(DomainError):
         gagliardo_form(ramp, ramp, 0.5)
