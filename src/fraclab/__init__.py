@@ -2,7 +2,6 @@
 quadratic forms under sign truncations, with a batch experiment CLI."""
 
 from .errors import (
-    DisjointSupportError,
     DomainError,
     ExpressionError,
     FraclabError,
@@ -21,7 +20,6 @@ from .experiments import (
     dealias_spectrum,
     discrepancy,
     interp_sweep,
-    mollifier_bump,
     random_function_source,
     refined_form,
     sign_sweep,
@@ -40,8 +38,7 @@ from .grid import (
 from .kernel import (
     QuadratureResult,
     find_crossings,
-    gagliardo_form,
-    interaction_integral,
+    p1_pairing,
     phi_integral,
 )
 from .reports import report_to_csv, report_to_json, write_report
@@ -53,9 +50,7 @@ from .spectral import (
     Spectrum,
     cross_spectrum,
     forward_transform,
-    fractional_laplacian,
     interpolation_ratio,
-    inverse_transform,
     quadratic_form,
     shell_partial_sums,
     zeta_extended,

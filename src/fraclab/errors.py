@@ -37,7 +37,3 @@ class ExpressionError(FraclabError, ValueError):
 
 class QuadratureToleranceError(FraclabError, RuntimeError):
     """Requested tolerance was not reached at the maximum grading depth."""
-
-
-class DisjointSupportError(FraclabError, ValueError):
-    """Supports overlap or touch where a positive gap is required."""

@@ -971,18 +971,3 @@ def interp_sweep(
         f"largest ratio is 1 {worst - 1.0:+.3e}",
     )
     return _report("interp", params, results, [verdict], t0)
-
-
-def mollifier_bump(spec: GridSpec, center: float, radius: float) -> GridFunction:
-    """Unit-mass smooth bump supported in |x - center| < radius."""
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    x = spec.axis_nodes()
-    t = (x - center) / radius
-    inside = np.abs(t) < 1.0
-    vals = np.zeros_like(x)
-    vals[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    mass = float(np.sum(vals)) * spec.delta
-    if mass <= 0.0:
-        raise DomainError("bump support does not contain any grid node")
-    return GridFunction(spec, vals / mass)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, GridMismatchError, SupportRuleError
 from .expr import evaluate_array, parse
 
 SUPPORT_DECAY = 1e-12
@@ -148,3 +148,13 @@ def max_tail(u: GridFunction) -> float:
         tail = max(tail, float(np.max(np.abs(s[b:]))))
     return tail
 
+
+def _require_decay(u: GridFunction) -> None:
+    """Raise SupportRuleError unless u decays below SUPPORT_DECAY on the
+    outer half of the box, the inputs on which the discrete transform and
+    the P1 pairing neglect nothing beyond the box."""
+    if max_tail(u) >= SUPPORT_DECAY:
+        raise SupportRuleError(
+            f"samples reach {max_tail(u):.3e} on the outer half of the box; "
+            f"the transform needs decay below {SUPPORT_DECAY:g} there"
+        )

@@ -1,9 +1,9 @@
-"""Kernel side: singular double integrals of the truncation interaction.
+"""Kernel side: double integrals of f(x) g(y) |x-y|^{-1-2s} over the
+piecewise-linear (P1) interpolants of samples, in two pieces.
 
-The object of interest is the product integrand u+(x) u-(y) |x-y|^{-1-2s}
-on supp(u+) x supp(u-). Near a sign crossing z the factors vanish linearly,
-so the integrand behaves like (x-z)(z-y)/|x-y|^{1+2s}: unbounded but
-integrable for s < 3/2. Quadrature strategy:
+phi_integral(u, s) integrates u+(x) u-(y) |x-y|^{-1-2s}. Near a sign
+crossing z the factors vanish linearly, so the integrand behaves like
+(x-z)(z-y)/|x-y|^{1+2s}: unbounded but integrable for s < 3/2. Strategy:
 
   * split supp(u+) and supp(u-) into maximal intervals bounded by sign
     crossings (linear-interpolation roots between bracketing samples);
@@ -17,8 +17,18 @@ integrable for s < 3/2. Quadrature strategy:
     a-posteriori error estimate is the difference of the last two corrected
     depth values.
 
-Between nodes all integrand values come from the piecewise-linear
-interpolant of the samples, consistent with the crossing model.
+p1_pairing(v, w, s) is the same integral in closed form for any two P1
+interpolants: Delta^{1-2s} sum_{k,l} v_k w_l m(k-l) with node spacing
+Delta, where m(d) = delta^4 F(d) is the central fourth difference of a
+fourth antiderivative F of |t|^{-1-2s}, because two hats meet the kernel
+through their autocorrelation, the cubic B-spline. Where the supports
+overlap it is the finite part, which exists for s < 3/2. This is the P1
+discretization of the fractional Laplacian (Y. Huang and A. Oberman, SIAM
+J. Numer. Anal. 52 (2014) 3056-3084), and -C(1, s) p1_pairing(u, v, s) is
+the Gagliardo form of the interpolants. When every crossing of u is a
+node, p1_pairing(u+, u-, s) is the exact value of the integral that
+phi_integral approximates; off the nodes phi_integral cuts each factor at
+the crossing, where its interpolant does not vanish.
 """
 
 from __future__ import annotations
@@ -28,18 +38,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DisjointSupportError,
-    DomainError,
-    QuadratureToleranceError,
-)
-from .grid import GridFunction, truncate
-from .special import _as_order, _check_tol, _is_integer, kernel_constant
+from .errors import DomainError, QuadratureToleranceError
+from .grid import GridFunction, _require_decay, _require_same_spec, truncate
+from .special import _as_order, _check_tol, _is_integer
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 _MAX_DEPTH = 48
 _MIN_DEPTH = 6
+
+# m(d) by direct differences up to _NEAR and beyond by the asymptotic
+# series d^{-a} sum_k c_k (a)_{2k} d^{-2k}, a = 1 + 2s, whose c_k are the
+# Taylor coefficients of (2 sinh(x/2) / x)^4; lags below _BAND are summed
+# by direct dot products, the rest by one FFT
+_NEAR = 16
+_SERIES = (1.0, 1 / 6, 1 / 80, 17 / 30240, 31 / 1814400, 1 / 2661120)
+_BAND = 128
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ def _level_nodes(lo: float, hi: float, anchor_lo: bool, j: int):
 
 
 def _pair_quadrature(
-    fx, fy, xreg, yreg, x_anchor_lo, y_anchor_lo, s, tol, contact
+    fx, fy, xreg, yreg, x_anchor_lo, y_anchor_lo, contact, s, tol
 ):
     """Graded product quadrature of fx(x) fy(y) |x-y|^{-1-2s}.
 
@@ -172,23 +186,6 @@ def _pair_quadrature(
     )
 
 
-def _sum_pairs(fx, fy, pairs, s, tol) -> QuadratureResult:
-    """_pair_quadrature over pairs of (xreg, yreg, x_anchor_lo,
-    y_anchor_lo, contact) in their order: values and estimates summed in
-    that order, depth the deepest reached."""
-    value = 0.0
-    est = 0.0
-    depth = 1
-    for xreg, yreg, x_anchor_lo, y_anchor_lo, contact in pairs:
-        v, e, d = _pair_quadrature(
-            fx, fy, xreg, yreg, x_anchor_lo, y_anchor_lo, s, tol, contact
-        )
-        value += v
-        est += e
-        depth = max(depth, d)
-    return QuadratureResult(value=float(value), error_estimate=float(est), depth=depth)
-
-
 def _interp_pos(u: GridFunction, x: np.ndarray):
     # x is u.spec.axis_nodes()
     s = u.samples
@@ -207,13 +204,6 @@ def _contact_geometry(p, m):
     raise DomainError(
         f"region interiors overlap: {p} vs {m}; sign split is inconsistent"
     )
-
-
-def _edge_halves(hull):
-    """Split a hull at its midpoint; each half anchors at its outer edge."""
-    lo, hi = hull
-    mid = 0.5 * (lo + hi)
-    return ((lo, mid), True), ((mid, hi), False)
 
 
 def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
@@ -239,189 +229,82 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     fp = _interp_pos(up, x)
     fm = _interp_pos(um, x)
     pair_tol = tol / (2.0 * len(p_regs) * len(m_regs))
-    pairs = ((p, m, *_contact_geometry(p, m)) for p in p_regs for m in m_regs)
-    return _sum_pairs(fp, fm, pairs, s, pair_tol)
+    value, est, depth = 0.0, 0.0, 1
+    for p in p_regs:
+        for m in m_regs:
+            v, e, d = _pair_quadrature(
+                fp, fm, p, m, *_contact_geometry(p, m), s, pair_tol
+            )
+            value += v
+            est += e
+            depth = max(depth, d)
+    return QuadratureResult(value=float(value), error_estimate=float(est), depth=depth)
 
 
-def _support_hull(w: GridFunction, x: np.ndarray):
-    # x is w.spec.axis_nodes()
-    idx = np.flatnonzero(w.samples != 0.0)
-    if idx.size == 0:
-        return None
-    return float(x[idx[0]]), float(x[idx[-1]])
+def _antiderivative(a: float) -> np.ndarray:
+    """F(t) = t^e / p at t = 0 .. _NEAR + 2, e = 4 - a, p = (1-a)..(4-a).
+
+    Within 1/4 of s = 1/2 (e = k = 2) or s = 3/2 (k = 0) p nearly vanishes;
+    F - t^k / p = t^k expm1((e-k) log t) / p differs by an even polynomial,
+    which delta^4 annihilates, and tends to -t^2 log t / 2 and -log t / 6
+    there. F(0) is read only for a < 4.
+    """
+    t = np.arange(1.0, _NEAR + 3)
+    e = 4.0 - a
+    p = (1.0 - a) * (2.0 - a) * (3.0 - a) * e
+    k = 2.0 * round(e / 2.0)
+    if k not in (0.0, 2.0) or abs(e - k) >= 0.25:
+        return np.concatenate(([0.0], t**e / p))
+    q = (1.0 - a) * (3.0 - a) * (2.0 + k - a)  # p without its factor e - k
+    lg = np.log(t)
+    f = t**k * (np.expm1((e - k) * lg) / (e - k) if e != k else lg) / q
+    return np.concatenate(([-1.0 / p if k == 0.0 and a < 4.0 else 0.0], f))
 
 
-def interaction_integral(
-    v: GridFunction, w: GridFunction, s, tol: float = 1e-9
-) -> QuadratureResult:
-    """Double integral of v(x) w(y) |x-y|^{-1-2s} for disjoint supports.
+def _lag_weights(N: int, s: float) -> np.ndarray:
+    """m(d) for d = 0 .. N-1; from s = 3/2 on the infinite m(0..2) stay 0."""
+    a = 1.0 + 2.0 * s
+    m = np.zeros(N)
+    F = _antiderivative(a)
+    d = np.arange(3 if s >= 1.5 else 0, min(N, _NEAR + 1))
+    m[d] = F[abs(d - 2)] - 4.0 * F[abs(d - 1)] + 6.0 * F[d] - 4.0 * F[d + 1] + F[d + 2]
+    far = np.arange(_NEAR + 1.0, N)
+    rising = np.cumprod(a + np.arange(2 * len(_SERIES) - 2))[1::2]
+    coef = np.array(_SERIES) * np.concatenate(([1.0], rising))  # c_k (a)_{2k}
+    m[_NEAR + 1 :] = far**-a * np.polyval(coef[::-1], far**-2.0)
+    return m
 
-    v, w >= 0 with a positive gap between their supports, so the integrand
-    is smooth; any non-integer s > 0 is allowed. Overlapping or touching
-    supports are rejected (that configuration needs phi_integral).
+
+def p1_pairing(v: GridFunction, w: GridFunction, s) -> float:
+    """Double integral of P1v(x) P1w(y) |x-y|^{-1-2s} in closed form (the
+    finite part where the supports overlap) for any non-integer s > 0, on
+    inputs that forward_transform accepts. From s = 3/2 on it is finite
+    only if v_k w_l = 0 for |k - l| <= 2 (else DomainError). Only lags past
+    _BAND go through the FFT: its round-off, eps |v| |w| times the large
+    near weights, would swamp cross forms that cancel near the diagonal.
     """
     s = _as_order(s)
-    if v.spec != w.spec:
-        raise DomainError("interaction integral needs a common grid")
+    _require_same_spec(v, w)
     if _is_integer(s):
-        raise DomainError(f"non-integer order required, got {s}")
-    _check_tol(tol)
-    for name, f in (("v", v), ("w", w)):
-        if np.min(f.samples) < -1e-13 * max(np.max(np.abs(f.samples)), 1e-300):
-            raise DomainError(f"{name} must be nonnegative")
-    x = v.spec.axis_nodes()
-    hv = _support_hull(v, x)
-    hw = _support_hull(w, x)
-    if hv is None or hw is None:
-        return QuadratureResult(value=0.0, error_estimate=0.0, depth=1)
-    delta = v.spec.delta
-    # The interpolants extend one grid cell beyond the outermost nonzero
-    # samples, so a genuine gap needs more than two cells between hulls.
-    if hv[0] <= hw[1] and hw[0] <= hv[1]:
-        raise DisjointSupportError("supports overlap")
-    gap = max(hw[0] - hv[1], hv[0] - hw[1])
-    if gap <= 2.0 * delta:
-        raise DisjointSupportError(
-            f"supports touch (gap {gap:.3e} <= two grid cells); "
-            f"use phi_integral for interface contact"
-        )
-    fx = _interp_pos(v, x)
-    fy = _interp_pos(w, x)
-    # Away from the gap the integrand is smooth in the kernel but can lose
-    # analyticity at the support edges (compactly supported profiles), so
-    # split each hull at its midpoint and grade every quadrant toward its
-    # own support-edge corner; anchoring only at the facing edges leaves
-    # fixed coarse panels whose error the refinement never sees.
-    pairs = (
-        (xreg, yreg, xa, ya, False)
-        for xreg, xa in _edge_halves(hv)
-        for yreg, ya in _edge_halves(hw)
-    )
-    return _sum_pairs(fx, fy, pairs, s, tol / 8.0)
-
-
-def gagliardo_form(
-    u: GridFunction, v: GridFunction, s: float, tol: float = 1e-6
-) -> float:
-    """Difference-quotient form (C(1,s)/2) double integral of
-    (u(x)-u(y))(v(x)-v(y)) |x-y|^{-1-2s} for s in (0, 1).
-
-    Folded to the difference variable t = x - y:
-
-        C(1,s) * int_0^inf t^{-1-2s} g(t) dt,
-        g(t) = int (u(y+t)-u(y)) (v(y+t)-v(y)) dy.
-
-    Off-grid data is extended by the edge samples (so constants give
-    exactly zero and decayed functions reduce to zero-extension); the edge
-    strips and the saturated tail beyond t = 2L are handled by cumulative
-    integrals and a closed-form remainder. g(t) ~ c t^2 near zero cancels
-    the singularity; the sub-grid range uses graded Gauss-Legendre with an
-    analytic c t^{2-2s} remainder.
-    """
-    if u.spec != v.spec:
-        raise DomainError("gagliardo form needs a common grid")
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"gagliardo form requires s in (0, 1), got {s}")
-    _check_tol(tol)
-    su = u.samples
-    sv = v.samples
-    N = u.spec.N
-    delta = u.spec.delta
-    x = u.spec.axis_nodes()
-    for name, arr in (("u", su), ("v", sv)):
-        scale = max(np.max(np.abs(arr)), 1.0)
-        if abs(arr[-1] - arr[0]) > 1e-9 * scale:
-            raise DomainError(
-                f"{name} has mismatched edge values "
-                f"({arr[0]:.3e} vs {arr[-1]:.3e}); the edge extension "
-                f"would not be square-integrable"
-            )
-    uL, uR = su[0], su[-1]
-    vL, vR = sv[0], sv[-1]
-
-    # g at lag m*delta via four correlations (FFT, zero-padded).
+        raise DomainError(f"p1 pairing needs a non-integer order, got {s}")
+    _require_decay(v)
+    _require_decay(w)
+    a, b = v.samples, w.samples
+    N = a.size
+    if s >= 1.5:
+        near_w = np.convolve((b != 0.0).astype(float), np.ones(5), "same")
+        if np.any((a != 0.0) & (near_w > 0.0)):
+            raise DomainError(f"pairing diverges at s={s}: supports within two nodes")
+    m = _lag_weights(N, s)
+    band = min(N, _BAND)
+    total = 0.0
+    for d in range(band):
+        # c(d) + c(-d), where c(d) = sum_k v_k w_{k-d}; m(0..2) = 0 past 3/2
+        c = np.dot(a[d:], b[: N - d])
+        if d:
+            c += np.dot(a[: N - d], b[d:])
+        total += m[d] * c
     M = 2 * N
-    fu = np.fft.rfft(su, M)
-    fv = np.fft.rfft(sv, M)
-    cross_uv = np.fft.irfft(fu * np.conj(fv), M)[:N]  # sum u[j+m] v[j]
-    cross_vu = np.fft.irfft(fv * np.conj(fu), M)[:N]  # sum v[j+m] u[j]
-    prod = su * sv
-    suffix = np.cumsum(prod[::-1])[::-1]  # A(m) = sum_{j>=m} u v
-    prefix = np.cumsum(prod)  # B(m) = sum_{j<=N-1-m} u v
-    m = np.arange(N)
-    g_int = (suffix[m] + prefix[N - 1 - m] - cross_uv - cross_vu) * delta
-
-    edge_l = np.concatenate(
-        [[0.0], np.cumsum((su - uL) * (sv - vL)) * delta]
-    )  # edge_l[m] = int_{-L}^{-L+m delta}
-    edge_r = np.concatenate(
-        [[0.0], np.cumsum(((su - uR) * (sv - vR))[::-1]) * delta]
-    )
-    g_tot = g_int + edge_l[m] + edge_r[m]
-
-    # plain part: trapezoid over t in [t0, (N-1) delta]
-    m0 = min(32, N // 4)
-    t = m * delta
-    h = np.zeros(N)
-    h[1:] = t[1:] ** (-1.0 - 2.0 * s) * g_tot[1:]
-    plain = float(delta * (np.sum(h[m0:]) - 0.5 * (h[m0] + h[-1])))
-
-    # saturated tail beyond the largest resolved lag
-    g_sat = edge_l[N] + edge_r[N]
-    t_end = t[-1]
-    tail = g_sat * t_end ** (-2.0 * s) / (2.0 * s)
-
-    # graded part on (0, t0]. np.interp clamps to the edge samples, which
-    # is exactly the boundary-value extension on the right; the strip of y
-    # below the left edge enters through the cumulative edge integral.
-    lag_grid = np.arange(N + 1) * delta
-
-    def g_at(ts):
-        out = np.empty_like(ts)
-        mag = np.empty_like(ts)
-        for i, tt in enumerate(ts):
-            du = np.interp(x + tt, x, su) - su
-            dv = np.interp(x + tt, x, sv) - sv
-            prods = du * dv
-            edge = float(np.interp(tt, lag_grid, edge_l))
-            out[i] = float(np.sum(prods)) * delta + edge
-            mag[i] = float(np.sum(np.abs(prods))) * delta + abs(edge)
-        return out, mag
-
-    t0 = m0 * delta
-    near = 0.0
-    remainder = 0.0
-    noise_floor = 0.0
-    eps = np.finfo(float).eps
-    result_prev = None
-    converged = False
-    for j in range(42):
-        a = t0 * 2.0 ** (-j - 1)
-        b = t0 * 2.0 ** (-j)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * _GL_NODES
-        gs, gmag = g_at(ts)
-        weights = half * _GL_WEIGHTS * ts ** (-1.0 - 2.0 * s)
-        near += float(np.dot(weights, gs))
-        # g carries round-off of order eps times its magnitude sum; the
-        # kernel-weighted image of that noise bounds what refinement can
-        # still resolve
-        noise_floor += 32.0 * eps * float(np.dot(np.abs(weights), gmag))
-        c = float(np.mean(gs / ts**2))
-        remainder = c * a ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        result = near + remainder
-        if result_prev is not None and j >= 3:
-            # cross forms can cancel to zero, so gauge the tolerance
-            # against the magnitude of the pieces, not the cancelled total
-            scale = max(abs(plain) + abs(tail) + abs(near) + abs(remainder), 1e-300)
-            diff = abs(result - result_prev)
-            if diff <= 0.25 * tol * scale or diff <= noise_floor:
-                converged = True
-                break
-        result_prev = result
-    if not converged:
-        raise QuadratureToleranceError(
-            "gagliardo near-field refinement did not reach tolerance"
-        )
-
-    return kernel_constant(1, s) * (plain + tail + near + remainder)
+    corr = np.fft.irfft(np.fft.rfft(a, M) * np.conj(np.fft.rfft(b, M)), M)
+    total += np.dot(m[band:], corr[band:N] + corr[M - band : N : -1])
+    return float(v.spec.delta ** (1.0 - 2.0 * s) * total)

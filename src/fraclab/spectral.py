@@ -1,4 +1,4 @@
-"""Fourier side: unitary transform, multiplier forms, fractional Laplacian.
+"""Fourier side: unitary transform and multiplier forms.
 
 Conventions. The box [-L, L] truncates the line; the dual grid is
 xi_k = pi k / L for k = -N/2 .. N/2 - 1 with step dxi = pi / L. The forward
@@ -8,8 +8,8 @@ scaled DFT
     coeffs(k) = (2 pi)^{-1/2} Delta sum_j e^{-i xi_k x_j} u_j,
 
 which with x_j = -L + j Delta collapses to a (-1)^k-phased FFT. This pairing
-is exactly unitary on the grid: Parseval and the round trip hold to machine
-precision, not just asymptotically.
+is exactly unitary on the grid: Parseval holds to machine precision, not
+just asymptotically.
 
 The quadratic form Q_s(u, v) = sum |xi|^{2s} F[u] conj(F[v]) dxi has one
 subtle error source: the |xi|^{2s} multiplier has a kink at xi = 0, so the
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FraclabError, GridMismatchError, SupportRuleError
-from .grid import GridFunction, GridSpec, l2_inner, max_tail, SUPPORT_DECAY
+from .errors import DomainError, FraclabError, GridMismatchError
+from .grid import GridFunction, GridSpec, _require_decay, l2_inner
 
 _EVEN_TOL = 1e-12
 
@@ -63,13 +63,6 @@ class Spectrum:
         return self.delta_xi * np.arange(self.spec.N // 2 + 1)
 
 
-def _phase(N: int) -> np.ndarray:
-    # (-1)^k for k = -N/2 .. N/2-1; -N/2 is even for every allowed N.
-    ph = np.ones(N)
-    ph[1::2] = -1.0
-    return ph
-
-
 def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
     """The products F[u] conj(F[v]) on the dual grid, on which every
     multiplier form of the pair depends."""
@@ -82,11 +75,7 @@ def forward_transform(u: GridFunction) -> Spectrum:
     The input must decay below 1e-12 on the outer half of the box so that
     the periodization implicit in the DFT is negligible.
     """
-    if max_tail(u) >= SUPPORT_DECAY:
-        raise SupportRuleError(
-            f"samples reach {max_tail(u):.3e} on the outer half of the box; "
-            f"the transform needs decay below {SUPPORT_DECAY:g} there"
-        )
+    _require_decay(u)
     spec = u.spec
     pref = spec.delta / math.sqrt(2.0 * math.pi)
     raw = np.fft.fft(u.samples)
@@ -100,22 +89,6 @@ def forward_transform(u: GridFunction) -> Spectrum:
     coeffs[0::2] *= 1.0
     coeffs[1::2] *= -1.0
     return Spectrum(spec, coeffs)
-
-
-def inverse_transform(spectrum: Spectrum) -> GridFunction:
-    """Exact inverse of forward_transform (round trip is machine-exact)."""
-    spec = spectrum.spec
-    pref = spec.delta / math.sqrt(2.0 * math.pi)
-    raw = np.fft.ifft(np.fft.ifftshift(spectrum.coeffs * _phase(spec.N) / pref))
-    out = np.real(raw)
-    resid = np.max(np.abs(np.imag(raw)))
-    scale = max(np.max(np.abs(out)), 1e-300)
-    if resid > 1e-10 * scale:
-        raise FraclabError(
-            f"inverse transform imaginary residual {resid:.3e} exceeds "
-            f"1e-10 relative; input spectrum is not Hermitian"
-        )
-    return GridFunction(spec, out)
 
 
 def zeta_extended(x: float) -> float:
@@ -244,20 +217,6 @@ def quadratic_form(
     sv = su if v is u else forward_transform(v)
     cross = cross_spectrum(su, sv)
     return _form_from_spectra(cross, cross.shell_radii(), s, endpoint_correction)
-
-
-def fractional_laplacian(u: GridFunction, s: float) -> GridFunction:
-    """Multiplier realization: inverse transform of |xi|^{2s} F[u].
-
-    The half-order factorization l2_inner(op(u, s/2), op(v, s/2)) equals the
-    plain (uncorrected) quadratic_form(u, v, s) to machine precision by
-    discrete Parseval.
-    """
-    if not (s > 0.0) or not math.isfinite(s):
-        raise DomainError(f"order s must be positive and finite, got {s}")
-    su = forward_transform(u)
-    mult = _on_axis(_multiplier(su.shell_radii(), s))
-    return inverse_transform(Spectrum(u.spec, su.coeffs * mult))
 
 
 def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:

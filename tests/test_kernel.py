@@ -1,33 +1,41 @@
-"""Singular-kernel quadrature tests.
+"""Singular-kernel tests.
 
-phi_integral and interaction_integral compute the bare double integral
-of f(x) g(y) |x-y|^{-1-2s} (no kernel constant). Two independent oracles
-pin them down: the point-mass limit of separated unit-mass bumps, where
-the integral tends to |distance|^{-1-2s}, and high-precision cross-form
-values transported through the kernel constant.
+phi_integral and p1_pairing compute the bare double integral of
+f(x) g(y) |x-y|^{-1-2s} (no kernel constant). Independent oracles pin
+them down: the point-mass limit of separated unit-mass bumps, where the
+integral tends to |distance|^{-1-2s}, high-precision cross-form values
+transported through the kernel constant, the multiplier form of the
+spectral route, and the O(N^2) double sum with 40-digit lag weights.
 """
 
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclab.errors import DisjointSupportError, DomainError, QuadratureToleranceError
-from fraclab.experiments import mollifier_bump
+from fraclab.errors import (
+    DomainError,
+    GridMismatchError,
+    QuadratureToleranceError,
+    SupportRuleError,
+)
 from fraclab.grid import GridFunction, GridSpec, sample, truncate
 from fraclab.kernel import (
     QuadratureResult,
+    _lag_weights,
     _positive_regions,
     find_crossings,
-    gagliardo_form,
-    interaction_integral,
+    p1_pairing,
     phi_integral,
 )
 from fraclab.spectral import quadratic_form
 from fraclab.special import kernel_constant
+
+from bump import mollifier_bump
 
 SPEC = GridSpec(1, 20.0, 16384)
 ODD = sample("x*exp(-x^2)", SPEC)
@@ -101,7 +109,7 @@ def test_interaction_point_mass_limit():
     for r in (0.2, 0.1):
         v = mollifier_bump(fine, -2.0, r)
         w = mollifier_bump(fine, 2.0, r)
-        vals[r] = interaction_integral(v, w, s).value
+        vals[r] = p1_pairing(v, w, s)
     extrap = (4.0 * vals[0.1] - vals[0.2]) / 3.0
     assert extrap == pytest.approx(4.0 ** (-1.0 - 2.0 * s), rel=1e-4)
 
@@ -111,12 +119,12 @@ def test_interaction_dilation_law():
     # kernel homogeneity factor 2^{1+2s}
     fine = GridSpec(1, 16.0, 16384)
     s = 0.75
-    wide = interaction_integral(
+    wide = p1_pairing(
         mollifier_bump(fine, -2.0, 0.5), mollifier_bump(fine, 2.0, 0.5), s
-    ).value
-    narrow = interaction_integral(
+    )
+    narrow = p1_pairing(
         mollifier_bump(fine, -1.0, 0.25), mollifier_bump(fine, 1.0, 0.25), s
-    ).value
+    )
     assert wide / narrow == pytest.approx(2.0 ** (-1.0 - 2.0 * s), rel=2e-5)
 
 
@@ -124,25 +132,8 @@ def test_interaction_empty_side_is_zero():
     fine = GridSpec(1, 16.0, 4096)
     v = mollifier_bump(fine, -2.0, 0.5)
     zero = GridFunction(fine, np.zeros(fine.N))
-    assert interaction_integral(v, zero, 0.75) == QuadratureResult(0.0, 0.0, 1)
-
-
-def test_interaction_rejects_overlap_touch_and_signs():
-    fine = GridSpec(1, 16.0, 4096)
-    v = mollifier_bump(fine, -1.0, 0.5)
-    with pytest.raises(DisjointSupportError):
-        interaction_integral(v, mollifier_bump(fine, -0.5, 0.5), 0.75)
-    touching = mollifier_bump(fine, 0.0, 0.5)
-    with pytest.raises(DisjointSupportError):
-        interaction_integral(v, touching, 0.75)
-    far = mollifier_bump(fine, 2.0, 0.5)
-    with pytest.raises(DomainError):
-        interaction_integral(GridFunction(fine, -v.samples), far, 0.75)
-    with pytest.raises(DomainError):
-        interaction_integral(v, far, 1.0)
-    for bad_tol in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="tolerance"):
-            interaction_integral(v, far, 0.75, tol=bad_tol)
+    assert p1_pairing(v, zero, 0.75) == 0.0
+    assert p1_pairing(v, zero, 2.5) == 0.0
 
 
 def test_interaction_monotone_in_shift():
@@ -155,33 +146,33 @@ def test_interaction_monotone_in_shift():
     values = []
     for eps in (0.15, 0.10, 0.05):
         shifted = truncate(GridFunction(SPEC, neg.samples - eps), "pos")
-        values.append(interaction_integral(shifted, pos, s, tol=1e-9).value)
+        values.append(p1_pairing(shifted, pos, s))
     assert values == pytest.approx(
-        [0.06651705939522821, 0.0997056149393466, 0.15377085411404587], rel=1e-10
+        [0.06652666771730086, 0.0997377521051575, 0.15386353295081887], rel=1e-10
     )
     assert values[0] < values[1] < values[2] < phi_full
 
 
 def test_gagliardo_matches_multiplier_form():
+    # -C(1, s) p1_pairing(u, u, s) is the difference-quotient form of the
+    # interpolant
     spec = GridSpec(1, 16.0, 4096)
     u = sample("exp(-x^2/2)", spec)
-    s = 0.5
-    kernel_route = gagliardo_form(u, u, s)
-    spectral_route = quadratic_form(u, u, s)
-    assert kernel_route == pytest.approx(spectral_route, rel=1e-3)
+    for s in (0.5, 0.75, 1.1, 1.25):
+        kernel_route = -kernel_constant(1, s) * p1_pairing(u, u, s)
+        spectral_route = quadratic_form(u, u, s)
+        assert kernel_route == pytest.approx(spectral_route, rel=1e-3), s
 
 
-def test_gagliardo_symmetric_and_zero_for_constants():
+def test_gagliardo_symmetric():
     spec = GridSpec(1, 16.0, 2048)
     u = sample("exp(-x^2/2)", spec)
     v = sample("exp(-(x-1)^2)", spec)
     s = 0.4
-    ab = gagliardo_form(u, v, s)
-    ba = gagliardo_form(v, u, s)
+    ab = p1_pairing(u, v, s)
+    ba = p1_pairing(v, u, s)
     assert ab == pytest.approx(ba, rel=1e-12)
     assert ab != 0.0
-    const = GridFunction(spec, np.full(spec.N, 2.5))
-    assert gagliardo_form(const, const, s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gagliardo_even_odd_cross_form_cancels():
@@ -190,23 +181,117 @@ def test_gagliardo_even_odd_cross_form_cancels():
     even = sample("exp(-x^2/2)", spec)
     odd = sample("x*exp(-x^2)", spec)
     s = 0.4
-    cross = gagliardo_form(even, odd, s)
-    scale = gagliardo_form(even, even, s)
-    assert abs(cross) <= 1e-8 * scale
+    cross = p1_pairing(even, odd, s)
+    scale = p1_pairing(even, even, s)
+    assert abs(cross) <= 1e-8 * abs(scale)
 
 
 def test_gagliardo_validation():
     spec = GridSpec(1, 16.0, 2048)
     u = sample("exp(-x^2/2)", spec)
-    for bad_s in (0.0, 1.0, 1.2, -0.3):
+    for bad_s in (0.0, 1.0, 2.0, -0.3, math.inf, math.nan):
         with pytest.raises(DomainError):
-            gagliardo_form(u, u, bad_s)
-    for bad_tol in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="tolerance"):
-            gagliardo_form(u, u, 0.5, tol=bad_tol)
+            p1_pairing(u, u, bad_s)
+    with pytest.raises(GridMismatchError):
+        p1_pairing(u, sample("exp(-x^2/2)", GridSpec(1, 16.0, 1024)), 0.5)
+    # the inputs forward_transform accepts, and no others: a ramp or a
+    # slowly decaying input reaches the outer half of the box
     ramp = GridFunction(spec, spec.axis_nodes())
-    with pytest.raises(DomainError):
-        gagliardo_form(ramp, ramp, 0.5)
+    wide = sample("exp(-x^2/200)", spec)
+    for bad in (ramp, wide):
+        for pair in ((bad, u), (u, bad)):
+            with pytest.raises(SupportRuleError):
+                p1_pairing(*pair, 0.5)
+
+
+def test_interaction_rejects_overlap_and_touch_above_three_halves():
+    # from s = 3/2 on, the pairing of samples within two nodes is infinite;
+    # below it, overlap has a finite part and signs are free
+    spec = GridSpec(1, 16.0, 2048)
+    odd = sample("x*exp(-x^2)", spec)
+    pos, neg = truncate(odd, "pos"), truncate(odd, "neg")
+    assert math.isfinite(p1_pairing(odd, pos, 1.25))
+    c = spec.N // 2
+    spike = GridFunction(spec, np.where(np.arange(spec.N) == c, 1.0, 0.0))
+    for s in (1.5, 2.5):
+        with pytest.raises(DomainError, match="diverges"):
+            p1_pairing(pos, neg, s)
+        with pytest.raises(DomainError, match="diverges"):
+            p1_pairing(pos, pos, s)
+        for gap in (-2, 2, 3):
+            other = GridFunction(spec, np.roll(spike.samples, gap))
+            if abs(gap) <= 2:
+                with pytest.raises(DomainError, match="diverges"):
+                    p1_pairing(spike, other, s)
+            else:
+                assert math.isfinite(p1_pairing(spike, other, s))
+
+
+def _reference_weights(n, s):
+    """m(d) = delta^4 F(d) at 40 digits, with the generic or logarithmic F."""
+    mpmath.mp.dps = 40
+    a = 1 + 2 * mpmath.mpf(s)
+
+    def F(t):
+        t = abs(mpmath.mpf(t))
+        if a == 2:
+            return 0 if t == 0 else -t * t * mpmath.log(t) / 2
+        if a == 4:
+            return -mpmath.log(t) / 6
+        return t ** (4 - a) / ((1 - a) * (2 - a) * (3 - a) * (4 - a))
+
+    lo = 3 if s >= 1.5 else 0
+    m = [0.0] * n
+    for d in range(lo, n):
+        m[d] = float(F(d - 2) - 4 * F(d - 1) + 6 * F(d) - 4 * F(d + 1) + F(d + 2))
+    return np.array(m)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.49, 0.5, 0.75, 1.25, 1.45, 1.5, 2.5])
+def test_lag_weights_match_high_precision(s):
+    # direct differences up to lag 16, the asymptotic series beyond; 0.49
+    # and 1.45 take the expm1 form of F, 0.5 and 1.5 its logarithmic limit
+    want = _reference_weights(200, s)
+    got = _lag_weights(200, s)
+    lo = 3 if s >= 1.5 else 0
+    assert np.all(got[:lo] == 0.0)
+    assert np.max(np.abs(got[lo:] / want[lo:] - 1.0)) <= 2e-10
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 1.25, 1.45])
+@pytest.mark.parametrize("N", [64, 256])
+def test_p1_pairing_matches_direct_double_sum(s, N):
+    # a full form and a cross form whose crossing z = 0.3 is off the nodes
+    spec = GridSpec(1, 12.0, N)
+    m = _reference_weights(N, s)
+    k = np.arange(N)
+    toeplitz = m[np.abs(k[:, None] - k[None, :])]
+    u = sample("(x-0.3)*exp(-x^2)", spec)
+    gauss = sample("exp(-x^2)", spec)
+    for v, w in ((gauss, gauss), (truncate(u, "pos"), truncate(u, "neg"))):
+        want = spec.delta ** (1.0 - 2.0 * s) * (v.samples @ toeplitz @ w.samples)
+        assert p1_pairing(v, w, s) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.25])
+def test_p1_pairing_cross_form_at_fine_grid(s):
+    # the O(Delta^2) discretization error alone; an FFT over every lag
+    # misses by 7.9e-8 at s = 1.25
+    spec = GridSpec(1, 20.0, 2**18)
+    u = sample("x*exp(-x^2)", spec)
+    pos, neg = truncate(u, "pos"), truncate(u, "neg")
+    value = p1_pairing(pos, neg, s)
+    assert -kernel_constant(1, s) * value == pytest.approx(CROSS_FORM[s], rel=3e-8)
+    assert p1_pairing(neg, pos, s) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 1.1, 1.25, 1.45])
+def test_phi_estimate_covers_its_quadrature_error(s):
+    # the crossing of ODD is a node, so the P1 pairing of its parts is the
+    # exact integral that phi_integral approximates
+    res = phi_integral(ODD, s)
+    exact = p1_pairing(truncate(ODD, "pos"), truncate(ODD, "neg"), s)
+    assert abs(res.value - exact) <= res.error_estimate
 
 
 def test_quadrature_result_validates_depth():

@@ -23,9 +23,7 @@ from fraclab.spectral import (
     Spectrum,
     cross_spectrum,
     forward_transform,
-    fractional_laplacian,
     interpolation_ratio,
-    inverse_transform,
     quadratic_form,
     shell_partial_sums,
     zeta_extended,
@@ -41,12 +39,6 @@ def test_gaussian_transform_closed_form():
     xi = su.frequency_axis()
     expect = np.exp(-0.5 * xi * xi)
     assert np.max(np.abs(su.coeffs - expect)) <= 1e-12
-
-
-def test_round_trip_is_identity():
-    u = sample("x*exp(-x^2)", SPEC)
-    back = inverse_transform(forward_transform(u))
-    assert np.max(np.abs(back.samples - u.samples)) <= 1e-13
 
 
 def test_hermitian_symmetry_of_real_input():
@@ -93,27 +85,6 @@ def test_odd_gaussian_form_closed_form():
         assert val == pytest.approx(expect, rel=1e-6)
 
 
-def test_fractional_laplacian_order_one_is_classical():
-    # at s = 1 the multiplier gives minus the second derivative:
-    # -(e^{-x^2/2})'' = (1 - x^2) e^{-x^2/2}
-    out = fractional_laplacian(GAUSS, 1.0)
-    x = SPEC.axis_nodes()
-    expect = (1.0 - x * x) * np.exp(-0.5 * x * x)
-    scale = np.max(np.abs(expect))
-    assert np.max(np.abs(out.samples - expect)) <= 1e-9 * scale
-
-
-def test_half_order_factorization_is_exact():
-    u = sample("x*exp(-x^2)", SPEC)
-    v = GAUSS
-    for s in (0.7, 1.3):
-        lhs = l2_inner(
-            fractional_laplacian(u, s / 2.0), fractional_laplacian(v, s / 2.0)
-        )
-        rhs = quadratic_form(u, v, s, endpoint_correction=False)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
-
-
 def test_form_validation():
     u = sample("exp(-x^2)", SPEC)
     other = sample("exp(-x^2)", GridSpec(1, 16.0, 1024))
@@ -121,8 +92,6 @@ def test_form_validation():
         quadratic_form(u, other, 0.5)
     with pytest.raises(DomainError):
         quadratic_form(u, u, -0.5)
-    with pytest.raises(DomainError):
-        fractional_laplacian(u, 0.0)
 
 
 def test_interpolation_ratio_limits_and_bound():
