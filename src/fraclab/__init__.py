@@ -26,7 +26,7 @@ from .experiments import (
     truncation_bound_probe,
     verify_identity,
 )
-from .expr import evaluate, evaluate_array, parse
+from .expr import evaluate_array, parse
 from .grid import (
     GridFunction,
     GridSpec,

@@ -55,7 +55,13 @@ import numpy as np
 from .errors import DomainError
 from .grid import GridFunction, GridSpec, sample, truncate
 from .kernel import find_crossings, phi_integral
-from .special import _as_order, _check_tol, _is_integer, kernel_constant
+from .special import (
+    _check_tol,
+    _kernel_order,
+    _order_list,
+    _sign_law_order,
+    kernel_constant,
+)
 from .spectral import (
     Spectrum,
     cross_spectrum,
@@ -116,6 +122,10 @@ def _report(experiment, params, results, verdicts, t0) -> ExperimentReport:
 
 def _check(claim: str, ok, detail: str) -> Verdict:
     return Verdict(claim, "pass" if ok else "fail", detail)
+
+
+def _inconclusive(claim: str, detail: str) -> Verdict:
+    return Verdict(claim, "inconclusive", detail)
 
 
 def _record(quantity, spectral, kernel=None, s_err=None, k_err=None):
@@ -360,11 +370,7 @@ def _sign_law_verdict(claim: str, defect: float, c_ns: float, errors) -> Verdict
         subject = f"error estimate {shown} exceeds"
     else:
         subject = f"error estimates ({shown}) exceed"
-    return Verdict(
-        claim=claim,
-        status="inconclusive",
-        detail=f"{subject} a tenth of |defect| = {abs(defect):.2e}",
-    )
+    return _inconclusive(claim, f"{subject} a tenth of |defect| = {abs(defect):.2e}")
 
 
 def verify_identity(
@@ -383,11 +389,7 @@ def verify_identity(
     law, gated on the error estimates.
     """
     t0 = time.perf_counter()
-    order = _as_order(s)
-    if _is_integer(order) or not (0.0 < order < 1.5) or abs(order - 1.0) < 1e-9:
-        raise DomainError(
-            f"identity check needs non-integer s in (0,1) or (1,1.5), got {s}"
-        )
+    order = _sign_law_order(_kernel_order(s))
     _check_tol(tol)
     u = sample(u_source, spec)
     params = _base_params(
@@ -477,19 +479,12 @@ def sign_sweep(
     divergent partial sums are flagged inconclusive in both regimes.
     """
     t0 = time.perf_counter()
-    if not s_list:
-        raise DomainError("s list must be nonempty")
-    orders = [_as_order(s) for s in s_list]
-    for s in orders:
-        if _is_integer(s) or abs(s - 1.0) < 1e-9:
-            raise DomainError(
-                f"sweep orders must be positive non-integer (not 1), got {s}"
-            )
+    orders = [_sign_law_order(s) for s in _order_list(s_list)]
     _check_tol(tol)
     u = sample(u_source, spec)
     params = _base_params(
         spec,
-        s_list=[float(s) for s in s_list],
+        s_list=orders,
         function=str(u_source),
         tolerance=float(tol),
     )
@@ -515,21 +510,14 @@ def sign_sweep(
         claim = f"defect sign at s={s:g} is opposite to the kernel constant"
         if diverged:
             verdicts.append(
-                Verdict(
-                    claim=claim,
-                    status="inconclusive",
-                    detail="partial sums diverge; the form is outside H^s",
-                )
+                _inconclusive(claim, "partial sums diverge; the form is outside H^s")
             )
         elif s > 1.5:
             verdicts.append(
-                Verdict(
-                    claim=claim,
-                    status="inconclusive",
-                    detail=(
-                        f"probe outside the proven range: defect is "
-                        f"{_sign_name(defect)} (evidence only)"
-                    ),
+                _inconclusive(
+                    claim,
+                    f"probe outside the proven range: defect is "
+                    f"{_sign_name(defect)} (evidence only)",
                 )
             )
         else:
@@ -581,14 +569,10 @@ def counterexample_scan(
     if np.min(x * sp) < -1e-12 * scale * spec.L:
         raise DomainError("input must satisfy x * phi(x) >= 0")
 
-    if not s_list:
-        raise DomainError("s list must be nonempty")
-    for s in s_list:
-        if _is_integer(_as_order(s)):
-            raise DomainError(f"orders must be positive non-integer, got {s}")
+    orders = _order_list(s_list)
     params = _base_params(
         spec,
-        s_list=[float(s) for s in s_list],
+        s_list=orders,
         cutoffs=[float(c) for c in cutoffs],
         function=str(phi_source),
     )
@@ -608,7 +592,7 @@ def counterexample_scan(
 
     results = []
     verdicts = []
-    for s in s_list:
+    for s in orders:
         xi, partial = shell_partial_sums(cross, s)
         svals = partial[idx]
         incs = np.diff(svals)
@@ -666,11 +650,7 @@ def truncation_bound_probe(
     consistency with a quadratic envelope A + B eps^2.
     """
     t0 = time.perf_counter()
-    order = _as_order(s)
-    if _is_integer(order) or not (0.0 < order < 1.5):
-        raise DomainError(
-            f"probe requires non-integer s in (0, 1.5), got {s}"
-        )
+    order = _kernel_order(s)
     _check_tol(tol)
     eps = sorted(float(e) for e in eps_list)
     if not eps or eps[0] <= 0:
@@ -796,12 +776,9 @@ def convergence_study(
     difference sequences are flagged instead of extrapolated.
     """
     t0 = time.perf_counter()
-    order = _as_order(s)
-    if _is_integer(order) or not (0.0 < order < 1.5):
-        raise DomainError(
-            f"convergence study needs non-integer s in (0, 1.5), got {s}"
-        )
-    Ns = [int(N) for N in N_list]
+    order = _kernel_order(s)
+    specs = [GridSpec(1, L, N) for N in N_list]
+    Ns = [spec.N for spec in specs]
     if len(Ns) < 3:
         raise DomainError("need at least 3 resolutions")
     if any(b <= a for a, b in zip(Ns[:-1], Ns[1:])):
@@ -820,8 +797,8 @@ def convergence_study(
     results = []
     spectral_vals = []
     kernel_vals = []
-    for N in Ns:
-        u = sample(u_source, GridSpec(1, L, N))
+    for N, spec in zip(Ns, specs):
+        u = sample(u_source, spec)
         crossings = find_crossings(u)
         if not crossings:
             raise DomainError(
@@ -877,13 +854,10 @@ def convergence_study(
         )
     else:
         verdicts.append(
-            Verdict(
-                claim="resolution study converges monotonically",
-                status="inconclusive",
-                detail=(
-                    "kernel difference sequence is non-monotone "
-                    "(saturation or noise floor); no extrapolation"
-                ),
+            _inconclusive(
+                "resolution study converges monotonically",
+                "kernel difference sequence is non-monotone "
+                "(saturation or noise floor); no extrapolation",
             )
         )
     final = discrepancy(spectral_vals[-1], kernel_vals[-1])

@@ -15,8 +15,8 @@ bump. bump(t) = exp(-1/(1-t^2)) for |t| < 1 and 0 otherwise; it is the one
 compactly supported atom, built in because the grammar has no
 conditionals.
 
-Evaluation accepts a scalar or a numpy array for x, so sampling a grid is
-a single vectorized tree walk.
+Evaluation takes a numpy array of points for x, so sampling a grid is a
+single vectorized tree walk.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class _Parser:
             raise ExpressionError(f"expected {symbol!r}", position=pos)
         return self.advance()
 
-    def _enter(self, pos):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ExpressionError("expression too deeply nested", position=pos)
-
     def parse(self) -> ExprAst:
         ast = self.expr()
         kind, text, pos = self.peek()
@@ -148,26 +143,27 @@ class _Parser:
                 return node
 
     def factor(self) -> ExprAst:
+        # every nesting (parentheses, a call argument, unary minus, ^)
+        # recurses through here, so self.depth counts the enclosing levels;
+        # a parse that raises is abandoned, so only a return restores it
         kind, text, pos = self.peek()
+        if self.depth > _MAX_DEPTH:
+            raise ExpressionError("expression too deeply nested", position=pos)
+        self.depth += 1
         if kind == "op" and text == "-":
-            self._enter(pos)
-            try:
-                self.advance()
-                return Neg(self.factor())
-            finally:
-                self.depth -= 1
-        return self.power()
+            self.advance()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> ExprAst:
         base = self.primary()
-        kind, text, pos = self.peek()
+        kind, text, _ = self.peek()
         if kind == "op" and text == "^":
-            self._enter(pos)
-            try:
-                self.advance()
-                return BinOp("^", base, self.factor())
-            finally:
-                self.depth -= 1
+            self.advance()
+            return BinOp("^", base, self.factor())
         return base
 
     def primary(self) -> ExprAst:
@@ -185,12 +181,8 @@ class _Parser:
                     raise ExpressionError(
                         f"unknown function {text!r}", position=pos
                     )
-                self._enter(pos)
-                try:
-                    self.advance()
-                    arg = self.expr()
-                finally:
-                    self.depth -= 1
+                self.advance()
+                arg = self.expr()
                 self.expect_op(")")
                 return Call(text, arg)
             if text == "x":
@@ -202,11 +194,7 @@ class _Parser:
                 )
             raise ExpressionError(f"unknown identifier {text!r}", position=pos)
         if kind == "op" and text == "(":
-            self._enter(pos)
-            try:
-                node = self.expr()
-            finally:
-                self.depth -= 1
+            node = self.expr()
             self.expect_op(")")
             return node
         raise ExpressionError(
@@ -265,17 +253,6 @@ def _eval_node(ast: ExprAst, x):
         if ast.op == "^":
             return np.power(a, b)
     raise ExpressionError(f"malformed AST node {ast!r}")
-
-
-def evaluate(ast: ExprAst, point) -> float:
-    """Evaluate at a single point x."""
-    x = np.asarray(point, dtype=float)
-    with np.errstate(all="ignore"):
-        value = _eval_node(ast, x)
-    value = float(value)
-    if not np.isfinite(value):
-        raise ExpressionError(f"evaluation produced a non-finite value {value}")
-    return value
 
 
 def evaluate_array(ast: ExprAst, x):

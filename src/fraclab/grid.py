@@ -10,7 +10,9 @@ return new instances and never mutate samples in place.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,7 +31,8 @@ class GridSpec:
     """Grid on the line: [-L, L] with N power-of-two nodes.
 
     n is the space dimension, recorded in every report; only n = 1 is
-    supported.
+    supported. L is stored as a float and N as an int, so that a numpy
+    scalar gives the same grid, and the same report, as a Python number.
     """
 
     n: int
@@ -39,6 +42,12 @@ class GridSpec:
     def __post_init__(self):
         if self.n != 1:
             raise DomainError(f"grids are one-dimensional, got dimension {self.n}")
+        if not (isinstance(self.L, Real) and isinstance(self.N, Integral)):
+            raise DomainError(
+                f"L must be a real number and N an integer, got {self.L!r} and {self.N!r}"
+            )
+        object.__setattr__(self, "L", float(self.L))
+        object.__setattr__(self, "N", operator.index(self.N))
         if not (self.L > 0):
             raise DomainError(f"half-width must be positive, got {self.L}")
         if not _is_power_of_two(self.N) or self.N < 4:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureToleranceError
 from .grid import GridFunction, _require_decay, _require_same_spec, truncate
-from .special import _as_order, _check_tol, _is_integer
+from .special import _check_tol, _kernel_order, _noninteger_order
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -212,11 +212,7 @@ def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
     Non-integer s in (0, 3/2); the linear vanishing of u+ and u- at each
     crossing keeps the integral finite exactly in that range.
     """
-    s = _as_order(s)
-    if _is_integer(s) or not (0.0 < s < 1.5):
-        raise DomainError(
-            f"phi integral requires non-integer s in (0, 1.5), got {s}"
-        )
+    s = _kernel_order(s)
     _check_tol(tol)
     crossings = find_crossings(u)
     x = u.spec.axis_nodes()
@@ -283,10 +279,8 @@ def p1_pairing(v: GridFunction, w: GridFunction, s) -> float:
     _BAND go through the FFT: its round-off, eps |v| |w| times the large
     near weights, would swamp cross forms that cancel near the diagonal.
     """
-    s = _as_order(s)
+    s = _noninteger_order(s)
     _require_same_spec(v, w)
-    if _is_integer(s):
-        raise DomainError(f"p1 pairing needs a non-integer order, got {s}")
     _require_decay(v)
     _require_decay(w)
     a, b = v.samples, w.samples

@@ -119,22 +119,48 @@ def gamma(x: float) -> float:
     return math.pi / denom
 
 
-def _as_order(s) -> float:
-    """The order s as a float, checked positive and finite."""
+def _noninteger_order(s) -> float:
+    """The order s as a float, checked positive, finite and non-integer."""
     s = float(s)
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"order must be positive and finite, got {s}")
+    if abs(s - round(s)) < _INTEGER_TOL:
+        raise DomainError(
+            f"order must be non-integer (at least 1e-12 from an integer), got {s}"
+        )
     return s
+
+
+def _kernel_order(s) -> float:
+    """The order s as a float, checked non-integer in (0, 3/2): the band in
+    which the truncations of a kinked u stay in H^s and the kernel route's
+    double integral is finite."""
+    s = _noninteger_order(s)
+    if not s < 1.5:
+        raise DomainError(f"order must be non-integer in (0, 1.5), got {s}")
+    return s
+
+
+def _sign_law_order(s: float) -> float:
+    """s, checked at least 1e-9 away from 1, where C(1, s) vanishes and
+    changes sign, so the sign law predicts no sign."""
+    if abs(s - 1.0) < 1e-9:
+        raise DomainError(f"the sign law needs s at least 1e-9 away from 1, got {s}")
+    return s
+
+
+def _order_list(s_list) -> list:
+    """The orders of a nonempty sequence as floats, each checked by
+    _noninteger_order."""
+    if len(s_list) == 0:
+        raise DomainError("s list must be nonempty")
+    return [_noninteger_order(s) for s in s_list]
 
 
 def _check_tol(tol) -> None:
     """Reject a tolerance that is not positive and finite."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-
-
-def _is_integer(s: float) -> bool:
-    return abs(s - round(s)) < _INTEGER_TOL
 
 
 def kernel_constant(n: int, s) -> float:
@@ -145,11 +171,7 @@ def kernel_constant(n: int, s) -> float:
     """
     if n < 1 or n != int(n):
         raise DomainError(f"dimension must be a positive integer, got {n}")
-    s = _as_order(s)
-    if _is_integer(s):
-        raise DomainError(
-            f"kernel constant undefined at integer order s={s}"
-        )
+    s = _noninteger_order(s)
     # sequential divides: at (n, s) = (1, 1/2) this lands on the double
     # nearest 1/pi, which the command-line contract prints verbatim
     return (

@@ -54,10 +54,6 @@ class Spectrum:
     def delta_xi(self) -> float:
         return math.pi / self.spec.L
 
-    def frequency_axis(self) -> np.ndarray:
-        N = self.spec.N
-        return self.delta_xi * np.arange(-N // 2, N // 2)
-
     def shell_radii(self) -> np.ndarray:
         """|xi| of the shells m = 0 .. N/2, i.e. m dxi."""
         return self.delta_xi * np.arange(self.spec.N // 2 + 1)

@@ -1,5 +1,6 @@
-"""Test fixture: a smooth unit-mass bump, the separated-support input of the
-kernel and acceptance tests."""
+"""Test helpers: a smooth unit-mass bump, the separated-support input of the
+kernel and acceptance tests, and the frequency axis of a spectrum, the
+oracle axis of the spectral and de-aliasing tests."""
 
 import numpy as np
 
@@ -20,3 +21,9 @@ def mollifier_bump(spec: GridSpec, center: float, radius: float) -> GridFunction
     if mass <= 0.0:
         raise DomainError("bump support does not contain any grid node")
     return GridFunction(spec, vals / mass)
+
+
+def frequency_axis(spectrum) -> np.ndarray:
+    """xi_k = k dxi for k = -N/2 .. N/2 - 1, the layout of Spectrum.coeffs."""
+    N = spectrum.spec.N
+    return spectrum.delta_xi * np.arange(-N // 2, N // 2)

@@ -27,7 +27,7 @@ from fraclab.reports import report_to_json
 from fraclab.spectral import quadratic_form
 from fraclab.special import gamma, kernel_constant
 
-from bump import mollifier_bump
+from helpers import mollifier_bump
 
 DEFAULT_SPEC = GridSpec(1, 20.0, 16384)
 

@@ -33,7 +33,7 @@ from fraclab.kernel import find_crossings
 from fraclab.reports import report_to_json
 from fraclab.spectral import cross_spectrum, forward_transform
 
-from bump import mollifier_bump
+from helpers import frequency_axis, mollifier_bump
 
 SPEC = GridSpec(1, 20.0, 16384)
 SMALL = GridSpec(1, 20.0, 4096)
@@ -47,6 +47,10 @@ THREE_ROOTS = (
 
 def strip_runtime(report):
     return (report.experiment, report.params, report.results, report.verdicts)
+
+
+def frozen_json(report):
+    return report_to_json(dataclasses.replace(report, runtime_seconds=0.0))
 
 
 def test_discrepancy_basics():
@@ -76,6 +80,9 @@ def test_verify_identity_validation():
     for bad in (1.0, 1.5, 2.0, -0.3):
         with pytest.raises(DomainError):
             verify_identity("x*exp(-x^2)", bad, spec=SMALL)
+    # non-integer, but too close to 1 for the sign law
+    with pytest.raises(DomainError, match="sign law needs s at least 1e-9 away from 1"):
+        verify_identity("x*exp(-x^2)", 1.0 + 1e-10, spec=SMALL)
     # a tolerance that no discrepancy can meet is invalid input, not a fail
     for tol in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="tolerance must be positive"):
@@ -87,10 +94,7 @@ def test_report_determinism():
     b = verify_identity("x*exp(-x^2)", 1.25, spec=SMALL)
     assert strip_runtime(a) == strip_runtime(b)
     # wall time is the one field that may differ between runs
-    frozen = [
-        report_to_json(dataclasses.replace(r, runtime_seconds=0.0)) for r in (a, b)
-    ]
-    assert frozen[0] == frozen[1]
+    assert frozen_json(a) == frozen_json(b)
 
 
 def test_sign_sweep_gated_and_probe_orders():
@@ -106,8 +110,13 @@ def test_sign_sweep_gated_and_probe_orders():
 
 
 def test_sign_sweep_validation():
-    with pytest.raises(DomainError):
-        sign_sweep("x*exp(-x^2)", [], spec=SMALL)
+    for empty in ([], np.array([])):
+        with pytest.raises(DomainError, match="s list must be nonempty"):
+            sign_sweep("x*exp(-x^2)", empty, spec=SMALL)
+    with pytest.raises(DomainError, match="order must be non-integer"):
+        sign_sweep("x*exp(-x^2)", [0.5, 2.0], spec=SMALL)
+    with pytest.raises(DomainError, match="sign law"):
+        sign_sweep("x*exp(-x^2)", [0.5, 1.0 - 1e-10], spec=SMALL)
     for tol in (-5.0, 0.0, math.nan):
         with pytest.raises(DomainError, match="tolerance must be positive"):
             sign_sweep("x*exp(-x^2)", [0.5], spec=SMALL, tol=tol)
@@ -149,6 +158,25 @@ def test_counterexample_scan_validation():
     # ...with x * phi(x) >= 0 on both sides
     with pytest.raises(DomainError):
         counterexample_scan("-x^3*exp(-x^2)", [1.6], cuts, spec=SMALL)
+
+
+def test_order_arrays_give_the_same_reports_as_lists():
+    orders = [0.5, 1.25]
+    for run in (
+        lambda s_list: sign_sweep("x*exp(-x^2)", s_list, spec=SMALL),
+        lambda s_list: counterexample_scan(
+            "x*exp(-x^2)", s_list, [40.0, 80.0, 160.0, 320.0], spec=SMALL
+        ),
+    ):
+        assert frozen_json(run(np.array(orders))) == frozen_json(run(orders))
+
+
+def test_numpy_grid_size_gives_the_same_report():
+    # an int64 N used to reach the report parameters and fail serialization
+    rep = interp_sweep(2, seed=3, spec=GridSpec(1, 20.0, np.int64(1024)))
+    assert frozen_json(rep) == frozen_json(
+        interp_sweep(2, seed=3, spec=GridSpec(1, 20.0, 1024))
+    )
 
 
 def test_truncation_bound_probe_passes():
@@ -206,7 +234,7 @@ def test_convergence_study_degenerate_and_validation():
         convergence_study("exp(-x^2)", 1.25, [1024, 2048, 4096])
     # orders without a kernel route
     for bad_s in (1.7, 1.0):
-        with pytest.raises(DomainError, match="non-integer s"):
+        with pytest.raises(DomainError, match="non-integer"):
             convergence_study("x*exp(-x^2)", bad_s, [1024, 2048, 4096])
     with pytest.raises(DomainError):
         convergence_study("x*exp(-x^2)", 1.25, [1024, 2048])
@@ -243,7 +271,7 @@ def test_random_function_source_family():
 def _dealias_one_at_a_time(spectrum, kinks):
     # reference: each spectrum de-aliased on its own, one (location, jump)
     # kink at a time, with the ghost model written as one expression
-    xi = spectrum.frequency_axis()
+    xi = frequency_axis(spectrum)
     ximax = np.pi * (spectrum.spec.N // 2) / spectrum.spec.L
     nz = np.abs(xi) > 1e-12
     xi_nz = xi[nz]
@@ -274,7 +302,7 @@ def test_dealias_matches_direct_image_sum():
     su = forward_transform(truncate(u, "pos"))
     ghost = su.coeffs - dealiased.coeffs
 
-    xi = su.frequency_axis()
+    xi = frequency_axis(su)
     ximax = np.pi * (spec.N // 2) / spec.L
     idx = np.flatnonzero(np.abs(xi) >= ximax / 8.0)[::37]
     z, slope = crossings[0]
@@ -323,7 +351,7 @@ def _alias_basis_full_axis(spectrum):
     .. -1 and then k = 1 .. N/2 - 1."""
     N = spectrum.spec.N
     ximax = np.pi * (N // 2) / spectrum.spec.L
-    xi = np.delete(spectrum.frequency_axis(), N // 2)
+    xi = np.delete(frequency_axis(spectrum), N // 2)
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
     return experiments._AliasBasis(

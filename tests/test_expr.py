@@ -13,11 +13,16 @@ from fraclab.expr import (
     Neg,
     Num,
     Var,
-    evaluate,
     evaluate_array,
     parse,
 )
-from fraclab.errors import ExpressionError
+from fraclab.errors import DomainError, ExpressionError
+from fraclab.grid import GridSpec, sample
+
+
+def at(source, x):
+    """The value of source at the one point x, as a 0-d array."""
+    return evaluate_array(parse(source), np.array(x))
 
 
 def test_parse_reference_ast():
@@ -32,11 +37,11 @@ def test_parse_reference_ast():
 
 def test_unary_minus_binds_looser_than_power():
     assert parse("-x^2") == Neg(BinOp("^", Var("x"), Num(2.0)))
-    assert evaluate(parse("-x^2"), 3.0) == -9.0
+    assert at("-x^2", 3.0) == -9.0
 
 
 def test_power_is_right_associative():
-    assert evaluate(parse("2^3^2"), 0.0) == 512.0
+    assert at("2^3^2", 0.0) == 512.0
 
 
 def test_unknown_variable_reports_position():
@@ -63,18 +68,29 @@ def test_bump_profile():
 
 def test_division_by_zero_raises():
     with pytest.raises(ExpressionError):
-        evaluate(parse("1/x"), 0.0)
+        at("1/x", 0.0)
 
 
 def test_nonfinite_result_raises():
-    with pytest.raises(ExpressionError):
-        evaluate(parse("exp(x)"), 1e6)
+    # exp(1000 x) overflows on the positive nodes of [-2, 2]
+    with pytest.raises(DomainError, match="non-finite sample at node index"):
+        sample("exp(1000*x)", GridSpec(1, 2.0, 8))
 
 
 def test_nesting_depth_limit():
     deep = "(" * 150 + "x" + ")" * 150
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ExpressionError, match="too deeply nested"):
         parse(deep)
+    # the cap is 100 levels of each kind of nesting
+    for nest in (
+        lambda k: "(" * k + "x" + ")" * k,
+        lambda k: "exp(" * k + "x" + ")" * k,
+        lambda k: "-" * k + "x",
+        lambda k: "x^" * k + "x",
+    ):
+        parse(nest(100))
+        with pytest.raises(ExpressionError, match="too deeply nested"):
+            parse(nest(101))
 
 
 def test_malformed_inputs_raise():

@@ -40,6 +40,13 @@ def test_gridspec_validation():
         GridSpec(3, 2.0, 8)
     with pytest.raises(DomainError):
         GridSpec(1, 2.0, 1)
+    # L must be a real number and N an integer; numpy scalars convert
+    for L, N in ((2.0, 8.0), (2.0, "abc"), (2.0, None), ("abc", 8), ("2", 8), (None, 8)):
+        with pytest.raises(DomainError, match="L must be a real number and N an integer"):
+            GridSpec(1, L, N)
+    spec = GridSpec(1, np.float64(2.0), np.int64(8))
+    assert spec == GridSpec(1, 2, 8)
+    assert type(spec.L) is float and type(spec.N) is int
 
 
 def test_sample_reports_offending_node():

@@ -35,7 +35,7 @@ from fraclab.kernel import (
 from fraclab.spectral import quadratic_form
 from fraclab.special import kernel_constant
 
-from bump import mollifier_bump
+from helpers import mollifier_bump
 
 SPEC = GridSpec(1, 20.0, 16384)
 ODD = sample("x*exp(-x^2)", SPEC)
