@@ -166,7 +166,7 @@ def _run(builder):
     """Run an experiment builder with the exit-status contract."""
     try:
         return builder()
-    except (DomainError, ExpressionError, SupportRuleError) as exc:
+    except (DomainError, ExpressionError, SupportRuleError, OverflowError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(2)
     except FraclabError as exc:

@@ -46,8 +46,10 @@ do. tests/test_experiments.py checks this against the full-axis ghost.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -126,6 +128,14 @@ def _check(claim: str, ok, detail: str) -> Verdict:
 
 def _inconclusive(claim: str, detail: str) -> Verdict:
     return Verdict(claim, "inconclusive", detail)
+
+
+def _agreement(claim: str, spectral: float, kernel: float, tol: float) -> Verdict:
+    """Pass when the two routes agree to the relative tolerance tol."""
+    disc = discrepancy(spectral, kernel)
+    return _check(
+        claim, disc <= tol, f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}"
+    )
 
 
 def _record(quantity, spectral, kernel=None, s_err=None, k_err=None):
@@ -346,6 +356,8 @@ def _base_params(spec: GridSpec, **extra):
 
 
 def _sign_name(x: float) -> str:
+    if not math.isfinite(x):
+        return "non-finite"
     return "negative" if x < 0 else "positive" if x > 0 else "zero"
 
 
@@ -426,7 +438,6 @@ def verify_identity(
     kernel_cross = -c_ns * phi.value
     kernel_err = abs(c_ns) * phi.error_estimate
 
-    disc = discrepancy(cross.value, kernel_cross)
     results = (
         _record(
             "cross form of u+ against u-",
@@ -451,10 +462,8 @@ def verify_identity(
         ),
     )
     verdicts = (
-        _check(
-            "spectral and kernel cross forms agree",
-            disc <= tol,
-            f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}",
+        _agreement(
+            "spectral and kernel cross forms agree", cross.value, kernel_cross, tol
         ),
         _sign_law_verdict(
             "defect sign follows the kernel-constant sign law",
@@ -860,12 +869,12 @@ def convergence_study(
                 "(saturation or noise floor); no extrapolation",
             )
         )
-    final = discrepancy(spectral_vals[-1], kernel_vals[-1])
     verdicts.append(
-        _check(
+        _agreement(
             "routes agree at the finest resolution",
-            final <= tol,
-            f"relative discrepancy {final:.6e} vs tolerance {tol:.1e}",
+            spectral_vals[-1],
+            kernel_vals[-1],
+            tol,
         )
     )
     return _report("convergence", params, results, verdicts, t0)
@@ -917,8 +926,15 @@ def interp_sweep(
     from .spectral import interpolation_ratio
 
     t0 = time.perf_counter()
+    if not (isinstance(count, Integral) and isinstance(seed, Integral)):
+        raise DomainError(
+            f"count and seed must be integers, got {count!r} and {seed!r}"
+        )
+    count, seed = operator.index(count), operator.index(seed)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
     # one draw at a time: its samples are dropped once its ratio is taken
@@ -937,7 +953,7 @@ def interp_sweep(
         results.append(
             _record(f"interpolation ratio, draw {i} (tau={tau:.4f}, s={s:.4f})", ratio)
         )
-    params = _base_params(spec, count=int(count), seed=int(seed))
+    params = _base_params(spec, count=count, seed=seed)
     worst = max(r.spectral_value for r in results)
     verdict = _check(
         "every sampled ratio obeys the interpolation bound",

@@ -15,7 +15,7 @@ The quadratic form Q_s(u, v) = sum |xi|^{2s} F[u] conj(F[v]) dxi has one
 subtle error source: the |xi|^{2s} multiplier has a kink at xi = 0, so the
 rectangle sum carries an N-independent endpoint error (generalized
 Euler-Maclaurin with zeta-function coefficients). For non-even 2s the form
-subtracts those endpoint terms by default; they are bilinear in (u, v), so
+always subtracts those endpoint terms; they are bilinear in (u, v), so
 exact polarization is preserved. The correction vanishes identically when
 2s is an even integer (smooth multiplier).
 
@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FraclabError, GridMismatchError
-from .grid import GridFunction, GridSpec, _require_decay, l2_inner
+from .errors import DomainError, FraclabError
+from .grid import GridFunction, GridSpec, l2_inner
+from .grid import _require_decay, _require_same_spec
 
 _EVEN_TOL = 1e-12
 
@@ -109,9 +110,7 @@ def zeta_extended(x: float) -> float:
 
 
 def _multiplier(abs_xi: np.ndarray, s: float) -> np.ndarray:
-    # |xi|^{2s} with the 0^0 = 1 convention so s = 0 reproduces Parseval.
-    if s == 0.0:
-        return np.ones_like(abs_xi)
+    # |xi|^{2s}; IEEE pow gives 0^0 = 1, so s = 0 reproduces Parseval.
     return abs_xi ** (2.0 * s)
 
 
@@ -160,13 +159,8 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
     )
 
 
-def _form_from_spectra(
-    cross: Spectrum,
-    radii: np.ndarray,
-    s: float,
-    endpoint_correction: bool,
-) -> float:
-    """The form of a cross spectrum; radii is cross.shell_radii()."""
+def _form_from_spectra(cross: Spectrum, radii: np.ndarray, s: float) -> float:
+    """The plain form of a cross spectrum; radii is cross.shell_radii()."""
     dxi = cross.delta_xi
     terms = _on_axis(_multiplier(radii, s)) * cross.coeffs
     total = complex(terms.sum()) * dxi
@@ -184,35 +178,20 @@ def _form_from_spectra(
                 f"form imaginary residual {resid:.3e} exceeds 1e-10 of the "
                 f"term scale {term_scale:.3e}"
             )
-    lam = 2.0 * s
-    if endpoint_correction and s > 0.0 and not _even_integer_lambda(lam):
-        value -= _endpoint_terms(np.real(cross.coeffs), lam, dxi)
     return value
 
 
-def quadratic_form(
-    u: GridFunction,
-    v: GridFunction,
-    s: float,
-    *,
-    endpoint_correction: bool = True,
-) -> float:
-    """Bilinear multiplier form sum |xi|^{2s} F[u] conj(F[v]) dxi.
-
-    Real part, with the imaginary residual asserted below 1e-10 of the
-    absolute term sum (round-off scale for oscillatory cross spectra).
-    s = 0 reduces to the L2 inner product (discrete Parseval is exact).
-    endpoint_correction subtracts the xi = 0 kink error of the rectangle
-    sum (see module docstring); disable it to get the literal plain sum.
+def quadratic_form(u: GridFunction, v: GridFunction, s: float) -> float:
+    """Bilinear multiplier form sum |xi|^{2s} F[u] conj(F[v]) dxi less the
+    xi = 0 endpoint terms: the last of the shell partial sums that
+    refined_form extrapolates. s = 0 gives the L2 inner product exactly.
     """
-    if u.spec != v.spec:
-        raise GridMismatchError(f"incompatible grids: {u.spec} vs {v.spec}")
+    _require_same_spec(u, v)
     if not (s >= 0.0) or not math.isfinite(s):
         raise DomainError(f"order s must be a finite non-negative real, got {s}")
     su = forward_transform(u)
     sv = su if v is u else forward_transform(v)
-    cross = cross_spectrum(su, sv)
-    return _form_from_spectra(cross, cross.shell_radii(), s, endpoint_correction)
+    return float(shell_partial_sums(cross_spectrum(su, sv), s)[1][-1])
 
 
 def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
@@ -229,8 +208,8 @@ def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
     sv = forward_transform(v)
     cross = cross_spectrum(sv, sv)
     radii = cross.shell_radii()
-    q_tau = _form_from_spectra(cross, radii, tau, False)
-    q_s = _form_from_spectra(cross, radii, s, False)
+    q_tau = _form_from_spectra(cross, radii, tau)
+    q_s = _form_from_spectra(cross, radii, s)
     low = l2_inner(v, v)
     theta = tau / s
     return q_tau / (q_s**theta * low ** (1.0 - theta))

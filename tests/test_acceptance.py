@@ -169,13 +169,9 @@ def test_criterion_08_polarization_exactness():
         pos, neg = truncate(u, "pos"), truncate(u, "neg")
         absu = truncate(u, "abs")
         for s in (0.5, 1.25):
-            lhs = 4.0 * quadratic_form(pos, neg, s, endpoint_correction=False)
-            rhs = quadratic_form(absu, absu, s, endpoint_correction=False) - \
-                quadratic_form(u, u, s, endpoint_correction=False)
-            scale = max(
-                abs(quadratic_form(u, u, s, endpoint_correction=False)),
-                l2_inner(u, u),
-            )
+            lhs = 4.0 * quadratic_form(pos, neg, s)
+            rhs = quadratic_form(absu, absu, s) - quadratic_form(u, u, s)
+            scale = max(abs(quadratic_form(u, u, s)), l2_inner(u, u))
             rel = abs(lhs - rhs) / scale
             worst = max(worst, rel)
             assert rel <= 1e-12

@@ -208,6 +208,27 @@ def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
     assert "tolerance must be positive" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "constants --n 400 --s 0.5",
+        "identity --L 1e-100 --N 1024",
+        pytest.param(
+            "identity --L 1e-300 --N 1024",
+            marks=pytest.mark.filterwarnings(
+                "ignore:overflow encountered:RuntimeWarning"
+            ),
+        ),
+        "interp --count 1 --seed -1 --N 1024",
+    ],
+)
+def test_out_of_range_values_exit_2_without_traceback(runner, args):
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.count("validation error:") == 1
+
+
 def test_counterexample_empty_order_list_in_config_exits_2(runner, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"s_list": []}))

@@ -172,11 +172,33 @@ def test_order_arrays_give_the_same_reports_as_lists():
 
 
 def test_numpy_grid_size_gives_the_same_report():
-    # an int64 N used to reach the report parameters and fail serialization
-    rep = interp_sweep(2, seed=3, spec=GridSpec(1, 20.0, np.int64(1024)))
+    # an int64 N used to reach the report parameters and fail
+    # serialization; numpy count and seed must not change the report either
+    rep = interp_sweep(
+        np.int64(2), seed=np.int32(3), spec=GridSpec(1, 20.0, np.int64(1024))
+    )
     assert frozen_json(rep) == frozen_json(
         interp_sweep(2, seed=3, spec=GridSpec(1, 20.0, 1024))
     )
+
+
+def test_interp_sweep_rejects_non_integral_count_and_seed():
+    for count, seed in ((2.5, 3), (2, 3.5), (2, "3")):
+        with pytest.raises(DomainError, match="count and seed must be integers"):
+            interp_sweep(count, seed, spec=GridSpec(1, 20.0, 1024))
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        interp_sweep(2, -1, spec=GridSpec(1, 20.0, 1024))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sign_sweep_does_not_call_a_nan_defect_zero():
+    # at s = 95.5 the multiplier overflows to inf, inf * 0 is nan, and so is
+    # the defect
+    rep = sign_sweep("x*exp(-x^2)", [95.5], spec=GridSpec(1, 20.0, 1024))
+    assert math.isnan(rep.results[0].spectral_value)
+    (verdict,) = rep.verdicts
+    assert verdict.status == "inconclusive"
+    assert "defect is non-finite" in verdict.detail
 
 
 def test_truncation_bound_probe_passes():

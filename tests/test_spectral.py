@@ -123,15 +123,15 @@ def test_interpolation_ratio_validation():
 
 
 def test_polarization_identity_plain_sums():
-    # 4 Q_s(u+, u-) = Q_s(|u|) - Q_s(u), exact for the uncorrected sums
+    # 4 Q_s(u+, u-) = Q_s(|u|) - Q_s(u), exact for the plain sums and so
+    # for the corrected forms, whose endpoint terms are bilinear too
     u = sample("x*exp(-x^2)", SPEC)
     pos, neg = truncate(u, "pos"), truncate(u, "neg")
     absu = truncate(u, "abs")
     for s in (0.5, 1.25):
-        lhs = 4.0 * quadratic_form(pos, neg, s, endpoint_correction=False)
-        rhs = quadratic_form(absu, absu, s, endpoint_correction=False) - \
-            quadratic_form(u, u, s, endpoint_correction=False)
-        scale = abs(quadratic_form(u, u, s, endpoint_correction=False))
+        lhs = 4.0 * quadratic_form(pos, neg, s)
+        rhs = quadratic_form(absu, absu, s) - quadratic_form(u, u, s)
+        scale = abs(quadratic_form(u, u, s))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 
@@ -139,11 +139,12 @@ def test_shell_partial_sums_monotone_and_complete():
     u = sample("x*exp(-x^2)", SPEC)
     su = forward_transform(u)
     s = 1.25
-    radii, partial = shell_partial_sums(cross_spectrum(su, su), s)
+    cross = cross_spectrum(su, su)
+    radii, partial = shell_partial_sums(cross, s)
     assert radii.shape == partial.shape
     assert np.all(np.diff(partial) >= -1e-15)
-    full = quadratic_form(u, u, s)
-    assert partial[-1] == pytest.approx(full, rel=1e-13)
+    assert partial[-1] == pytest.approx(_form_full_axis(cross, s, True), rel=1e-13)
+    assert quadratic_form(u, u, s) == partial[-1]
 
 
 def test_support_rule_enforcement():
@@ -220,7 +221,7 @@ def _shell_partial_sums_full_axis(cross, s):
     return dxi * np.arange(N // 2 + 1), partial
 
 
-def _form_full_axis(cross, s, endpoint_correction):
+def _form_full_axis(cross, s, corrected):
     """Reference: the form with the multiplier evaluated on every
     frequency."""
     abs_xi = np.abs(frequency_axis(cross))
@@ -228,7 +229,7 @@ def _form_full_axis(cross, s, endpoint_correction):
     total = complex(terms.sum()) * cross.delta_xi
     value = total.real
     lam = 2.0 * s
-    if endpoint_correction and s > 0.0 and not spectral._even_integer_lambda(lam):
+    if corrected and s > 0.0 and not spectral._even_integer_lambda(lam):
         value -= spectral._endpoint_terms(
             np.real(cross.coeffs), lam, cross.delta_xi
         )
@@ -276,10 +277,9 @@ def test_forms_match_full_axis_multiplier(N):
     cross = cross_spectrum(su, sv)
     radii = cross.shell_radii()
     for s in (0.0, 0.25, 1.0, 1.25, 1.75, 2.0):
-        for corrected in (False, True):
-            want = _form_full_axis(cross, s, corrected)
-            got = spectral._form_from_spectra(cross, radii, s, corrected)
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        want = _form_full_axis(cross, s, False)
+        got = spectral._form_from_spectra(cross, radii, s)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 @pytest.mark.parametrize(
@@ -313,7 +313,7 @@ def test_interpolation_ratio_forms_one_cross_spectrum(monkeypatch):
     assert len(calls) == 1
 
 
-def _form_eager_check(cross, s, endpoint_correction):
+def _form_eager_check(cross, s):
     """Reference: the form with the term scale summed on every call, and
     whether the residual passes the threshold without it."""
     dxi = cross.delta_xi
@@ -326,9 +326,6 @@ def _form_eager_check(cross, s, endpoint_correction):
     if resid > 1e-10 * max(abs(value), term_scale, 1e-300):
         raise FraclabError("residual")
     gated = resid > 1e-10 * max(abs(value), 1e-300)
-    lam = 2.0 * s
-    if endpoint_correction and s > 0.0 and not spectral._even_integer_lambda(lam):
-        value -= spectral._endpoint_terms(np.real(cross.coeffs), lam, dxi)
     return value, gated
 
 
@@ -347,12 +344,10 @@ def test_form_residual_check_matches_eager(N):
         cross = cross_spectrum(a, b)
         radii = cross.shell_radii()
         for s in (0.0, 0.25, 1.0, 1.25, 1.75):
-            for corrected in (False, True):
-                want, passed_gate = _form_eager_check(cross, s, corrected)
-                gated += passed_gate
-                got = spectral._form_from_spectra(cross, radii, s, corrected)
-                got_bits = np.float64(got).view(np.uint64)
-                assert got_bits == np.float64(want).view(np.uint64)
+            want, passed_gate = _form_eager_check(cross, s)
+            gated += passed_gate
+            got = spectral._form_from_spectra(cross, radii, s)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
     assert gated > 0
 
 
@@ -377,5 +372,5 @@ def test_form_residual_check_rejects_non_hermitian_products():
             f"the term scale {term_scale:.3e}"
         )
         with pytest.raises(FraclabError) as err:
-            spectral._form_from_spectra(bad, bad.shell_radii(), 0.75, False)
+            spectral._form_from_spectra(bad, bad.shell_radii(), 0.75)
         assert str(err.value) == want
