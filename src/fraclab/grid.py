@@ -10,6 +10,7 @@ return new instances and never mutate samples in place.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -53,6 +54,12 @@ class GridSpec:
         if not _is_power_of_two(self.N) or self.N < 4:
             raise DomainError(
                 f"N must be a power of two >= 4, got {self.N}"
+            )
+        # the spectral route squares the frequencies |xi| <= pi N / (2L)
+        xi_max = math.pi / self.L * (self.N // 2)
+        if not math.isfinite(xi_max * xi_max):
+            raise DomainError(
+                f"half-width L={self.L} is too small: squared frequencies overflow"
             )
 
     @property

@@ -10,7 +10,9 @@ crossing z the factors vanish linearly, so the integrand behaves like
   * for every interval pair, grade both axes dyadically toward the shared
     crossing (or toward the facing edges when the pair is separated), with
     fixed 12-point Gauss-Legendre per cell; accuracy comes from grading
-    depth, never rule order;
+    depth, never rule order. A pair builds the nodes of all depths and
+    evaluates each factor on them once; depth j reads the shallower cells
+    as array prefixes;
   * contributions of depth D form a geometric tail with ratio
     2^{-(3-2s)D} (the corner integrand is self-similar under halving), so
     the summed-tail correction step * rho/(1-rho) is applied and the
@@ -117,17 +119,23 @@ def _positive_regions(u: GridFunction, crossings, x: np.ndarray):
     return regions
 
 
-def _level_nodes(lo: float, hi: float, anchor_lo: bool, j: int):
-    """12-point Gauss-Legendre nodes/weights on the level-j dyadic cell."""
+def _level_nodes(lo: float, hi: float, anchor_lo: bool):
+    """12-point Gauss-Legendre nodes and weights on the dyadic cells of all
+    _MAX_DEPTH levels; level j is entries [12j, 12j + 12)."""
     w = hi - lo
-    if anchor_lo:
-        a = lo + w * 2.0 ** (-j - 1)
-        b = lo + w * 2.0 ** (-j)
-    else:
-        a = hi - w * 2.0 ** (-j)
-        b = hi - w * 2.0 ** (-j - 1)
+    scale = 2.0 ** -np.arange(_MAX_DEPTH + 1.0)
+    near, far = w * scale[1:], w * scale[:-1]
+    a, b = (lo + near, lo + far) if anchor_lo else (hi - far, hi - near)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    return nodes.ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
+
+
+def _kernel_block(x: np.ndarray, y: np.ndarray, expo: float) -> np.ndarray:
+    """|x_i - y_j|^expo, built in one array."""
+    k = np.subtract.outer(x, y)
+    np.abs(k, out=k)
+    return np.power(k, expo, out=k)
 
 
 def _pair_quadrature(
@@ -135,42 +143,29 @@ def _pair_quadrature(
 ):
     """Graded product quadrature of fx(x) fy(y) |x-y|^{-1-2s}.
 
-    fx, fy evaluate the (nonnegative) factors. Returns (value, est, depth).
-    For contact pairs the geometric tail correction uses the analytic ratio
-    rho = 2^{-(3-2s)}; separated pairs converge faster than any fixed ratio
-    and are stopped purely a posteriori.
+    fx, fy evaluate the (nonnegative) factors; each is called once, on the
+    nodes of all levels. Returns (value, est, depth). For contact pairs the
+    geometric tail correction uses the analytic ratio rho = 2^{-(3-2s)};
+    separated pairs converge faster than any fixed ratio and are stopped
+    purely a posteriori.
     """
     expo = -(1.0 + 2.0 * s)
     rho = 2.0 ** (-(3.0 - 2.0 * s)) if contact else None
-    X_acc, WX_acc, Y_acc, WY_acc = [], [], [], []
+    X, WX = _level_nodes(xreg[0], xreg[1], x_anchor_lo)
+    Y, WY = _level_nodes(yreg[0], yreg[1], y_anchor_lo)
+    VX, VY = fx(X) * WX, fy(Y) * WY
     total = 0.0
     prev_total = None
     prev_corr = None
     corr = 0.0
     est = math.inf
     for j in range(_MAX_DEPTH):
-        xn, xw = _level_nodes(xreg[0], xreg[1], x_anchor_lo, j)
-        yn, yw = _level_nodes(yreg[0], yreg[1], y_anchor_lo, j)
-        vx = fx(xn) * xw
-        vy = fy(yn) * yw
-        if X_acc:
-            Xa = np.concatenate(X_acc)
-            WXa = np.concatenate(WX_acc)
-            Ya = np.concatenate(Y_acc)
-            WYa = np.concatenate(WY_acc)
-            total += np.einsum(
-                "i,ij,j->", vx, np.abs(xn[:, None] - Ya[None, :]) ** expo, WYa
-            )
-            total += np.einsum(
-                "i,ij,j->", WXa, np.abs(Xa[:, None] - yn[None, :]) ** expo, vy
-            )
-        total += np.einsum(
-            "i,ij,j->", vx, np.abs(xn[:, None] - yn[None, :]) ** expo, vy
-        )
-        X_acc.append(xn)
-        WX_acc.append(vx)
-        Y_acc.append(yn)
-        WY_acc.append(vy)
+        i, k = 12 * j, 12 * j + 12
+        xn, vx, yn, vy = X[i:k], VX[i:k], Y[i:k], VY[i:k]
+        if j:
+            total += np.einsum("i,ij,j->", vx, _kernel_block(xn, Y[:i], expo), VY[:i])
+            total += np.einsum("i,ij,j->", VX[:i], _kernel_block(X[:i], yn, expo), vy)
+        total += np.einsum("i,ij,j->", vx, _kernel_block(xn, yn, expo), vy)
         if prev_total is not None:
             step = total - prev_total
             corr = total + step * rho / (1.0 - rho) if contact else total

@@ -140,6 +140,14 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
     h = dxi
     g0 = g[c]
     w = g[c - 3 : c + 4]
+    try:
+        h4 = h**4
+        p1, p3, p5 = (dxi ** (lam + k) for k in (1.0, 3.0, 5.0))
+    except OverflowError:
+        raise DomainError(
+            f"endpoint terms of |xi|^{lam:g} overflow at frequency spacing "
+            f"pi/L = {dxi:.3e}; L is too small"
+        ) from None
     d2 = (
         2.0 * (w[0] + w[6])
         - 27.0 * (w[1] + w[5])
@@ -151,11 +159,11 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
         + 2.0 * (w[1] + w[5])
         - 6.5 * (w[2] + w[4])
         + (28.0 / 3.0) * w[3]
-    ) / h**4
+    ) / h4
     return (
-        2.0 * zeta_extended(-lam) * g0 * dxi ** (lam + 1.0)
-        + zeta_extended(-lam - 2.0) * d2 * dxi ** (lam + 3.0)
-        + zeta_extended(-lam - 4.0) * d4 / 12.0 * dxi ** (lam + 5.0)
+        2.0 * zeta_extended(-lam) * g0 * p1
+        + zeta_extended(-lam - 2.0) * d2 * p3
+        + zeta_extended(-lam - 4.0) * d4 / 12.0 * p5
     )
 
 
@@ -227,13 +235,17 @@ def shell_partial_sums(cross: Spectrum, s: float):
     c = cross.spec.N // 2
     radii = cross.shell_radii()
     g = np.real(cross.coeffs)
-    weights = _multiplier(radii, s)
     # g[c - m] and g[c + m] are the two halves of shell m; shell N/2 has
-    # only k = -N/2 and shell 0 only k = 0
-    shell_sums = np.zeros(c + 1)
-    shell_sums[1:] += weights[1:] * g[c - 1 :: -1] * dxi
-    shell_sums[:c] += weights[:c] * g[c:] * dxi
-    partial = np.cumsum(shell_sums)
+    # only k = -N/2 and shell 0 only k = 0. A multiplier that overflows (far
+    # above s = 3/2, or at a tiny L) turns the sums inf or NaN without a
+    # warning: sign_sweep reports the defect as non-finite, and
+    # _endpoint_terms rejects the tiny L
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _multiplier(radii, s)
+        shell_sums = np.zeros(c + 1)
+        shell_sums[1:] += weights[1:] * g[c - 1 :: -1] * dxi
+        shell_sums[:c] += weights[:c] * g[c:] * dxi
+        partial = np.cumsum(shell_sums)
     if s > 0.0 and not _even_integer_lambda(2.0 * s):
         partial = partial - _endpoint_terms(g, 2.0 * s, dxi)
     return radii, partial

@@ -213,20 +213,27 @@ def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
     [
         "constants --n 400 --s 0.5",
         "identity --L 1e-100 --N 1024",
-        pytest.param(
-            "identity --L 1e-300 --N 1024",
-            marks=pytest.mark.filterwarnings(
-                "ignore:overflow encountered:RuntimeWarning"
-            ),
-        ),
+        "identity --L 1e-300 --N 1024",
         "interp --count 1 --seed -1 --N 1024",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(runner, args):
+    # the suite turns numpy's RuntimeWarning into an error, so a leaked
+    # overflow warning fails here too
     res = runner.invoke(main, args.split())
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert res.output.count("validation error:") == 1
+    (line,) = res.output.splitlines()
+    assert line.startswith("validation error:")
+    if "--L" in args:
+        assert "L is too small" in line or "L=" in line
+
+
+def test_sign_sweep_far_above_three_halves_is_non_finite_without_warnings(runner):
+    res = runner.invoke(main, ["sign-sweep", "--s", "95.5", "--N", "1024"])
+    assert res.exit_code == 0, res.output
+    assert "defect is non-finite" in res.output
+    assert "Warning" not in res.output
 
 
 def test_counterexample_empty_order_list_in_config_exits_2(runner, tmp_path):

@@ -190,7 +190,6 @@ def test_interp_sweep_rejects_non_integral_count_and_seed():
         interp_sweep(2, -1, spec=GridSpec(1, 20.0, 1024))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sign_sweep_does_not_call_a_nan_defect_zero():
     # at s = 95.5 the multiplier overflows to inf, inf * 0 is nan, and so is
     # the defect

@@ -40,6 +40,10 @@ def test_gridspec_validation():
         GridSpec(3, 2.0, 8)
     with pytest.raises(DomainError):
         GridSpec(1, 2.0, 1)
+    # the squared frequencies (pi N / 2L)^2 must stay finite
+    with pytest.raises(DomainError, match="L=1e-300 is too small"):
+        GridSpec(1, 1e-300, 1024)
+    assert GridSpec(1, 1e-150, 1024).L == 1e-150
     # L must be a real number and N an integer; numpy scalars convert
     for L, N in ((2.0, 8.0), (2.0, "abc"), (2.0, None), ("abc", 8), ("2", 8), (None, 8)):
         with pytest.raises(DomainError, match="L must be a real number and N an integer"):

@@ -25,8 +25,14 @@ from fraclab.errors import (
 )
 from fraclab.grid import GridFunction, GridSpec, sample, truncate
 from fraclab.kernel import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _MAX_DEPTH,
+    _MIN_DEPTH,
     QuadratureResult,
+    _contact_geometry,
     _lag_weights,
+    _pair_quadrature,
     _positive_regions,
     find_crossings,
     p1_pairing,
@@ -432,3 +438,146 @@ def test_phi_integral_builds_the_node_axis_once(monkeypatch):
     result = phi_integral(u, 0.5)
     assert calls == [4096]
     assert result.value > 0.0
+
+
+# ----------------------------------------------------------------------
+# the pair quadrature against its per-level form
+
+
+def _level_nodes_scalar(lo, hi, anchor_lo, j):
+    w = hi - lo
+    if anchor_lo:
+        a = lo + w * 2.0 ** (-j - 1)
+        b = lo + w * 2.0 ** (-j)
+    else:
+        a = hi - w * 2.0 ** (-j)
+        b = hi - w * 2.0 ** (-j - 1)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * _GL_NODES, half * _GL_WEIGHTS
+
+
+def _pair_quadrature_per_level(
+    fx, fy, xreg, yreg, x_anchor_lo, y_anchor_lo, contact, s, tol
+):
+    """Reference: nodes, factor values and the running node lists rebuilt
+    at every level."""
+    expo = -(1.0 + 2.0 * s)
+    rho = 2.0 ** (-(3.0 - 2.0 * s)) if contact else None
+    X_acc, WX_acc, Y_acc, WY_acc = [], [], [], []
+    total = 0.0
+    prev_total = None
+    prev_corr = None
+    corr = 0.0
+    est = math.inf
+    for j in range(_MAX_DEPTH):
+        xn, xw = _level_nodes_scalar(xreg[0], xreg[1], x_anchor_lo, j)
+        yn, yw = _level_nodes_scalar(yreg[0], yreg[1], y_anchor_lo, j)
+        vx = fx(xn) * xw
+        vy = fy(yn) * yw
+        if X_acc:
+            Xa = np.concatenate(X_acc)
+            WXa = np.concatenate(WX_acc)
+            Ya = np.concatenate(Y_acc)
+            WYa = np.concatenate(WY_acc)
+            total += np.einsum(
+                "i,ij,j->", vx, np.abs(xn[:, None] - Ya[None, :]) ** expo, WYa
+            )
+            total += np.einsum(
+                "i,ij,j->", WXa, np.abs(Xa[:, None] - yn[None, :]) ** expo, vy
+            )
+        total += np.einsum(
+            "i,ij,j->", vx, np.abs(xn[:, None] - yn[None, :]) ** expo, vy
+        )
+        X_acc.append(xn)
+        WX_acc.append(vx)
+        Y_acc.append(yn)
+        WY_acc.append(vy)
+        if prev_total is not None:
+            step = total - prev_total
+            corr = total + step * rho / (1.0 - rho) if contact else total
+            if prev_corr is not None:
+                est = abs(corr - prev_corr)
+                if j + 1 >= _MIN_DEPTH and est <= tol:
+                    return corr, est, j + 1
+            prev_corr = corr
+        prev_total = total
+    raise QuadratureToleranceError(
+        f"pair tolerance {tol:.3e} not reached at depth {_MAX_DEPTH} "
+        f"(last estimate {est:.3e})"
+    )
+
+
+def _p1_factor(rng, lo, hi, zero_at):
+    """Positive P1 factor on [lo, hi] with random nodes; it vanishes at
+    zero_at when that is an endpoint, as a truncation cut on a node does."""
+    nodes = np.sort(np.concatenate(([lo, hi], rng.uniform(lo, hi, 6))))
+    values = rng.uniform(0.1, 2.0, nodes.size)
+    values[nodes == zero_at] = 0.0
+    return lambda t: np.maximum(np.interp(t, nodes, values), 0.0)
+
+
+def _random_pair(rng, case):
+    contact = case % 2 == 0
+    x_left = case % 4 < 2  # both anchor directions
+    z = rng.uniform(-3.0, 3.0)
+    wx, wy = rng.uniform(0.05, 4.0, 2)
+    gap = 0.0 if contact else rng.uniform(1e-3, 2.0)
+    if x_left:
+        xreg, yreg = (z - wx, z), (z + gap, z + gap + wy)
+    else:
+        xreg, yreg = (z + gap, z + gap + wx), (z - wy, z)
+    # half the cases keep the factors nonzero at the facing edges, like an
+    # off-node crossing's cut interpolants
+    vanish = rng.random() < 0.5
+    fx = _p1_factor(rng, *xreg, xreg[x_left] if vanish else None)
+    fy = _p1_factor(rng, *yreg, yreg[1 - x_left] if vanish else None)
+    geometry = _contact_geometry(xreg, yreg)
+    assert geometry[2] == contact and geometry[0] != x_left
+    s = rng.uniform(0.05, 1.49)
+    tol = 10.0 ** rng.uniform(-14.0, -2.0)
+    return (fx, fy, xreg, yreg, *geometry, s, tol)
+
+
+def _outcome(quadrature, args):
+    try:
+        value, est, depth = quadrature(*args)
+    except QuadratureToleranceError as err:
+        return ("raises", str(err))
+    return (float(value).hex(), float(est).hex(), depth)
+
+
+def test_pair_quadrature_matches_per_level_form_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    outcomes = []
+    for case in range(1000):
+        args = _random_pair(rng, case)
+        want = _outcome(_pair_quadrature_per_level, args)
+        assert _outcome(_pair_quadrature, args) == want, (case, args[2:])
+        outcomes.append(want)
+    raised = sum(o[0] == "raises" for o in outcomes)
+    depths = {o[2] for o in outcomes if o[0] != "raises"}
+    assert 100 < raised < 900  # both branches are exercised
+    assert min(depths) == _MIN_DEPTH and max(depths) > 20
+
+
+def test_pair_quadrature_evaluates_each_factor_once():
+    calls = []
+
+    def counting(t):
+        calls.append(t.size)
+        return np.ones_like(t)
+
+    # a separated pair converges; at contact, factors that do not vanish
+    # make the integral diverge for s > 1/2, so all levels run
+    for xreg, yreg, s, raises in [
+        ((-1.0, 0.0), (0.5, 1.0), 0.3, False),
+        ((-1.0, 0.0), (0.0, 1.0), 1.3, True),
+    ]:
+        calls.clear()
+        args = (counting, counting, xreg, yreg, *_contact_geometry(xreg, yreg))
+        if raises:
+            with pytest.raises(QuadratureToleranceError):
+                _pair_quadrature(*args, s, 1e-6)
+        else:
+            assert _pair_quadrature(*args, s, 1e-6)[2] >= _MIN_DEPTH
+        assert calls == [12 * _MAX_DEPTH] * 2
