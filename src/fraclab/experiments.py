@@ -434,7 +434,7 @@ def verify_identity(
     defect_err = q_abs.error_estimate + q_plain.error_estimate
 
     phi_tol = max(tol * max(abs(cross.value), 1e-8), 1e-13)
-    phi = phi_integral(u, order, tol=phi_tol)
+    phi = phi_integral(u, crossings, order, tol=phi_tol)
     kernel_cross = -c_ns * phi.value
     kernel_err = abs(c_ns) * phi.error_estimate
 
@@ -816,7 +816,7 @@ def convergence_study(
         (spectral,) = _truncation_forms(
             u, crossings, order, [("pos", "neg")], extrapolate
         )
-        phi = phi_integral(u, order, tol=1e-10)
+        phi = phi_integral(u, crossings, order, tol=1e-10)
         kernel = -c_ns * phi.value
         results.append(
             _record(
@@ -838,8 +838,8 @@ def convergence_study(
             orders = np.log2(diffs[:-1] / diffs[1:])
         return diffs, orders
 
-    for name, vals in (("spectral", spectral_vals), ("kernel", kernel_vals)):
-        _, obs_t = orders_of(vals)
+    observed = {"spectral": orders_of(spectral_vals), "kernel": orders_of(kernel_vals)}
+    for name, (_, obs_t) in observed.items():
         for i, p in enumerate(obs_t):
             results.append(
                 _record(
@@ -847,7 +847,7 @@ def convergence_study(
                     float(p) if np.isfinite(p) else math.nan,
                 )
             )
-    diffs, obs = orders_of(kernel_vals)
+    diffs, obs = observed["kernel"]
     monotone = bool(np.all(np.diff(diffs) < 0)) and bool(np.all(diffs > 0))
     if monotone and np.isfinite(obs[-1]) and diffs[-1] > 0:
         p = float(obs[-1])

@@ -1,12 +1,12 @@
 """Kernel side: double integrals of f(x) g(y) |x-y|^{-1-2s} over the
 piecewise-linear (P1) interpolants of samples, in two pieces.
 
-phi_integral(u, s) integrates u+(x) u-(y) |x-y|^{-1-2s}. Near a sign
+phi_integral integrates u+(x) u-(y) |x-y|^{-1-2s}. Near a sign
 crossing z the factors vanish linearly, so the integrand behaves like
 (x-z)(z-y)/|x-y|^{1+2s}: unbounded but integrable for s < 3/2. Strategy:
 
-  * split supp(u+) and supp(u-) into maximal intervals bounded by sign
-    crossings (linear-interpolation roots between bracketing samples);
+  * split supp(u+) and supp(u-) in one pass into maximal intervals
+    bounded by the sign crossings that find_crossings locates;
   * for every interval pair, grade both axes dyadically toward the shared
     crossing (or toward the facing edges when the pair is separated), with
     fixed 12-point Gauss-Legendre per cell; accuracy comes from grading
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureToleranceError
-from .grid import GridFunction, _require_decay, _require_same_spec, truncate
+from .grid import GridFunction, _require_decay, _require_same_spec
 from .special import _check_tol, _kernel_order, _noninteger_order
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -99,24 +99,24 @@ def find_crossings(u: GridFunction):
     return list(zip(z.tolist(), slope.tolist()))
 
 
-def _positive_regions(u: GridFunction, crossings, x: np.ndarray):
-    """Maximal intervals where the interpolant of u is positive; x is
-    u.spec.axis_nodes().
-
-    The axis is sorted, so the nodes of [lo, hi] form one slice found by
-    binary search; each region reads only its own samples.
+def _sign_regions(u: GridFunction, crossings, x: np.ndarray):
+    """Intervals between crossings where the interpolant of u is positive,
+    and those where it is negative; x is u.spec.axis_nodes(). The axis is
+    sorted, so the nodes of [lo, hi] form one slice found by binary search.
     """
     s = u.samples
     bounds = [x[0]] + [z for z, _ in crossings] + [x[-1]]
     starts = np.searchsorted(x, bounds[:-1], side="left")
     stops = np.searchsorted(x, bounds[1:], side="right")
-    regions = []
+    pos, neg = [], []
     for lo, hi, i, j in zip(bounds[:-1], bounds[1:], starts, stops):
-        if hi - lo <= 0:
+        if hi - lo <= 0 or j <= i:
             continue
-        if j > i and np.max(s[i:j]) > 0.0:
-            regions.append((lo, hi))
-    return regions
+        if np.max(s[i:j]) > 0.0:
+            pos.append((lo, hi))
+        if np.min(s[i:j]) < 0.0:
+            neg.append((lo, hi))
+    return pos, neg
 
 
 def _level_nodes(lo: float, hi: float, anchor_lo: bool):
@@ -181,12 +181,6 @@ def _pair_quadrature(
     )
 
 
-def _interp_pos(u: GridFunction, x: np.ndarray):
-    # x is u.spec.axis_nodes()
-    s = u.samples
-    return lambda pts: np.maximum(np.interp(pts, x, s), 0.0)
-
-
 def _contact_geometry(p, m):
     """Anchors for a region pair; contact means a shared endpoint."""
     (plo, phi), (mlo, mhi) = p, m
@@ -201,24 +195,25 @@ def _contact_geometry(p, m):
     )
 
 
-def phi_integral(u: GridFunction, s, tol: float = 1e-6) -> QuadratureResult:
+def phi_integral(u: GridFunction, crossings, s, tol: float = 1e-6) -> QuadratureResult:
     """Double integral of u+(x) u-(y) |x-y|^{-1-2s} over the plane.
 
-    Non-integer s in (0, 3/2); the linear vanishing of u+ and u- at each
-    crossing keeps the integral finite exactly in that range.
+    crossings is find_crossings(u), the scan that the drivers also hand to
+    dealias_spectrum; the regions of u+ and u- lie between them. Non-integer
+    s in (0, 3/2); the linear vanishing of u+ and u- at each crossing keeps
+    the integral finite exactly in that range.
     """
     s = _kernel_order(s)
     _check_tol(tol)
-    crossings = find_crossings(u)
     x = u.spec.axis_nodes()
-    up = truncate(u, "pos")
-    um = truncate(u, "neg")
-    p_regs = _positive_regions(up, crossings, x)
-    m_regs = _positive_regions(um, crossings, x)
+    p_regs, m_regs = _sign_regions(u, crossings, x)
     if not p_regs or not m_regs:
         return QuadratureResult(value=0.0, error_estimate=0.0, depth=1)
-    fp = _interp_pos(up, x)
-    fm = _interp_pos(um, x)
+
+    def factor(part):  # part holds the samples of truncate(u, "pos"/"neg")
+        return lambda pts: np.maximum(np.interp(pts, x, part), 0.0)
+
+    fp, fm = factor(np.maximum(u.samples, 0.0)), factor(np.maximum(-u.samples, 0.0))
     pair_tol = tol / (2.0 * len(p_regs) * len(m_regs))
     value, est, depth = 0.0, 0.0, 1
     for p in p_regs:

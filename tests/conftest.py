@@ -3,14 +3,17 @@
 import os
 from importlib.metadata import version
 
+# One BLAS thread, as bench/run.py runs the program. OpenBLAS splits a long
+# np.dot across threads, which moves last bits of grid.l2_inner and with
+# them the golden report digests; BLAS reads these when numpy loads, which
+# is after this module.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
 
 def pytest_report_header(config):
-    # the golden report digests depend on the numpy/scipy build and on the
-    # BLAS thread count, so a digest failure is read against these
-    threads = ", ".join(
-        f"{name}={os.environ.get(name, 'unset')}"
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    )
+    # the golden report digests depend on the numpy/scipy build
+    threads = ", ".join(f"{name}={os.environ[name]}" for name in _BLAS_THREADS)
     return (
         f"numpy {version('numpy')}, scipy {version('scipy')}, "
         f"cpu_count {os.cpu_count()}, {threads}"

@@ -34,6 +34,7 @@ from fraclab.reports import report_to_json
 from fraclab.spectral import cross_spectrum, forward_transform
 
 from helpers import frequency_axis, mollifier_bump
+from oracles import OFF_NODE_CROSS_FORM, OFF_NODE_SOURCE
 
 SPEC = GridSpec(1, 20.0, 16384)
 SMALL = GridSpec(1, 20.0, 4096)
@@ -592,9 +593,20 @@ def test_sign_sweep_matches_refined_form_per_order():
         assert rec.spectral_error == q_abs.error_estimate + q_plain.error_estimate
 
 
+@pytest.mark.parametrize("s, rel", [(1.25, 5e-5), (0.75, 2e-4)])
+def test_spectral_cross_form_meets_off_node_oracle(s, rel):
+    # the errors read 2.23e-5 and 9.80e-5; whether the reported estimate
+    # covers them is checked once the routes' estimates are fixed to do so
+    u = sample(OFF_NODE_SOURCE, SPEC)
+    sp, sm = dealias_spectrum(u, find_crossings(u), ("pos", "neg"))
+    q = refined_form(cross_spectrum(sp, sm), s, kinky=True)
+    assert q.value == pytest.approx(OFF_NODE_CROSS_FORM[s], rel=rel)
+
+
 def _count_crossing_scans(monkeypatch):
-    # phi_integral looks find_crossings up in kernel, the drivers in
-    # experiments; both names count into one list
+    # the drivers look find_crossings up in experiments; a scan inside the
+    # kernel route would look it up in kernel, so both names count into one
+    # list
     calls = []
 
     def counting(u):
@@ -606,17 +618,38 @@ def _count_crossing_scans(monkeypatch):
     return calls
 
 
-def test_verify_identity_scans_crossings_twice(monkeypatch):
-    # once in the driver (its kink lists derive from that scan) and once
-    # in phi_integral
+def test_verify_identity_scans_crossings_once(monkeypatch):
+    # the driver's scan gives the kink lists and the kernel regions
     calls = _count_crossing_scans(monkeypatch)
     rep = verify_identity("x*exp(-x^2)", 1.25, spec=SMALL)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert rep.all_pass
 
 
-def test_convergence_study_scans_crossings_twice_per_resolution(monkeypatch):
+def test_convergence_study_scans_crossings_once_per_resolution(monkeypatch):
     calls = _count_crossing_scans(monkeypatch)
     Ns = [1024, 2048, 4096]
     convergence_study("x*exp(-x^2)", 1.25, Ns)
-    assert len(calls) == 2 * len(Ns)
+    assert len(calls) == len(Ns)
+
+
+def test_both_routes_read_one_crossing_list(monkeypatch):
+    seen = {"dealias_spectrum": [], "phi_integral": []}
+
+    def recording(name):
+        original = getattr(experiments, name)
+
+        def call(u, crossings, *args, **kwargs):
+            seen[name].append(crossings)
+            return original(u, crossings, *args, **kwargs)
+
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(experiments, name, recording(name))
+    verify_identity(THREE_ROOTS, 0.6, spec=SMALL)
+    convergence_study("x*exp(-x^2)", 1.25, [1024, 2048, 4096])
+    spectral, kernel_side = seen["dealias_spectrum"], seen["phi_integral"]
+    assert len(spectral) == len(kernel_side) == 4
+    assert all(a is b for a, b in zip(spectral, kernel_side))
+    assert len(spectral[0]) == 3

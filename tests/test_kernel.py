@@ -33,7 +33,7 @@ from fraclab.kernel import (
     _contact_geometry,
     _lag_weights,
     _pair_quadrature,
-    _positive_regions,
+    _sign_regions,
     find_crossings,
     p1_pairing,
     phi_integral,
@@ -65,7 +65,8 @@ def test_find_crossings_single_sign():
 
 
 def test_phi_of_single_sign_function_is_zero():
-    res = phi_integral(sample("exp(-x^2)", SPEC), 0.75)
+    u = sample("exp(-x^2)", SPEC)
+    res = phi_integral(u, find_crossings(u), 0.75)
     assert res == QuadratureResult(0.0, 0.0, 1)
 
 
@@ -73,7 +74,7 @@ def test_phi_of_single_sign_function_is_zero():
 def test_phi_matches_transported_cross_form(s):
     c = kernel_constant(1, s)
     expect = -CROSS_FORM[s] / c
-    res = phi_integral(ODD, s)
+    res = phi_integral(ODD, find_crossings(ODD), s)
     assert res.value == pytest.approx(expect, rel=5e-5)
     assert res.error_estimate <= 1e-6
 
@@ -83,18 +84,18 @@ def test_phi_sign_flip_symmetry():
     # symmetric so the integral is unchanged
     flipped = GridFunction(SPEC, -ODD.samples)
     s = 1.25
-    a = phi_integral(ODD, s).value
-    b = phi_integral(flipped, s).value
+    a = phi_integral(ODD, find_crossings(ODD), s).value
+    b = phi_integral(flipped, find_crossings(flipped), s).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_phi_validation():
     for bad_s in (1.0, 1.5, 1.7, -0.5):
         with pytest.raises(DomainError):
-            phi_integral(ODD, bad_s)
+            phi_integral(ODD, find_crossings(ODD), bad_s)
     for bad_tol in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="tolerance"):
-            phi_integral(ODD, 0.75, tol=bad_tol)
+            phi_integral(ODD, find_crossings(ODD), 0.75, tol=bad_tol)
 
 
 def test_phi_unreachable_tolerance_raises():
@@ -103,7 +104,7 @@ def test_phi_unreachable_tolerance_raises():
     coarse = GridSpec(1, 20.0, 4096)
     u = sample("x*exp(-x^2)", coarse)
     with pytest.raises(QuadratureToleranceError):
-        phi_integral(u, 1.49, tol=1e-17)
+        phi_integral(u, find_crossings(u), 1.49, tol=1e-17)
 
 
 def test_interaction_point_mass_limit():
@@ -148,7 +149,7 @@ def test_interaction_monotone_in_shift():
     s = 1.25
     pos = truncate(ODD, "pos")
     neg = truncate(ODD, "neg")
-    phi_full = phi_integral(ODD, s).value
+    phi_full = phi_integral(ODD, find_crossings(ODD), s).value
     values = []
     for eps in (0.15, 0.10, 0.05):
         shifted = truncate(GridFunction(SPEC, neg.samples - eps), "pos")
@@ -295,7 +296,7 @@ def test_p1_pairing_cross_form_at_fine_grid(s):
 def test_phi_estimate_covers_its_quadrature_error(s):
     # the crossing of ODD is a node, so the P1 pairing of its parts is the
     # exact integral that phi_integral approximates
-    res = phi_integral(ODD, s)
+    res = phi_integral(ODD, find_crossings(ODD), s)
     exact = p1_pairing(truncate(ODD, "pos"), truncate(ODD, "neg"), s)
     assert abs(res.value - exact) <= res.error_estimate
 
@@ -404,23 +405,28 @@ def test_find_crossings_on_node_and_through_zero_run():
     assert find_crossings(off_node) == [(-2.0 + 0.25 * 1.5, -4.0 / 1.5)]
 
 
+def _masked_split(u, crossings):
+    return tuple(
+        _positive_regions_masked(truncate(u, mode), crossings)
+        for mode in ("pos", "neg")
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(_grid_functions())
 def test_positive_regions_match_masked_split(u):
+    # one pass over u gives the regions of u+ and of u-
     crossings = find_crossings(u)
-    for part in (u, truncate(u, "pos"), truncate(u, "neg")):
-        want = _positive_regions_masked(part, crossings)
-        assert _positive_regions(part, crossings, u.spec.axis_nodes()) == want
+    got = _sign_regions(u, crossings, u.spec.axis_nodes())
+    assert got == _masked_split(u, crossings)
 
 
 def test_positive_regions_with_crossing_on_node():
     crossings = find_crossings(ODD)
     assert crossings[0][0] == 0.0 and 0.0 in ODD.spec.axis_nodes()
-    for mode in ("pos", "neg"):
-        part = truncate(ODD, mode)
-        got = _positive_regions(part, crossings, ODD.spec.axis_nodes())
-        assert got == _positive_regions_masked(part, crossings)
-        assert len(got) == 1
+    got = _sign_regions(ODD, crossings, ODD.spec.axis_nodes())
+    assert got == _masked_split(ODD, crossings)
+    assert [len(regions) for regions in got] == [1, 1]
 
 
 def test_phi_integral_builds_the_node_axis_once(monkeypatch):
@@ -434,8 +440,9 @@ def test_phi_integral_builds_the_node_axis_once(monkeypatch):
         return axis_nodes(spec)
 
     u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 4096))
+    crossings = find_crossings(u)
     monkeypatch.setattr(GridSpec, "axis_nodes", counting)
-    result = phi_integral(u, 0.5)
+    result = phi_integral(u, crossings, 0.5)
     assert calls == [4096]
     assert result.value > 0.0
 
