@@ -5,8 +5,8 @@ phi_integral integrates u+(x) u-(y) |x-y|^{-1-2s}. Near a sign
 crossing z the factors vanish linearly, so the integrand behaves like
 (x-z)(z-y)/|x-y|^{1+2s}: unbounded but integrable for s < 3/2. Strategy:
 
-  * split supp(u+) and supp(u-) in one pass into maximal intervals
-    bounded by the sign crossings that find_crossings locates;
+  * split the box at the sign crossings that find_crossings locates; each
+    interval takes the sign of the slope of the crossing on its left;
   * for every interval pair, grade both axes dyadically toward the shared
     crossing (or toward the facing edges when the pair is separated), with
     fixed 12-point Gauss-Legendre per cell; accuracy comes from grading
@@ -99,23 +99,19 @@ def find_crossings(u: GridFunction):
     return list(zip(z.tolist(), slope.tolist()))
 
 
-def _sign_regions(u: GridFunction, crossings, x: np.ndarray):
-    """Intervals between crossings where the interpolant of u is positive,
-    and those where it is negative; x is u.spec.axis_nodes(). The axis is
-    sorted, so the nodes of [lo, hi] form one slice found by binary search.
+def _sign_regions(crossings, lo: float, hi: float):
+    """Intervals of [lo, hi] between crossings where the interpolant of u is
+    positive, and those where it is negative. The sign alternates from one
+    crossing to the next: the interval right of a crossing has the sign of
+    its slope, the first interval the opposite one. Read from the sign bit,
+    since a slope between subnormal samples can underflow to +-0.
     """
-    s = u.samples
-    bounds = [x[0]] + [z for z, _ in crossings] + [x[-1]]
-    starts = np.searchsorted(x, bounds[:-1], side="left")
-    stops = np.searchsorted(x, bounds[1:], side="right")
+    bounds = [lo] + [z for z, _ in crossings] + [hi]
+    rising = [math.copysign(1.0, k) > 0.0 for _, k in crossings]
     pos, neg = [], []
-    for lo, hi, i, j in zip(bounds[:-1], bounds[1:], starts, stops):
-        if hi - lo <= 0 or j <= i:
-            continue
-        if np.max(s[i:j]) > 0.0:
-            pos.append((lo, hi))
-        if np.min(s[i:j]) < 0.0:
-            neg.append((lo, hi))
+    for a, b, up in zip(bounds[:-1], bounds[1:], [not rising[0]] + rising):
+        if b > a:
+            (pos if up else neg).append((a, b))
     return pos, neg
 
 
@@ -199,14 +195,14 @@ def phi_integral(u: GridFunction, crossings, s, tol: float = 1e-6) -> Quadrature
     """Double integral of u+(x) u-(y) |x-y|^{-1-2s} over the plane.
 
     crossings is find_crossings(u), the scan that the drivers also hand to
-    dealias_spectrum; the regions of u+ and u- lie between them. Non-integer
-    s in (0, 3/2); the linear vanishing of u+ and u- at each crossing keeps
-    the integral finite exactly in that range.
+    dealias_spectrum; its slopes sign the regions of u+ and u- between them.
+    Non-integer s in (0, 3/2); the linear vanishing of u+ and u- at each
+    crossing keeps the integral finite exactly in that range.
     """
     s = _kernel_order(s)
     _check_tol(tol)
     x = u.spec.axis_nodes()
-    p_regs, m_regs = _sign_regions(u, crossings, x)
+    p_regs, m_regs = _sign_regions(crossings, x[0], x[-1]) if crossings else ([], [])
     if not p_regs or not m_regs:
         return QuadratureResult(value=0.0, error_estimate=0.0, depth=1)
 

@@ -1,12 +1,19 @@
 """High-precision reference values that the tests check the routes against.
 
-Q_s(u+, u-) of u = (x-0.3)*exp(-x^2), whose sign crossing z = 0.3 lies
-between grid nodes. Computed offline with mpmath 1.3.0 at 20 digits, in
-corner coordinates around z (a = x - z, b = z - y, t = a + b, a = t w, so
-that the integrand is t^{2-2s} w(1-w) e^{...} on (0, inf) x (0, 1)), at
-15-30 s per value. The same evaluation reproduced CROSS_FORM[1.25] of
-test_kernel.py to 1.7e-13.
+Q_s(u+, u-) by source and order, as scripts/oracle_table.py prints them:
+mpmath 1.3.0 in corner coordinates around each crossing, with the same 17
+digits at a working precision of 20 and of 30 digits, in about 4 s per
+value at 20. With u = x*exp(-x^2) the same evaluation reproduces
+CROSS_FORM of test_kernel.py to all 20 of its digits.
+
+- (x-0.3)*exp(-x^2): one crossing, z = 0.3, which lies between grid nodes.
+- (x^2-1)*exp(-x^2): two crossings, at -1 and 1; u is even, so its two
+  contact corners are equal.
 """
 
+CROSS_FORM = {
+    "(x-0.3)*exp(-x^2)": {0.75: -0.039474939468789586, 1.25: 0.21817108914970417},
+    "(x^2-1)*exp(-x^2)": {0.75: -0.051991007058180576, 1.25: 0.28753667580384329},
+}
 OFF_NODE_SOURCE = "(x-0.3)*exp(-x^2)"
-OFF_NODE_CROSS_FORM = {1.25: 0.21817108914955909, 0.75: -0.039474939468789586}
+TWO_CROSSING_SOURCE = "(x^2-1)*exp(-x^2)"

@@ -215,6 +215,8 @@ def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
         "identity --L 1e-100 --N 1024",
         "identity --L 1e-300 --N 1024",
         "interp --count 1 --seed -1 --N 1024",
+        "truncation-bound --N 1024 --eps 0.01 --eps 1e-300",
+        "truncation-bound --N 1024 --eps 0.01 --eps 1e-200",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(runner, args):

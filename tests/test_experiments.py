@@ -34,7 +34,7 @@ from fraclab.reports import report_to_json
 from fraclab.spectral import cross_spectrum, forward_transform
 
 from helpers import frequency_axis, mollifier_bump
-from oracles import OFF_NODE_CROSS_FORM, OFF_NODE_SOURCE
+from oracles import CROSS_FORM, OFF_NODE_SOURCE, TWO_CROSSING_SOURCE
 
 SPEC = GridSpec(1, 20.0, 16384)
 SMALL = GridSpec(1, 20.0, 4096)
@@ -221,6 +221,9 @@ def test_truncation_bound_probe_validation():
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.1], spec=SMALL)
     with pytest.raises(DomainError, match="distinct"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.1, 0.1], spec=SMALL)
+    # 1e-300 squared is 0, and the envelope divides by the squared levels
+    with pytest.raises(DomainError, match="square underflows"):
+        truncation_bound_probe("x*exp(-x^2)", 1.25, [0.01, 1e-300], spec=SMALL)
     # max(u) is about 0.43: every shifted form would be exactly 0
     with pytest.raises(DomainError, match="eps level 5 leaves no positive part"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [5.0, 6.0], spec=SMALL)
@@ -593,14 +596,28 @@ def test_sign_sweep_matches_refined_form_per_order():
         assert rec.spectral_error == q_abs.error_estimate + q_plain.error_estimate
 
 
+def _spectral_cross_form(source, s):
+    # the oracle tests check the value only; whether the reported estimate
+    # covers its error is checked once the routes' estimates are fixed to
+    # do so
+    u = sample(source, SPEC)
+    sp, sm = dealias_spectrum(u, find_crossings(u), ("pos", "neg"))
+    return refined_form(cross_spectrum(sp, sm), s, kinky=True).value
+
+
 @pytest.mark.parametrize("s, rel", [(1.25, 5e-5), (0.75, 2e-4)])
 def test_spectral_cross_form_meets_off_node_oracle(s, rel):
-    # the errors read 2.23e-5 and 9.80e-5; whether the reported estimate
-    # covers them is checked once the routes' estimates are fixed to do so
-    u = sample(OFF_NODE_SOURCE, SPEC)
-    sp, sm = dealias_spectrum(u, find_crossings(u), ("pos", "neg"))
-    q = refined_form(cross_spectrum(sp, sm), s, kinky=True)
-    assert q.value == pytest.approx(OFF_NODE_CROSS_FORM[s], rel=rel)
+    # the errors read 2.23e-5 and 9.80e-5
+    value = _spectral_cross_form(OFF_NODE_SOURCE, s)
+    assert value == pytest.approx(CROSS_FORM[OFF_NODE_SOURCE][s], rel=rel)
+
+
+@pytest.mark.parametrize("s, rel", [(1.25, 3e-3), (0.75, 2e-4)])
+def test_spectral_cross_form_meets_two_crossing_oracle(s, rel):
+    # the errors read 1.40e-3 and 9.64e-5; at s = 1.25 the one-kink tail
+    # model meets two kinks
+    value = _spectral_cross_form(TWO_CROSSING_SOURCE, s)
+    assert value == pytest.approx(CROSS_FORM[TWO_CROSSING_SOURCE][s], rel=rel)
 
 
 def _count_crossing_scans(monkeypatch):
@@ -616,6 +633,16 @@ def _count_crossing_scans(monkeypatch):
     monkeypatch.setattr(experiments, "find_crossings", counting)
     monkeypatch.setattr(kernel, "find_crossings", counting)
     return calls
+
+
+def test_root_rounded_onto_a_node_ends_in_a_verdict():
+    # the root of x + 1e-30 rounds onto the node 0, whose sample is the
+    # tiny 1e-30; a split that read signs from the samples counted the
+    # node in both neighbouring regions and raised "region interiors
+    # overlap"
+    source = "(x+1e-30)*exp(-x^2)"
+    assert verify_identity(source, 0.75).all_pass
+    assert convergence_study(source, 0.75, [1024, 2048, 4096]).all_pass
 
 
 def test_verify_identity_scans_crossings_once(monkeypatch):

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraclab.errors import (
@@ -325,19 +325,33 @@ def _find_crossings_loop(u):
     return out
 
 
-def _positive_regions_masked(u, crossings):
-    """Reference region split with a full-axis mask per region."""
+def _masked_split(u, crossings):
+    """Reference region split with a full-axis mask per interval.
+
+    Interior bounds are open: a root that rounds onto a node (t = 1 in
+    find_crossings) puts that node, whose sample has the far sign, on the
+    bound, and a closed mask counts it in both neighbouring intervals. The
+    open part of a sliver beside such a node can hold no nonzero sample;
+    the mask cannot sign it, so it takes the sign of its run, the nonzero
+    samples between the two crossings around it.
+    """
     x = u.spec.axis_nodes()
     s = u.samples
+    nonzero = s[s != 0.0] > 0.0
+    runs = [nonzero[0]] + [b for a, b in zip(nonzero[:-1], nonzero[1:]) if a != b]
     bounds = [x[0]] + [z for z, _ in crossings] + [x[-1]]
-    regions = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    last = len(bounds) - 2
+    pos, neg = [], []
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi - lo <= 0:
             continue
-        inside = (x >= lo) & (x <= hi)
-        if inside.any() and np.max(s[inside]) > 0.0:
-            regions.append((lo, hi))
-    return regions
+        inside = (x >= lo if i == 0 else x > lo) & (x <= hi if i == last else x < hi)
+        part = s[inside & (s != 0.0)]
+        if (np.max(part) > 0.0) if part.size else runs[i]:
+            pos.append((lo, hi))
+        if (np.min(part) < 0.0) if part.size else not runs[i]:
+            neg.append((lo, hi))
+    return pos, neg
 
 
 def _short_axis(values):
@@ -405,28 +419,50 @@ def test_find_crossings_on_node_and_through_zero_run():
     assert find_crossings(off_node) == [(-2.0 + 0.25 * 1.5, -4.0 / 1.5)]
 
 
-def _masked_split(u, crossings):
-    return tuple(
-        _positive_regions_masked(truncate(u, mode), crossings)
-        for mode in ("pos", "neg")
-    )
+def _split(u, crossings):
+    x = u.spec.axis_nodes()
+    return _sign_regions(crossings, x[0], x[-1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_grid_functions())
 def test_positive_regions_match_masked_split(u):
-    # one pass over u gives the regions of u+ and of u-
+    # the crossing slopes alone give the regions of u+ and of u-
     crossings = find_crossings(u)
-    got = _sign_regions(u, crossings, u.spec.axis_nodes())
-    assert got == _masked_split(u, crossings)
+    assume(crossings)  # without crossings phi_integral returns 0 unsplit
+    assert _split(u, crossings) == _masked_split(u, crossings)
 
 
 def test_positive_regions_with_crossing_on_node():
     crossings = find_crossings(ODD)
     assert crossings[0][0] == 0.0 and 0.0 in ODD.spec.axis_nodes()
-    got = _sign_regions(ODD, crossings, ODD.spec.axis_nodes())
+    got = _split(ODD, crossings)
     assert got == _masked_split(ODD, crossings)
     assert [len(regions) for regions in got] == [1, 1]
+
+
+def test_regions_with_root_rounded_onto_node():
+    # the bracket's far sample is 1e-300, so t rounds to 1 and the root is
+    # the node itself; that node's sample does not make the left interval
+    # negative as well
+    spec = GridSpec(1, 2.0, 8)  # nodes -2, -1.5, ..., 1.5
+    u = GridFunction(spec, np.array([0, 1.0, 2.0, 1.0, -1e-300, -1.0, -2.0, 0]))
+    crossings = find_crossings(u)
+    assert crossings[0][0] == 0.0
+    got = _split(u, crossings)
+    assert got == ([(-2.0, 0.0)], [(0.0, 1.5)])
+    assert got == _masked_split(u, crossings)
+
+
+def test_regions_signed_by_underflowed_slope():
+    # samples of +-5e-324 ten apart give slopes of +0.0 and -0.0
+    spec = GridSpec(1, 20.0, 4)  # nodes -20, -10, 0, 10
+    u = GridFunction(spec, np.array([0, -5e-324, 5e-324, -5e-324]))
+    crossings = find_crossings(u)
+    assert [math.copysign(1.0, k) for _, k in crossings] == [1.0, -1.0]
+    got = _split(u, crossings)
+    assert got == ([(-5.0, 5.0)], [(-20.0, -5.0), (5.0, 10.0)])
+    assert got == _masked_split(u, crossings)
 
 
 def test_phi_integral_builds_the_node_axis_once(monkeypatch):

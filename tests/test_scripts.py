@@ -3,6 +3,11 @@
 import importlib.util
 import pathlib
 
+import mpmath
+import pytest
+
+from oracles import CROSS_FORM, TWO_CROSSING_SOURCE
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -24,3 +29,12 @@ def test_run_full_battery_is_reproducible(tmp_path, capsys):
 def test_convergence_table_runs():
     script = _load("convergence_table")
     assert script.main(["--s", "1.25", "--N", "1024", "2048", "4096"]) == 0
+
+
+def test_oracle_table_reproduces_a_value_at_low_precision():
+    # the full table takes about 15 s at 20 digits; one value at 10 digits
+    # takes about 1 s
+    script = _load("oracle_table")
+    with mpmath.workdps(10):
+        value = float(script.cross_form(TWO_CROSSING_SOURCE, 1.25))
+    assert value == pytest.approx(CROSS_FORM[TWO_CROSSING_SOURCE][1.25], rel=1e-8)
