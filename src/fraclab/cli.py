@@ -17,15 +17,12 @@ import sys
 import click
 from click.core import ParameterSource
 
-from . import experiments
 from .errors import (
     DomainError,
     ExpressionError,
     FraclabError,
     SupportRuleError,
 )
-from .grid import GridSpec
-from .reports import write_report
 from .special import kernel_constant
 
 _DEFAULT_FUNC = "x*exp(-x^2)"
@@ -83,7 +80,9 @@ _IO = (
 )
 
 
-def _spec(values) -> GridSpec:
+def _spec(values):
+    from .grid import GridSpec
+
     return GridSpec(1, values["L"], values["N"])
 
 
@@ -153,15 +152,6 @@ def _echo_report(report) -> None:
     )
 
 
-def _finish(report, out, fmt) -> None:
-    _echo_report(report)
-    if out:
-        write_report(report, out, fmt)
-        click.echo(f"report written to {out}")
-    if not report.all_pass:
-        sys.exit(1)
-
-
 def _run(builder):
     """Run an experiment builder with the exit-status contract."""
     try:
@@ -177,15 +167,25 @@ def _run(builder):
 def _experiment(*flags):
     """Register the decorated body as a subcommand with the given flags
     (in help order) plus --out/--format/--config. The body takes the
-    flag values, overlaid with the config file, and returns a report;
-    the subcommand prints it, writes it and exits by the status contract."""
+    experiments module and the flag values, overlaid with the config file,
+    and returns a report; the subcommand prints it, writes it and exits by
+    the status contract. numpy loads here, with the first experiment, so
+    that `constants`, --help and usage errors start without it."""
 
     def register(body):
         @click.pass_context
         def command(ctx, **params):
+            from . import experiments, reports
+
             values = _apply_config(ctx, params)
-            report = _run(lambda: body(values))
-            _finish(report, values["out"], values["fmt"])
+            report = _run(lambda: body(experiments, values))
+            _echo_report(report)
+            out = values["out"]
+            if out:
+                _run(lambda: reports.write_report(report, out, values["fmt"]))
+                click.echo(f"report written to {out}")
+            if not report.all_pass:
+                sys.exit(1)
 
         for flag in reversed(flags + _IO):
             command = flag(command)
@@ -205,7 +205,7 @@ def constants(n, s):
 
 
 @_experiment(_FUNC, _S, _TOL, _EXTRAPOLATE, _L, _N)
-def identity(v):
+def identity(experiments, v):
     """Cross-check the truncation identity spectrally and by quadrature."""
     return experiments.verify_identity(
         v["func"], v["s"], _spec(v), tol=v["tol"], extrapolate=v["extrapolate"]
@@ -215,7 +215,7 @@ def identity(v):
 @_experiment(
     _FUNC, _many("--s", "s_list", (0.25, 0.5, 0.75, 1.1, 1.25, 1.4)), _TOL, _L, _N
 )
-def sign_sweep(v):
+def sign_sweep(experiments, v):
     """Sign of the modulus-form defect across a list of orders."""
     return experiments.sign_sweep(
         v["func"], list(v["s_list"]), _spec(v), tol=v["tol"]
@@ -229,7 +229,7 @@ def sign_sweep(v):
     _L,
     _N,
 )
-def counterexample(v):
+def counterexample(experiments, v):
     """Partial-sum growth scan for kinked positive parts."""
     return experiments.counterexample_scan(
         v["func"], list(v["s_list"]), list(v["cutoffs"]), _spec(v)
@@ -244,7 +244,7 @@ def counterexample(v):
     _L,
     _N,
 )
-def truncation_bound(v):
+def truncation_bound(experiments, v):
     """Boundedness and convergence of level-shifted truncations."""
     return experiments.truncation_bound_probe(
         v["func"], v["s"], list(v["eps_list"]), _spec(v), tol=v["tol"]
@@ -257,7 +257,7 @@ def truncation_bound(v):
     _L,
     _N,
 )
-def interp(v):
+def interp(experiments, v):
     """Random sweep of the interpolation-bound ratio."""
     return experiments.interp_sweep(v["count"], v["seed"], spec=_spec(v))
 
@@ -270,7 +270,7 @@ def interp(v):
     _TOL,
     _EXTRAPOLATE,
 )
-def convergence(v):
+def convergence(experiments, v):
     """Spectral/kernel values versus grid resolution."""
     return experiments.convergence_study(
         v["func"],

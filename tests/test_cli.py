@@ -40,6 +40,15 @@ def test_identity_runs_and_writes_report(runner, tmp_path):
     assert all(v["status"] != "fail" for v in doc["verdicts"])
 
 
+def test_unwritable_report_path_exits_1_without_traceback(runner, tmp_path):
+    out = tmp_path / "missing" / "identity.json"
+    res = runner.invoke(main, ["identity", "--N", "4096", "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    last = res.output.splitlines()[-1]
+    assert last.startswith(f"experiment failure: cannot write report to {out}")
+
+
 def test_identity_rejects_out_of_range_order(runner):
     res = runner.invoke(main, ["identity", "--s", "2.0", "--N", "4096"])
     assert res.exit_code == 2

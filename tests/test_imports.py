@@ -1,14 +1,22 @@
-"""Import-graph guards: the CLI and the routes that never need an
-endpoint-corrected form must not load scipy, and the spectral and kernel
-routes do not import each other."""
+"""Import-graph guards: `import fraclab` and the CLI start-up load neither
+numpy nor scipy, the routes that never need an endpoint-corrected form do
+not load scipy, the package resolves every public name from its submodule,
+and the spectral and kernel routes do not import each other."""
 
 import ast
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+import fraclab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 CHILD = """
 import sys
@@ -27,19 +35,97 @@ assert not scipy_modules(), ("interp_sweep", scipy_modules())
 """
 
 
-def test_cli_and_interp_sweep_do_not_load_scipy():
+NUMPY_CHILD = """
+import sys
+
+def exit_code(args):
+    try:
+        fraclab.cli.main(args)
+    except SystemExit as exc:
+        return exc.code
+    raise AssertionError(("no exit", args))
+
+import fraclab
+assert "numpy" not in sys.modules, "import fraclab"
+import fraclab.cli
+assert "numpy" not in sys.modules, "import fraclab.cli"
+
+for args, code in [
+    (["constants", "--s", "0.5"], 0),
+    (["--help"], 0),
+    (["identity", "--help"], 0),
+    (["constants"], 2),  # a click usage error: --s is required
+]:
+    assert exit_code(args) == code, args
+    assert "numpy" not in sys.modules, args
+
+assert exit_code(["interp", "--count", "2", "--N", "1024"]) == 0
+assert "numpy" in sys.modules, "an experiment ran without numpy"
+"""
+
+
+def _run_child(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     res = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_cli_and_interp_sweep_do_not_load_scipy():
+    _run_child(CHILD)
+
+
+def test_import_and_cli_start_up_do_not_load_numpy():
+    _run_child(NUMPY_CHILD)
+
+
+# every public name of the package, by the submodule that defines it
+PUBLIC = {
+    "errors": """DomainError ExpressionError FraclabError GridMismatchError
+        PoleError QuadratureToleranceError SupportRuleError""",
+    "experiments": """ExperimentReport RefinedValue ResultRecord Verdict
+        convergence_study counterexample_scan dealias_spectrum discrepancy
+        interp_sweep random_function_source refined_form sign_sweep
+        truncation_bound_probe verify_identity""",
+    "expr": "evaluate_array parse",
+    "grid": "GridFunction GridSpec l2_inner max_tail sample truncate",
+    "kernel": "QuadratureResult find_crossings p1_pairing phi_integral",
+    "reports": "report_to_csv report_to_json write_report",
+    "special": "gamma kernel_constant",
+    "spectral": """Spectrum cross_spectrum forward_transform interpolation_ratio
+        quadratic_form shell_partial_sums zeta_extended""",
+}
+PUBLIC_NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names.split()]
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    assert len(PUBLIC_NAMES) == 45
+    assert sorted(fraclab.__all__) == sorted(name for _, name in PUBLIC_NAMES)
+    listed = dir(fraclab)
+    for mod, name in PUBLIC_NAMES:
+        module = importlib.import_module(f"fraclab.{mod}")
+        assert getattr(fraclab, name) is getattr(module, name), name
+        assert name in listed, name
+    assert fraclab.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        fraclab.no_such_name
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["lhs"] == pytest.approx(namespace["rhs"], rel=1e-2)
 
 
 def _fraclab_imports(name):

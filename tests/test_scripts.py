@@ -31,6 +31,16 @@ def test_convergence_table_runs():
     assert script.main(["--s", "1.25", "--N", "1024", "2048", "4096"]) == 0
 
 
+def test_cold_start_times_one_round_on_each_tree(capsys):
+    src = str(SCRIPTS.parent / "src")
+    script = _load("cold_start")
+    assert script.main(["--rounds", "1", src, src, "constants", "--s", "0.5"]) == 0
+    title, *rows = capsys.readouterr().out.splitlines()
+    assert title == "constants --s 0.5: 1 alternated rounds"
+    assert len(rows) == 2
+    assert all("median" in row and row.endswith("exit 0") for row in rows)
+
+
 def test_oracle_table_reproduces_a_value_at_low_precision():
     # the full table takes about 15 s at 20 digits; one value at 10 digits
     # takes about 1 s
