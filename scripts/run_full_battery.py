@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every experiment at its default configuration, twice.
+"""Run every experiment at the defaults of its CLI subcommand, twice.
 
 The second pass checks bitwise reproducibility: reports are serialized
 with the wall-time field zeroed and compared as bytes. Reports land in
@@ -15,37 +15,17 @@ import pathlib
 import sys
 import time
 
-from fraclab.experiments import (
-    convergence_study,
-    counterexample_scan,
-    interp_sweep,
-    sign_sweep,
-    truncation_bound_probe,
-    verify_identity,
-)
-from fraclab.grid import GridSpec
+from fraclab import experiments
+from fraclab.cli import BODIES, main as cli
 from fraclab.reports import report_to_json, write_report
 from fraclab.special import kernel_constant
 
-SPEC = GridSpec(1, 20.0, 16384)
-SOURCE = "x*exp(-x^2)"
-
 
 def battery():
+    """One report per CLI experiment subcommand, at its default flags."""
     return [
-        verify_identity(SOURCE, 1.25, spec=SPEC),
-        sign_sweep(SOURCE, [0.25, 0.5, 0.75, 1.1, 1.25, 1.4], spec=SPEC),
-        counterexample_scan(
-            SOURCE,
-            [1.3, 1.4, 1.6, 1.7],
-            [80.0, 160.0, 320.0, 640.0, 1280.0],
-            spec=SPEC,
-        ),
-        truncation_bound_probe(
-            SOURCE, 1.25, [0.2, 0.1, 0.05, 0.02, 0.01], spec=SPEC
-        ),
-        interp_sweep(100, seed=42, spec=SPEC),
-        convergence_study(SOURCE, 1.25, [2048, 4096, 8192, 16384]),
+        body(experiments, cli.commands[name].make_context(name, []).params)
+        for name, body in BODIES.items()
     ]
 
 

@@ -133,25 +133,6 @@ def _config_value(ctx, param, val, config_path):
         raise click.UsageError(f"config {config_path}: {exc.format_message()}")
 
 
-def _echo_report(report) -> None:
-    for rec in report.results:
-        line = f"  {rec.quantity}: spectral={rec.spectral_value!r}"
-        if rec.kernel_value is not None:
-            line += f" kernel={rec.kernel_value!r}"
-        if rec.discrepancy is not None:
-            line += f" discrepancy={rec.discrepancy!r}"
-        click.echo(line)
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for v in report.verdicts:
-        counts[v.status] += 1
-        click.echo(f"[{v.status.upper()}] {v.claim} :: {v.detail}")
-    click.echo(
-        f"verdicts: {counts['pass']} pass, {counts['fail']} fail, "
-        f"{counts['inconclusive']} inconclusive "
-        f"(runtime {report.runtime_seconds:.2f}s)"
-    )
-
-
 def _run(builder):
     """Run an experiment builder with the exit-status contract."""
     try:
@@ -164,13 +145,18 @@ def _run(builder):
         sys.exit(1)
 
 
+# subcommand name -> body(experiments module, flag values) -> report
+BODIES = {}
+
+
 def _experiment(*flags):
     """Register the decorated body as a subcommand with the given flags
     (in help order) plus --out/--format/--config. The body takes the
     experiments module and the flag values, overlaid with the config file,
     and returns a report; the subcommand prints it, writes it and exits by
-    the status contract. numpy loads here, with the first experiment, so
-    that `constants`, --help and usage errors start without it."""
+    the status contract. BODIES keeps the body under the subcommand name.
+    numpy loads here, with the first experiment, so that `constants`,
+    --help and usage errors start without it."""
 
     def register(body):
         @click.pass_context
@@ -179,7 +165,7 @@ def _experiment(*flags):
 
             values = _apply_config(ctx, params)
             report = _run(lambda: body(experiments, values))
-            _echo_report(report)
+            click.echo(reports.report_to_text(report), nl=False)
             out = values["out"]
             if out:
                 _run(lambda: reports.write_report(report, out, values["fmt"]))
@@ -190,6 +176,7 @@ def _experiment(*flags):
         for flag in reversed(flags + _IO):
             command = flag(command)
         name = body.__name__.replace("_", "-")
+        BODIES[name] = body
         return main.command(name=name, help=body.__doc__)(command)
 
     return register

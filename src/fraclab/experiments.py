@@ -2,7 +2,7 @@
 
 Each driver samples an expression on a grid, evaluates the quantity of
 interest along both routes where possible (Fourier-multiplier sums vs
-graded kernel quadrature), and emits an ExperimentReport whose verdicts
+graded kernel quadrature), and emits a reports.ExperimentReport whose verdicts
 embed the tolerance used and the discrepancy achieved.
 
 Refined spectral evaluation of kinked integrands
@@ -50,13 +50,17 @@ import operator
 import time
 from dataclasses import dataclass
 from numbers import Integral
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .grid import GridFunction, GridSpec, sample, truncate
 from .kernel import find_crossings, phi_integral
+from .reports import (
+    _TINY, ExperimentReport, Verdict, _check, _inconclusive, _record, _report,
+    discrepancy,
+)
 from .special import (
     _check_tol,
     _kernel_order,
@@ -71,84 +75,6 @@ from .spectral import (
     interpolation_ratio,
     shell_partial_sums,
 )
-
-_TINY = 1e-300
-
-
-def discrepancy(a: float, b: float) -> float:
-    """Relative difference with a denominator floor so 0 vs 0 is 0."""
-    a = float(a)
-    b = float(b)
-    return abs(a - b) / max(abs(a), abs(b), _TINY)
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    quantity: str
-    spectral_value: float
-    kernel_value: Optional[float] = None
-    discrepancy: Optional[float] = None
-    spectral_error: Optional[float] = None
-    kernel_error: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Verdict:
-    claim: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    detail: str
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    experiment: str
-    params: dict
-    results: tuple
-    verdicts: tuple
-    runtime_seconds: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.status != "fail" for v in self.verdicts)
-
-
-def _report(experiment, params, results, verdicts, t0) -> ExperimentReport:
-    """The report of an experiment that started at perf_counter() t0."""
-    return ExperimentReport(
-        experiment=experiment,
-        params=params,
-        results=tuple(results),
-        verdicts=tuple(verdicts),
-        runtime_seconds=time.perf_counter() - t0,
-    )
-
-
-def _check(claim: str, ok, detail: str) -> Verdict:
-    return Verdict(claim, "pass" if ok else "fail", detail)
-
-
-def _inconclusive(claim: str, detail: str) -> Verdict:
-    return Verdict(claim, "inconclusive", detail)
-
-
-def _agreement(claim: str, spectral: float, kernel: float, tol: float) -> Verdict:
-    """Pass when the two routes agree to the relative tolerance tol."""
-    disc = discrepancy(spectral, kernel)
-    return _check(
-        claim, disc <= tol, f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}"
-    )
-
-
-def _record(quantity, spectral, kernel=None, s_err=None, k_err=None):
-    disc = None if kernel is None else float(discrepancy(spectral, kernel))
-    return ResultRecord(
-        quantity=quantity,
-        spectral_value=float(spectral),
-        kernel_value=None if kernel is None else float(kernel),
-        discrepancy=disc,
-        spectral_error=None if s_err is None else float(s_err),
-        kernel_error=None if k_err is None else float(k_err),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +286,14 @@ def _sign_name(x: float) -> str:
     if not math.isfinite(x):
         return "non-finite"
     return "negative" if x < 0 else "positive" if x > 0 else "zero"
+
+
+def _agreement(claim: str, spectral: float, kernel: float, tol: float) -> Verdict:
+    """Pass when the two routes agree to the relative tolerance tol."""
+    disc = discrepancy(spectral, kernel)
+    return _check(
+        claim, disc <= tol, f"relative discrepancy {disc:.6e} vs tolerance {tol:.1e}"
+    )
 
 
 def _sign_law_verdict(claim: str, defect: float, c_ns: float, errors) -> Verdict:

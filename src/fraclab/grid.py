@@ -69,10 +69,6 @@ class GridSpec:
     def axis_nodes(self) -> np.ndarray:
         return -self.L + self.delta * np.arange(self.N)
 
-    @property
-    def shape(self):
-        return (self.N,)
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -83,15 +79,13 @@ class GridFunction:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
-        if arr.shape != self.spec.shape:
+        if arr.shape != (self.spec.N,):
             raise DomainError(
-                f"sample shape {arr.shape} does not match grid {self.spec.shape}"
+                f"sample shape {arr.shape} does not match grid {(self.spec.N,)}"
             )
         if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise DomainError(
-                f"non-finite sample at node index {tuple(int(b) for b in bad)}"
-            )
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise DomainError(f"non-finite sample at node index {bad}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)

@@ -2,7 +2,7 @@
 
 Q_s(u+, u-) by source and order, as scripts/oracle_table.py prints them:
 mpmath 1.3.0 in corner coordinates around each crossing, with the same 17
-digits at a working precision of 20 and of 30 digits, in about 4 s per
+digits at a working precision of 20 and of 30 digits, in about 3 s per
 value at 20. With u = x*exp(-x^2) the same evaluation reproduces
 CROSS_FORM of test_kernel.py to all 20 of its digits.
 
@@ -12,8 +12,18 @@ CROSS_FORM of test_kernel.py to all 20 of its digits.
 """
 
 CROSS_FORM = {
-    "(x-0.3)*exp(-x^2)": {0.75: -0.039474939468789586, 1.25: 0.21817108914970417},
-    "(x^2-1)*exp(-x^2)": {0.75: -0.051991007058180576, 1.25: 0.28753667580384329},
+    "(x-0.3)*exp(-x^2)": {
+        0.75: -0.039474939468789586,
+        1.1: 0.046420145731768521,
+        1.25: 0.21817108914970417,
+        1.45: 2.3240960828369207,
+    },
+    "(x^2-1)*exp(-x^2)": {
+        0.75: -0.051991007058180576,
+        1.1: 0.061440304030280161,
+        1.25: 0.28753667580384329,
+        1.45: 3.0255948373686832,
+    },
 }
 OFF_NODE_SOURCE = "(x-0.3)*exp(-x^2)"
 TWO_CROSSING_SOURCE = "(x^2-1)*exp(-x^2)"

@@ -1,6 +1,7 @@
 """Command-line interface tests (click runner, small grids)."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -333,3 +334,37 @@ def test_every_experiment_writes_json_and_csv(runner, tmp_path, command):
     header, *rows = out.read_text().splitlines()
     assert header == CSV_HEADER
     assert rows and all(row.startswith(f"{command},") for row in rows)
+
+
+CONSOLE = {
+    "identity --N 1024": (
+        1,
+        """\
+  cross form of u+ against u-: spectral=0.3024012439947202 kernel=0.25745769951823216 discrepancy=0.14862222087046942
+  defect of the modulus form: spectral=1.120656950299024 kernel=1.0298307980729287 discrepancy=0.08104723948025333
+  interface interaction integral: spectral=0.4042706711897352 kernel=0.34418706620472145 discrepancy=0.14862222087046945
+[FAIL] spectral and kernel cross forms agree :: relative discrepancy 1.486222e-01 vs tolerance 1.0e-03
+[INCONCLUSIVE] defect sign follows the kernel-constant sign law :: error estimates (2.09e-01, 1.53e-04) exceed a tenth of |defect| = 1.12e+00
+verdicts: 0 pass, 1 fail, 1 inconclusive (runtime #s)
+""",
+    ),
+    "sign-sweep --N 1024 --s 0.5 --s 1.75": (
+        0,
+        """\
+  defect at s=0.5: spectral=-0.1817867634998147
+  defect at s=1.75: spectral=19.08807179075554
+[PASS] defect sign at s=0.5 is opposite to the kernel constant :: defect is negative, kernel constant is positive
+[INCONCLUSIVE] defect sign at s=1.75 is opposite to the kernel constant :: partial sums diverge; the form is outside H^s
+verdicts: 1 pass, 0 fail, 1 inconclusive (runtime #s)
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(CONSOLE))
+def test_console_output_is_pinned(runner, args):
+    # every printed line, with the wall time masked
+    code, expected = CONSOLE[args]
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == code, res.output
+    assert re.sub(r"\(runtime [0-9.]+s\)", "(runtime #s)", res.output) == expected

@@ -26,7 +26,6 @@ def test_axis_nodes_layout():
     nodes = spec.axis_nodes()
     assert np.array_equal(nodes, np.array([-2.0, -1.0, 0.0, 1.0]))
     assert spec.delta == 1.0
-    assert spec.shape == (4,)
 
 
 def test_gridspec_validation():
@@ -57,6 +56,16 @@ def test_sample_reports_offending_node():
     spec = GridSpec(1, 2.0, 4)
     with pytest.raises(DomainError):
         sample("1/x", spec)  # pole sits on the x = 0 node
+
+
+def test_grid_function_names_the_bad_node_and_the_shape():
+    spec = GridSpec(1, 2.0, 4)
+    with pytest.raises(DomainError) as exc:
+        GridFunction(spec, [0.0, 1.0, 2.0, math.inf])
+    assert str(exc.value) == "non-finite sample at node index 3"
+    with pytest.raises(DomainError) as exc:
+        GridFunction(spec, np.zeros(3))
+    assert str(exc.value) == "sample shape (3,) does not match grid (4,)"
 
 
 def test_truncation_identities_reference_function():

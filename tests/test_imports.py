@@ -1,7 +1,8 @@
 """Import-graph guards: `import fraclab` and the CLI start-up load neither
 numpy nor scipy, the routes that never need an endpoint-corrected form do
-not load scipy, the package resolves every public name from its submodule,
-and the spectral and kernel routes do not import each other."""
+not load scipy, `fraclab.reports` loads neither numpy nor a route, the
+package resolves every public name from its submodule, and the spectral
+and kernel routes do not import each other."""
 
 import ast
 import importlib
@@ -64,6 +65,16 @@ assert "numpy" in sys.modules, "an experiment ran without numpy"
 """
 
 
+REPORTS_CHILD = """
+import sys
+
+import fraclab.reports
+
+heavy = ("numpy", "fraclab.experiments", "fraclab.kernel", "fraclab.spectral")
+assert not [m for m in heavy if m in sys.modules], sorted(sys.modules)
+"""
+
+
 def _run_child(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -87,18 +98,24 @@ def test_import_and_cli_start_up_do_not_load_numpy():
     _run_child(NUMPY_CHILD)
 
 
+def test_reports_loads_neither_numpy_nor_a_route():
+    # the report model and its serializers are a leaf beside errors
+    assert _fraclab_imports("reports") == {"errors"}
+    _run_child(REPORTS_CHILD)
+
+
 # every public name of the package, by the submodule that defines it
 PUBLIC = {
     "errors": """DomainError ExpressionError FraclabError GridMismatchError
         PoleError QuadratureToleranceError SupportRuleError""",
-    "experiments": """ExperimentReport RefinedValue ResultRecord Verdict
-        convergence_study counterexample_scan dealias_spectrum discrepancy
-        interp_sweep random_function_source refined_form sign_sweep
-        truncation_bound_probe verify_identity""",
+    "experiments": """RefinedValue convergence_study counterexample_scan
+        dealias_spectrum interp_sweep random_function_source refined_form
+        sign_sweep truncation_bound_probe verify_identity""",
     "expr": "evaluate_array parse",
     "grid": "GridFunction GridSpec l2_inner max_tail sample truncate",
     "kernel": "QuadratureResult find_crossings p1_pairing phi_integral",
-    "reports": "report_to_csv report_to_json write_report",
+    "reports": """ExperimentReport ResultRecord Verdict discrepancy
+        report_to_csv report_to_json report_to_text write_report""",
     "special": "gamma kernel_constant",
     "spectral": """Spectrum cross_spectrum forward_transform interpolation_ratio
         quadratic_form shell_partial_sums zeta_extended""",
@@ -107,7 +124,7 @@ PUBLIC_NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names.s
 
 
 def test_public_names_resolve_to_their_submodule_objects():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 46
     assert sorted(fraclab.__all__) == sorted(name for _, name in PUBLIC_NAMES)
     listed = dir(fraclab)
     for mod, name in PUBLIC_NAMES:

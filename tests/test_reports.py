@@ -6,8 +6,15 @@ import math
 import pytest
 
 from fraclab.errors import FraclabError
-from fraclab.experiments import ExperimentReport, ResultRecord, Verdict
-from fraclab.reports import report_to_csv, report_to_json, write_report
+from fraclab.reports import (
+    ExperimentReport,
+    ResultRecord,
+    Verdict,
+    report_to_csv,
+    report_to_json,
+    report_to_text,
+    write_report,
+)
 
 
 def make_report():
@@ -95,6 +102,16 @@ def test_csv_header_and_none_cells():
     # the spectral-only record leaves kernel columns empty
     assert lines[2] == "identity,spectral only,-3.5,,,,"
     assert lines[1].startswith("identity,cross form,0.10000000000000001,")
+
+
+def test_text_has_a_line_per_record_and_verdict_and_the_counts():
+    assert report_to_text(make_report()) == (
+        "  cross form: spectral=0.1 kernel=0.1000001 "
+        "discrepancy=9.999990000012758e-07\n"
+        "  spectral only: spectral=-3.5\n"
+        "[PASS] routes agree :: ok\n"
+        "verdicts: 1 pass, 0 fail, 0 inconclusive (runtime 0.12s)\n"
+    )
 
 
 def test_write_report_roundtrip(tmp_path):
