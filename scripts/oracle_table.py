@@ -51,7 +51,7 @@ CASES = {
     "(x-0.3)*exp(-x^2)": lambda: _shifted_line(mp.mpf("0.3")),
     "(x^2-1)*exp(-x^2)": _even_quadratic,
 }
-ORDERS = (0.75, 1.1, 1.25, 1.45)
+ORDERS = (0.5, 0.75, 1.1, 1.25, 1.45)
 
 
 def kernel_constant(s):

@@ -199,14 +199,10 @@ def identity(experiments, v):
     )
 
 
-@_experiment(
-    _FUNC, _many("--s", "s_list", (0.25, 0.5, 0.75, 1.1, 1.25, 1.4)), _TOL, _L, _N
-)
+@_experiment(_FUNC, _many("--s", "s_list", (0.25, 0.5, 0.75, 1.1, 1.25, 1.4)), _L, _N)
 def sign_sweep(experiments, v):
     """Sign of the modulus-form defect across a list of orders."""
-    return experiments.sign_sweep(
-        v["func"], list(v["s_list"]), _spec(v), tol=v["tol"]
-    )
+    return experiments.sign_sweep(v["func"], list(v["s_list"]), _spec(v))
 
 
 @_experiment(

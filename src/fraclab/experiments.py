@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridFunction, GridSpec, sample, truncate
+from .grid import GridFunction, GridSpec, _require_decay, sample, truncate
 from .kernel import find_crossings, phi_integral
 from .reports import (
     _TINY, ExperimentReport, Verdict, _check, _inconclusive, _record, _report,
@@ -346,6 +346,8 @@ def verify_identity(
     crossings = find_crossings(u)
     c_ns = kernel_constant(1, order)
     if not crossings:
+        # no transform runs on this branch, so the support rule is checked here
+        _require_decay(u)
         return _report(
             "identity",
             params,
@@ -414,7 +416,6 @@ def sign_sweep(
     u_source: str,
     s_list: Sequence[float],
     spec: GridSpec = GridSpec(1, 20.0, 16384),
-    tol: float = 1e-3,
 ) -> ExperimentReport:
     """Sign of the defect Q_s(|u|) - Q_s(u) across a list of orders.
 
@@ -424,13 +425,11 @@ def sign_sweep(
     """
     t0 = time.perf_counter()
     orders = [_sign_law_order(s) for s in _order_list(s_list)]
-    _check_tol(tol)
     u = sample(u_source, spec)
+    # the sign law is gated on the error estimates alone; the tolerance
+    # field only keeps the report's bytes
     params = _base_params(
-        spec,
-        s_list=orders,
-        function=str(u_source),
-        tolerance=float(tol),
+        spec, s_list=orders, function=str(u_source), tolerance=1e-3
     )
     crossings = find_crossings(u)
     # both cross spectra serve every order, so form each one once

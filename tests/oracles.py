@@ -13,12 +13,14 @@ CROSS_FORM of test_kernel.py to all 20 of its digits.
 
 CROSS_FORM = {
     "(x-0.3)*exp(-x^2)": {
+        0.5: -0.039684470514560852,
         0.75: -0.039474939468789586,
         1.1: 0.046420145731768521,
         1.25: 0.21817108914970417,
         1.45: 2.3240960828369207,
     },
     "(x^2-1)*exp(-x^2)": {
+        0.5: -0.051487815273143802,
         0.75: -0.051991007058180576,
         1.1: 0.061440304030280161,
         1.25: 0.28753667580384329,

@@ -77,10 +77,11 @@ def test_config_file_supplies_defaults_but_flags_win(runner, tmp_path):
 
 def test_config_rejects_unknown_keys(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nonsense": 1}))
-    res = runner.invoke(main, ["identity", "--config", str(cfg), "--N", "4096"])
-    assert res.exit_code == 2
-    assert "nonsense" in res.output
+    for command, key in (("identity", "nonsense"), ("sign-sweep", "tol")):
+        cfg.write_text(json.dumps({key: 1e-3}))
+        res = runner.invoke(main, [command, "--config", str(cfg), "--N", "4096"])
+        assert res.exit_code == 2, (command, res.output)
+        assert f"config key {key!r} is not a flag" in res.output
 
 
 def test_config_list_values_reach_the_driver(runner, tmp_path):
@@ -209,13 +210,20 @@ def test_uninformative_levels_exit_2(runner, args):
         "identity --N 4096 --tol 0",
         "truncation-bound --N 4096 --tol nan",
         "convergence --N-list 1024 --N-list 2048 --N-list 4096 --tol 0",
-        "sign-sweep --N 4096 --tol -5",
     ],
 )
 def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
     res = runner.invoke(main, args.split())
     assert res.exit_code == 2, res.output
     assert "tolerance must be positive" in res.output
+
+
+def test_sign_sweep_has_no_tolerance_flag(runner):
+    # its verdicts are gated on the error estimates alone
+    res = runner.invoke(main, ["sign-sweep", "--N", "1024", "--tol", "1e-3"])
+    assert res.exit_code == 2, res.output
+    assert "No such option '--tol'" in res.output
+    assert "--tol" not in runner.invoke(main, ["sign-sweep", "--help"]).output
 
 
 @pytest.mark.parametrize(
@@ -227,6 +235,8 @@ def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
         "interp --count 1 --seed -1 --N 1024",
         "truncation-bound --N 1024 --eps 0.01 --eps 1e-300",
         "truncation-bound --N 1024 --eps 0.01 --eps 1e-200",
+        # single-signed, so no transform runs, yet it breaks the support rule
+        "identity --func abs(x) --N 1024",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(runner, args):
@@ -356,6 +366,20 @@ verdicts: 0 pass, 1 fail, 1 inconclusive (runtime #s)
 [PASS] defect sign at s=0.5 is opposite to the kernel constant :: defect is negative, kernel constant is positive
 [INCONCLUSIVE] defect sign at s=1.75 is opposite to the kernel constant :: partial sums diverge; the form is outside H^s
 verdicts: 1 pass, 0 fail, 1 inconclusive (runtime #s)
+""",
+    ),
+    "convergence --N-list 1024 --N-list 2048 --N-list 4096": (
+        0,
+        """\
+  cross form at N=1024: spectral=0.3024012439947202 kernel=0.2574709051153744 discrepancy=0.14857855174739376
+  cross form at N=2048: spectral=0.2552380223310342 kernel=0.2578149943752116 discrepancy=0.009995431221610769
+  cross form at N=4096: spectral=0.25785874003924475 kernel=0.25789476457982646 discrepancy=0.0001396869790684067
+  observed spectral order between N=2048 and N=4096: spectral=4.169628403868237
+  observed kernel order between N=2048 and N=4096: spectral=2.1088609778738365
+  richardson limit of the kernel route: spectral=0.25791883883939487
+[PASS] resolution study converges monotonically :: kernel differences decrease; last observed order 2.109
+[PASS] routes agree at the finest resolution :: relative discrepancy 1.396870e-04 vs tolerance 1.0e-03
+verdicts: 2 pass, 0 fail, 0 inconclusive (runtime #s)
 """,
     ),
 }
