@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridFunction, GridSpec, _require_decay, sample, truncate
+from .grid import GridFunction, GridSpec, sample, truncate
 from .kernel import find_crossings, phi_integral
 from .reports import (
     _TINY, ExperimentReport, Verdict, _check, _inconclusive, _record, _report,
@@ -282,6 +282,15 @@ def _base_params(spec: GridSpec, **extra):
     return params
 
 
+def _sign_changes(u: GridFunction, quantity: str, where: str = ""):
+    """find_crossings(u), or DomainError when u keeps one sign: then u+ or
+    u- is 0, and so is quantity, so no verdict can be decided."""
+    crossings = find_crossings(u)
+    if not crossings:
+        raise DomainError(f"no sign change{where}, so {quantity} is 0")
+    return crossings
+
+
 def _sign_name(x: float) -> str:
     if not math.isfinite(x):
         return "non-finite"
@@ -333,7 +342,8 @@ def verify_identity(
     and of the defect Q_s(|u|) - Q_s(u). Kernel route: graded quadrature
     of the interface integral, scaled by -C(1,s) (by -4 C(1,s) for the
     defect). The defect sign is compared against the kernel-constant sign
-    law, gated on the error estimates.
+    law, gated on the error estimates. Needs a sign change, without which
+    both quantities are 0.
     """
     t0 = time.perf_counter()
     order = _sign_law_order(_kernel_order(s))
@@ -343,25 +353,8 @@ def verify_identity(
         spec, s=float(s), function=str(u_source), tolerance=float(tol),
         extrapolate=bool(extrapolate),
     )
-    crossings = find_crossings(u)
+    crossings = _sign_changes(u, "the cross form of u+ and u-")
     c_ns = kernel_constant(1, order)
-    if not crossings:
-        # no transform runs on this branch, so the support rule is checked here
-        _require_decay(u)
-        return _report(
-            "identity",
-            params,
-            [_record("cross form of u+ against u-", 0.0, 0.0, s_err=0.0, k_err=0.0)],
-            [
-                _check(
-                    "identity holds trivially for single-signed input",
-                    True,
-                    "no sign change detected; both sides vanish identically",
-                )
-            ],
-            t0,
-        )
-
     cross, q_abs = _truncation_forms(
         u, crossings, order, [("pos", "neg"), ("abs", "abs")], extrapolate
     )
@@ -421,7 +414,8 @@ def sign_sweep(
 
     Orders below 3/2 are gated pass/fail against the sign law; orders
     above are probes reported as evidence only (inconclusive status), and
-    divergent partial sums are flagged inconclusive in both regimes.
+    divergent partial sums are flagged inconclusive in both regimes. Needs
+    a sign change, without which the defect is 0.
     """
     t0 = time.perf_counter()
     orders = [_sign_law_order(s) for s in _order_list(s_list)]
@@ -431,7 +425,7 @@ def sign_sweep(
     params = _base_params(
         spec, s_list=orders, function=str(u_source), tolerance=1e-3
     )
-    crossings = find_crossings(u)
+    crossings = _sign_changes(u, "the defect Q_s(|u|) - Q_s(u)")
     # both cross spectra serve every order, so form each one once
     su = forward_transform(u)
     plain = cross_spectrum(su, su)
@@ -442,7 +436,7 @@ def sign_sweep(
     verdicts = []
     for s in orders:
         q_plain = refined_form(plain, s, kinky=False)
-        q_abs = refined_form(modulus, s, kinky=bool(crossings))
+        q_abs = refined_form(modulus, s, kinky=True)
         defect = q_abs.value - q_plain.value
         err = q_abs.error_estimate + q_plain.error_estimate
         diverged = q_abs.diverged or q_plain.diverged
@@ -487,10 +481,11 @@ def counterexample_scan(
     cutoffs = np.asarray(list(cutoff_list), dtype=float)
     if cutoffs.size < 4:
         raise DomainError("need at least 4 cutoffs for a growth fit")
+    # NaN fails every comparison, so test finiteness before the order
+    if not np.all(np.isfinite(cutoffs) & (cutoffs > 0)):
+        raise DomainError("cutoffs must be positive and finite")
     if np.any(np.diff(cutoffs) <= 0):
         raise DomainError("cutoffs must be strictly increasing")
-    if cutoffs[0] <= 0:
-        raise DomainError("cutoffs must be positive")
     phi = sample(phi_source, spec)
     ximax = np.pi * (spec.N // 2) / spec.L
     if cutoffs[-1] > ximax:
@@ -595,7 +590,12 @@ def truncation_bound_probe(
     t0 = time.perf_counter()
     order = _kernel_order(s)
     _check_tol(tol)
-    eps = sorted(float(e) for e in eps_list)
+    eps = [float(e) for e in eps_list]
+    # sorted() orders NaN by input position, so test finiteness first
+    for e in eps:
+        if not math.isfinite(e):
+            raise DomainError(f"eps levels must be finite, got {e:g}")
+    eps.sort()
     if not eps or eps[0] <= 0:
         raise DomainError("eps list must contain positive values")
     if len(eps) < 2:
@@ -744,11 +744,7 @@ def convergence_study(
     kernel_vals = []
     for N, spec in zip(Ns, specs):
         u = sample(u_source, spec)
-        crossings = find_crossings(u)
-        if not crossings:
-            raise DomainError(
-                f"no sign change at N={N}, so the cross form of u+ and u- is 0"
-            )
+        crossings = _sign_changes(u, "the cross form of u+ and u-", f" at N={N}")
         (spectral,) = _truncation_forms(
             u, crossings, order, [("pos", "neg")], extrapolate
         )

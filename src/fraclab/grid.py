@@ -49,8 +49,8 @@ class GridSpec:
             )
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "N", operator.index(self.N))
-        if not (self.L > 0):
-            raise DomainError(f"half-width must be positive, got {self.L}")
+        if not (0 < self.L < math.inf):
+            raise DomainError(f"half-width must be positive and finite, got L={self.L}")
         if not _is_power_of_two(self.N) or self.N < 4:
             raise DomainError(
                 f"N must be a power of two >= 4, got {self.N}"

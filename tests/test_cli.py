@@ -235,8 +235,18 @@ def test_sign_sweep_has_no_tolerance_flag(runner):
         "interp --count 1 --seed -1 --N 1024",
         "truncation-bound --N 1024 --eps 0.01 --eps 1e-300",
         "truncation-bound --N 1024 --eps 0.01 --eps 1e-200",
-        # single-signed, so no transform runs, yet it breaks the support rule
+        # a NaN last cutoff fails every comparison
+        "counterexample --N 4096 --cutoff 80 --cutoff 160 --cutoff 320 --cutoff nan",
+        "truncation-bound --N 1024 --eps nan --eps 0.1",
+        "truncation-bound --N 1024 --eps 0.1 --eps inf",
+        # an infinite box has an infinite node spacing
+        "identity --L inf --N 1024",
+        # single-signed input has no sign change, so its cross form and
+        # defect are 0; abs(x) is refused before the support rule is checked
         "identity --func abs(x) --N 1024",
+        "identity --func exp(-x^2) --N 1024",
+        "identity --func -exp(-x^2) --N 1024",
+        "sign-sweep --func -exp(-x^2) --N 1024 --s 0.5",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(runner, args):
@@ -249,6 +259,12 @@ def test_out_of_range_values_exit_2_without_traceback(runner, args):
     assert line.startswith("validation error:")
     if "--L" in args:
         assert "L is too small" in line or "L=" in line
+    if "--eps" in args and ("nan" in args or "inf" in args):
+        assert "eps levels must be finite, got" in line
+    if "--cutoff" in args:
+        assert line.endswith("cutoffs must be positive and finite")
+    if "--func" in args:
+        assert line.startswith("validation error: no sign change, so ")
 
 
 def test_sign_sweep_far_above_three_halves_is_non_finite_without_warnings(runner):

@@ -13,7 +13,7 @@ import pytest
 
 import fraclab.experiments as experiments
 import fraclab.kernel as kernel
-from fraclab.errors import DomainError, SupportRuleError
+from fraclab.errors import DomainError
 from fraclab.experiments import (
     convergence_study,
     counterexample_scan,
@@ -31,7 +31,7 @@ from fraclab.reports import ExperimentReport, Verdict, discrepancy, report_to_js
 from fraclab.spectral import cross_spectrum, forward_transform
 
 from helpers import frequency_axis, mollifier_bump
-from oracles import CROSS_FORM, OFF_NODE_SOURCE, TWO_CROSSING_SOURCE
+from oracles import CROSS_FORM, COMPACT_SOURCE, OFF_NODE_SOURCE, TWO_CROSSING_SOURCE
 
 SPEC = GridSpec(1, 20.0, 16384)
 SMALL = GridSpec(1, 20.0, 4096)
@@ -68,10 +68,12 @@ def test_verify_identity_cross_route_agreement():
     assert all(r.discrepancy <= 1e-3 for r in cross)
 
 
-def test_verify_identity_single_sign_is_trivial_pass():
-    rep = verify_identity("exp(-x^2)", 1.25, spec=SMALL)
-    assert rep.all_pass
-    assert any("trivial" in v.claim for v in rep.verdicts)
+def test_verify_identity_refuses_single_signed_input():
+    # without a sign change the cross form and the defect are 0, so nothing
+    # decides a verdict; the input is refused, as convergence_study does
+    for source in ("exp(-x^2)", "-exp(-x^2)"):
+        with pytest.raises(DomainError, match="no sign change, so the cross form"):
+            verify_identity(source, 1.25, spec=SMALL)
 
 
 def test_verify_identity_validation():
@@ -85,9 +87,8 @@ def test_verify_identity_validation():
     for tol in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="tolerance must be positive"):
             verify_identity("x*exp(-x^2)", 1.25, spec=SMALL, tol=tol)
-    # single-signed input that breaks the support rule has no crossing and
-    # takes no transform, but is refused all the same
-    with pytest.raises(SupportRuleError, match="samples reach"):
+    # single-signed input is refused before the support rule is checked
+    with pytest.raises(DomainError, match="no sign change"):
         verify_identity("abs(x)", 1.25, spec=SMALL)
 
 
@@ -123,6 +124,10 @@ def test_sign_sweep_validation():
     # tolerance
     with pytest.raises(TypeError, match="tol"):
         sign_sweep("x*exp(-x^2)", [0.5], spec=SMALL, tol=1e-3)
+    # without a sign change the defect is 0 at every order
+    for source in ("exp(-x^2)", "-exp(-x^2)"):
+        with pytest.raises(DomainError, match=r"no sign change, so the defect"):
+            sign_sweep(source, [0.5, 1.25], spec=SMALL)
 
 
 def test_counterexample_scan_exponents():
@@ -147,6 +152,10 @@ def test_counterexample_scan_validation():
     # a negative cutoff lies below the first shell, xi = 0
     with pytest.raises(DomainError, match="positive"):
         counterexample_scan("x*exp(-x^2)", [1.6], [-5.0, *cuts[:3]], spec=SMALL)
+    # NaN fails every comparison, last or inside the list alike
+    for bad in ([80.0, 160.0, 320.0, math.nan], [80.0, math.nan, 320.0, 640.0]):
+        with pytest.raises(DomainError, match="cutoffs must be positive and finite"):
+            counterexample_scan("x*exp(-x^2)", [1.3, 1.6], bad, spec=SMALL)
     # cutoffs that select no new shell leave the growth fit without data:
     # all below the first nonzero shell pi/L, or all inside shell 1 at L = 20
     for low in ([0.001, 0.002, 0.003, 0.004], [0.2, 0.21, 0.22, 0.23]):
@@ -223,6 +232,15 @@ def test_truncation_bound_probe_validation():
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.1], spec=SMALL)
     with pytest.raises(DomainError, match="distinct"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.1, 0.1], spec=SMALL)
+    # the bad level is named whatever its position among the others
+    for levels, shown in (
+        ([math.nan, 0.1], "nan"),
+        ([math.nan, math.nan, 0.1], "nan"),
+        ([0.1, math.inf], "inf"),
+        ([0.1, -math.inf], "-inf"),
+    ):
+        with pytest.raises(DomainError, match=f"must be finite, got {shown}$"):
+            truncation_bound_probe("x*exp(-x^2)", 1.25, levels, spec=SMALL)
     # 1e-300 squared is 0, and the envelope divides by the squared levels
     with pytest.raises(DomainError, match="square underflows"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.01, 1e-300], spec=SMALL)
@@ -626,6 +644,16 @@ def test_spectral_cross_form_meets_two_crossing_oracle(s, rel):
     # s > 1 the one-kink tail model meets two kinks
     value = _spectral_cross_form(TWO_CROSSING_SOURCE, s)
     assert value == pytest.approx(CROSS_FORM[TWO_CROSSING_SOURCE][s], rel=rel)
+
+
+@pytest.mark.parametrize(
+    "s, rel",
+    [(1.25, 2.5e-4), (0.75, 1.5e-4), (1.1, 2e-4), (1.45, 7e-4), (0.5, 3e-6)],
+)
+def test_spectral_cross_form_meets_compact_support_oracle(s, rel):
+    # the errors read 1.12e-4, 5.93e-5, 8.87e-5, 3.18e-4 and 1.11e-6
+    value = _spectral_cross_form(COMPACT_SOURCE, s)
+    assert value == pytest.approx(CROSS_FORM[COMPACT_SOURCE][s], rel=rel)
 
 
 def _count_crossing_scans(monkeypatch):

@@ -33,6 +33,10 @@ def test_gridspec_validation():
         GridSpec(1, 2.0, 6)  # not a power of two
     with pytest.raises(DomainError):
         GridSpec(1, -1.0, 8)
+    # an infinite box gives an infinite node spacing
+    for L in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"positive and finite, got L={L}"):
+            GridSpec(1, L, 1024)
     with pytest.raises(DomainError):
         GridSpec(2, 4.0, 16)
     with pytest.raises(DomainError):

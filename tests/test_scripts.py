@@ -6,7 +6,7 @@ import pathlib
 import mpmath
 import pytest
 
-from oracles import CROSS_FORM, TWO_CROSSING_SOURCE
+from oracles import COMPACT_SOURCE, CROSS_FORM, TWO_CROSSING_SOURCE
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -44,9 +44,11 @@ def test_oracle_table_generates_exactly_the_recorded_values():
 
 
 def test_oracle_table_reproduces_a_value_at_low_precision():
-    # the full table of ten values takes 40-45 s at 20 digits on two cores;
-    # one value at 10 digits takes about 1.3 s
+    # the full table takes about 70 s at 20 digits on two cores; one value
+    # at 10 digits takes one or two seconds. The compact case runs the
+    # branch for a positive interval of finite length.
     script = _load("oracle_table")
-    with mpmath.workdps(10):
-        value = float(script.cross_form(TWO_CROSSING_SOURCE, 1.25))
-    assert value == pytest.approx(CROSS_FORM[TWO_CROSSING_SOURCE][1.25], rel=1e-8)
+    for case in (TWO_CROSSING_SOURCE, COMPACT_SOURCE):
+        with mpmath.workdps(10):
+            value = float(script.cross_form(case, 1.25))
+        assert value == pytest.approx(CROSS_FORM[case][1.25], rel=1e-8)
