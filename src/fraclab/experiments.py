@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 import time
 from dataclasses import dataclass
 from numbers import Integral
@@ -470,12 +472,12 @@ def counterexample_scan(
 ) -> ExperimentReport:
     """Partial-sum growth of the positive-part form for a kinked input.
 
-    The input must vanish at the origin with positive slope and satisfy
-    x phi(x) >= 0 (single crossing of the model shape). For each order the
-    octave increments of the cutoff sums are fitted in log-log; a kink
-    predicts exponent 2s - 3, so orders above 3/2 grow (membership fails)
-    while orders below are Cauchy with per-shell increments shrinking to
-    roundoff.
+    The input must vanish at the origin in a simple root with positive
+    slope and satisfy x phi(x) >= 0 (single crossing of the model shape).
+    For each order the octave increments of the cutoff sums are fitted in
+    log-log; a kink predicts exponent 2s - 3, so orders above 3/2 grow
+    (membership fails) while orders below are Cauchy with per-shell
+    increments shrinking to roundoff.
     """
     t0 = time.perf_counter()
     cutoffs = np.asarray(list(cutoff_list), dtype=float)
@@ -504,6 +506,16 @@ def counterexample_scan(
     slope = (sp[mid + 1] - sp[mid - 1]) / (2.0 * spec.delta)
     if not slope > 0.0:
         raise DomainError("input must have positive slope at the origin")
+    # the slope of a simple root does not depend on the step, while that of
+    # a root of order p grows like h^(p-1): x^3 reads 4 times as much at
+    # h = 2 Delta as at h = Delta
+    wide = (sp[mid + 2] - sp[mid - 2]) / (4.0 * spec.delta)
+    if not 0.5 <= wide / slope <= 2.0:
+        raise DomainError(
+            f"input must have a simple root at the origin: its central "
+            f"differences at h = Delta and 2 Delta are {slope:.3e} and "
+            f"{wide:.3e}"
+        )
     if np.min(x * sp) < -1e-12 * scale * spec.L:
         raise DomainError("input must satisfy x * phi(x) >= 0")
 
@@ -853,6 +865,14 @@ def interp_sweep(
 
     Draws `count` random family members with random 0 < tau < s, forms
     the three-form ratio, and asserts every ratio stays below 1 + 1e-12.
+
+    Every draw is made first, in the generator's order. The ratios are
+    then taken on up to two threads, the calling thread included (fewer
+    when the process may run on one CPU only or there is one draw); draw i
+    goes to thread i mod k. About half of a draw runs in numpy with the GIL
+    released, so a third thread gains nothing. The report does not depend
+    on k. An error raises that of the first failing draw, as a serial loop
+    would, once every thread has stopped.
     """
     t0 = time.perf_counter()
     if not (isinstance(count, Integral) and isinstance(seed, Integral)):
@@ -865,18 +885,60 @@ def interp_sweep(
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    results = []
-    # one draw at a time: its samples are dropped once its ratio is taken
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         # 0.05 <= tau / s < 0.95, so 0 < tau < s holds for every draw
         s = float(rng.uniform(0.1, 1.45))
         tau = s * float(rng.uniform(0.05, 0.95))
-        v = sample(random_function_source(rng), spec)
-        ratio = interpolation_ratio(v, tau, s)
-        del v
-        results.append(
-            _record(f"interpolation ratio, draw {i} (tau={tau:.4f}, s={s:.4f})", ratio)
-        )
+        draws.append((s, tau, random_function_source(rng)))
+
+    # the CPUs this process may run on; macOS and Windows lack the call
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    k = min(2, cpus, count)
+    ratios = [0.0] * count
+    errors = {}  # draw index -> the exception it raised
+    first_error = count
+    lock = threading.Lock()
+
+    def take(start):
+        nonlocal first_error
+        # one draw per thread at a time: its samples are dropped once its
+        # ratio is taken. A thread stops at its first error, and before
+        # any draw later than a known failure.
+        for i in range(start, count, k):
+            if i > first_error:
+                return
+            s, tau, source = draws[i]
+            try:
+                ratios[i] = interpolation_ratio(sample(source, spec), tau, s)
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+                    first_error = min(first_error, i)
+                return
+
+    helpers = [threading.Thread(target=take, args=(j,)) for j in range(1, k)]
+    for t in helpers:
+        t.start()
+    try:
+        take(0)
+    except BaseException:
+        with lock:
+            first_error = -1  # an interrupt: the helpers end their current draw
+        raise
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+
+    results = [
+        _record(f"interpolation ratio, draw {i} (tau={tau:.4f}, s={s:.4f})", ratio)
+        for i, ((s, tau, _), ratio) in enumerate(zip(draws, ratios))
+    ]
     params = _base_params(spec, count=count, seed=seed)
     worst = max(r.spectral_value for r in results)
     verdict = _check(

@@ -215,6 +215,7 @@ def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
         raise DomainError("interpolation ratio undefined for the zero function")
     sv = forward_transform(v)
     cross = cross_spectrum(sv, sv)
+    del sv
     radii = cross.shell_radii()
     q_tau = _form_from_spectra(cross, radii, tau)
     q_s = _form_from_spectra(cross, radii, s)

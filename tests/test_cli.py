@@ -186,6 +186,24 @@ def test_counterexample_rejects_nonpositive_cutoff(runner):
     assert "validation error" in res.output
 
 
+def test_counterexample_refuses_a_root_that_is_not_simple(runner):
+    # x^3 has no kink at its triple root: its central difference reads 4
+    # times as much at h = 2 Delta as at h = Delta, and no growth follows
+    res = runner.invoke(main, ["counterexample", "--func", "x^3*exp(-x^2)"])
+    assert res.exit_code == 2, res.output
+    assert res.output == (
+        "validation error: input must have a simple root at the origin: its "
+        "central differences at h = Delta and 2 Delta are 5.960e-06 and "
+        "2.384e-05\n"
+    )
+    # a simple root of any scale passes the same check
+    cutoffs = ["--cutoff", "40", "--cutoff", "80", "--cutoff", "160", "--cutoff", "320"]
+    res = runner.invoke(
+        main, ["counterexample", "--N", "4096", "--func", "1e-9*x*exp(-x^2)", *cutoffs]
+    )
+    assert res.exit_code == 0, res.output
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -6,6 +6,8 @@ nodes so the whole file stays in the seconds range.
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 import fraclab.experiments as experiments
 import fraclab.kernel as kernel
-from fraclab.errors import DomainError
+from fraclab.errors import DomainError, FraclabError, SupportRuleError
 from fraclab.experiments import (
     convergence_study,
     counterexample_scan,
@@ -28,7 +30,7 @@ from fraclab.experiments import (
 from fraclab.grid import GridFunction, GridSpec, sample, truncate
 from fraclab.kernel import find_crossings
 from fraclab.reports import ExperimentReport, Verdict, discrepancy, report_to_json
-from fraclab.spectral import cross_spectrum, forward_transform
+from fraclab.spectral import cross_spectrum, forward_transform, interpolation_ratio
 
 from helpers import frequency_axis, mollifier_bump
 from oracles import CROSS_FORM, COMPACT_SOURCE, OFF_NODE_SOURCE, TWO_CROSSING_SOURCE
@@ -164,12 +166,20 @@ def test_counterexample_scan_validation():
     # two cutoffs in one shell repeat a partial sum
     with pytest.raises(DomainError, match=r"select shells \[1, 2, 2, 3\]"):
         counterexample_scan("x*exp(-x^2)", [1.6], [0.2, 0.32, 0.4, 0.5], spec=SMALL)
-    # the scan needs a model-shaped input: zero at the origin...
-    with pytest.raises(DomainError):
-        counterexample_scan("exp(-x^2)", [1.6], cuts, spec=SMALL)
-    # ...with x * phi(x) >= 0 on both sides
-    with pytest.raises(DomainError):
-        counterexample_scan("-x^3*exp(-x^2)", [1.6], cuts, spec=SMALL)
+    # the scan needs a model-shaped input (the cutoffs fit SMALL's range,
+    # so that the shape is what is refused): zero at the origin...
+    shape_cuts = [40.0, *cuts[:3]]
+    with pytest.raises(DomainError, match="vanish at the origin"):
+        counterexample_scan("exp(-x^2)", [1.6], shape_cuts, spec=SMALL)
+    # ...rising through it...
+    with pytest.raises(DomainError, match="positive slope"):
+        counterexample_scan("-x*exp(-x^2)", [1.6], shape_cuts, spec=SMALL)
+    # ...with x * phi(x) >= 0 on both sides...
+    with pytest.raises(DomainError, match=r"x \* phi\(x\) >= 0"):
+        counterexample_scan("sin(3*x)*exp(-x^2)", [1.6], shape_cuts, spec=SMALL)
+    # ...in a simple root: a triple root has no kink to scan for
+    with pytest.raises(DomainError, match="simple root"):
+        counterexample_scan("x^3*exp(-x^2)", [1.6], shape_cuts, spec=SMALL)
 
 
 def test_order_arrays_give_the_same_reports_as_lists():
@@ -486,10 +496,12 @@ def test_each_cross_spectrum_formed_once_across_orders(monkeypatch):
     assert len(calls) == 1
 
 
-def test_interp_sweep_holds_one_draw_at_a_time():
+def test_interp_sweep_holds_one_draw_per_thread():
     # tracemalloc peak of interp_sweep(50) at 2^14 after the same warm-up:
     # 7,775,592 bytes while every draw was held to the end, 1,262,514 once
-    # each draw is dropped after its ratio (numpy 2.4.6, Python 3.11)
+    # each draw was dropped after its ratio on one thread; with two threads
+    # 2.59 MB while interpolation_ratio held each spectrum beside its cross
+    # spectrum and 2.01 MB once it drops it (numpy 2.4.6, Python 3.11)
     interp_sweep(3, seed=1, spec=GridSpec(1, 20.0, 1024))
     tracemalloc.start()
     try:
@@ -498,6 +510,136 @@ def test_interp_sweep_holds_one_draw_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 2_500_000
+
+
+def serial_ratios(count, seed, spec):
+    """interp_sweep's draws in one plain loop, as it once took them:
+    (ratios, None), or (ratios so far, the first error)."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(count):
+        s = float(rng.uniform(0.1, 1.45))
+        tau = s * float(rng.uniform(0.05, 0.95))
+        source = random_function_source(rng)
+        try:
+            ratios.append(interpolation_ratio(sample(source, spec), tau, s))
+        except FraclabError as exc:
+            return ratios, exc
+    return ratios, None
+
+
+class CountingThread(threading.Thread):
+    started = []
+
+    def start(self):
+        CountingThread.started.append(self)
+        super().start()
+
+
+def test_interp_sweep_report_does_not_depend_on_its_threads(monkeypatch):
+    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    taken = []
+    ratio = experiments.interpolation_ratio
+
+    def counting_ratio(v, tau, s):
+        taken.append(tau)
+        return ratio(v, tau, s)
+
+    monkeypatch.setattr(experiments, "interpolation_ratio", counting_ratio)
+    spec = GridSpec(1, 20.0, 1024)
+    # an odd count gives the two strides different lengths
+    ratios, error = serial_ratios(7, 5, spec)
+    assert error is None
+    reports = []
+    # one and two CPUs by affinity, then two by cpu_count where the
+    # platform has no affinity call
+    for cpus, call in ((1, "sched_getaffinity"), (2, "sched_getaffinity"), (2, "cpu_count")):
+        if call == "cpu_count":
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        else:
+            monkeypatch.setattr(experiments.os, call, lambda pid: set(range(cpus)))
+        CountingThread.started = []
+        taken.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many switches, to expose a lost write
+        try:
+            rep = interp_sweep(7, seed=5, spec=spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(CountingThread.started) == cpus - 1
+        assert not any(t.is_alive() for t in CountingThread.started)
+        assert len(taken) == 7  # every draw once
+        assert [r.spectral_value for r in rep.results] == ratios
+        reports.append(frozen_json(rep))
+        # one draw starts no helper
+        interp_sweep(1, seed=5, spec=spec)
+        assert len(CountingThread.started) == cpus - 1
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_interp_sweep_raises_the_first_failing_draw_and_joins_its_threads(monkeypatch):
+    # at L = 14 draw 1, on the helper's stride, is the first whose tails
+    # break the support rule; the main thread's first failure is draw 2
+    spec = GridSpec(1, 14.0, 4096)
+    ratios, error = serial_ratios(20, 3, spec)
+    assert len(ratios) == 1
+    assert isinstance(error, SupportRuleError)
+    assert str(error) == (
+        "samples reach 1.079e-10 on the outer half of the box; the transform "
+        "needs decay below 1e-12 there"
+    )
+    # the helper samples draw 1 only once the main thread has failed at
+    # draw 2, so that both failures are on record
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    main_failed = threading.Event()
+    sample_, ratio = experiments.sample, experiments.interpolation_ratio
+
+    def late_sample(source, spec):
+        if threading.current_thread() is not threading.main_thread():
+            main_failed.wait(timeout=10.0)
+        return sample_(source, spec)
+
+    def noting_ratio(v, tau, s):
+        try:
+            return ratio(v, tau, s)
+        except FraclabError:
+            if threading.current_thread() is threading.main_thread():
+                main_failed.set()
+            raise
+
+    monkeypatch.setattr(experiments, "sample", late_sample)
+    monkeypatch.setattr(experiments, "interpolation_ratio", noting_ratio)
+    threads = threading.active_count()
+    with pytest.raises(SupportRuleError) as caught:
+        interp_sweep(20, seed=3, spec=spec)
+    assert main_failed.is_set()
+    assert str(caught.value) == str(error)
+    assert threading.active_count() == threads
+    interp_sweep(20, seed=3, spec=GridSpec(1, 20.0, 1024))
+    assert threading.active_count() == threads
+
+
+def test_interp_sweep_takes_no_draw_after_a_known_failure(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    CountingThread.started = []
+    taken = []
+
+    def ratio(v, tau, s):
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("draw 1 failed")
+        # the main thread ends draw 0 once the helper has failed at draw 1
+        helper = CountingThread.started[0]
+        helper.join(timeout=10.0)
+        assert not helper.is_alive()
+        taken.append(tau)
+        return 0.5
+
+    monkeypatch.setattr(experiments, "interpolation_ratio", ratio)
+    with pytest.raises(DomainError, match="draw 1 failed"):
+        interp_sweep(20, seed=0, spec=GridSpec(1, 20.0, 1024))
+    assert len(taken) == 1
 
 
 def test_one_ghost_per_crossing(monkeypatch):

@@ -1,8 +1,9 @@
 """Import-graph guards: `import fraclab` and the CLI start-up load neither
-numpy nor scipy, the routes that never need an endpoint-corrected form do
-not load scipy, `fraclab.reports` loads neither numpy nor a route, the
-package resolves every public name from its submodule, and the spectral
-and kernel routes do not import each other."""
+numpy nor scipy, the CLI start-up loads no module beyond a pinned set, the
+routes that never need an endpoint-corrected form do not load scipy,
+`fraclab.reports` loads neither numpy nor a route, the package resolves
+every public name from its submodule, and the spectral and kernel routes
+do not import each other."""
 
 import ast
 import importlib
@@ -65,6 +66,25 @@ assert "numpy" in sys.modules, "an experiment ran without numpy"
 """
 
 
+# what `import fraclab.cli` loads beyond click itself: the package, the
+# modules `constants` needs and json. A new module here, such as
+# concurrent.futures for a thread pool, would add to every cold start.
+START_UP = """fraclab fraclab.cli fraclab.errors fraclab.special json json.decoder
+    json.encoder json.scanner _json locale _locale""".split()
+
+START_UP_CHILD = f"""
+import sys
+
+import click
+from click.core import ParameterSource
+
+before = set(sys.modules)
+import fraclab.cli
+extra = sorted(set(sys.modules) - before - {set(START_UP)!r})
+assert not extra, ("import fraclab.cli loads", extra)
+"""
+
+
 REPORTS_CHILD = """
 import sys
 
@@ -96,6 +116,10 @@ def test_cli_and_interp_sweep_do_not_load_scipy():
 
 def test_import_and_cli_start_up_do_not_load_numpy():
     _run_child(NUMPY_CHILD)
+
+
+def test_cli_start_up_loads_no_new_module():
+    _run_child(START_UP_CHILD)
 
 
 def test_reports_loads_neither_numpy_nor_a_route():
