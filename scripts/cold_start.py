@@ -5,7 +5,9 @@ Each round launches `python -m fraclab.cli COMMAND...` once on each tree,
 alternating which tree goes first, and times the whole process. One
 untimed start per tree first compiles and caches the byte code, as any
 start after the first finds it. Prints each tree's median and quartiles
-of the wall time, and its exit statuses.
+of the wall time, and its exit statuses. Returns 1, with a line saying
+why, when a tree's exit status varies between rounds or the two trees
+exit differently: then the timings are not of the same work.
 
 Usage: python scripts/cold_start.py [--rounds 15] OLD_SRC NEW_SRC constants --s 0.5
 """
@@ -60,6 +62,12 @@ def main(argv=None):
             f"  {src:<{width}}  median {statistics.median(w):.3f} s"
             f"  quartiles {q1:.3f}-{q3:.3f} s  exit {','.join(map(str, sorted(c)))}"
         )
+    if any(len(c) > 1 for c in codes):
+        print("a tree's exit status varies between rounds")
+        return 1
+    if codes[0] != codes[1]:
+        print("the two trees exit with different statuses")
+        return 1
     return 0
 
 

@@ -16,7 +16,7 @@ import sys
 import time
 
 from fraclab import experiments
-from fraclab.cli import BODIES, main as cli
+from fraclab.cli import BODIES, parse
 from fraclab.reports import report_to_json, write_report
 from fraclab.special import kernel_constant
 
@@ -24,7 +24,7 @@ from fraclab.special import kernel_constant
 def battery():
     """One report per CLI experiment subcommand, at its default flags."""
     return [
-        body(experiments, cli.commands[name].make_context(name, []).params)
+        body(experiments, parse([name])[1])
         for name, body in BODIES.items()
     ]
 

@@ -6,16 +6,13 @@ report (JSON or CSV), and exits 0 only when every verdict passed
 (inconclusive records are counted but do not fail the run). Validation
 and usage problems exit with status 2, runtime failures with status 1.
 A single optional JSON config file may supply the same keys as the
-flags; explicitly passed flags win.
+flags; explicitly passed flags win. The flags are parsed with the
+standard library's argparse, so start-up loads no third-party module.
 """
 
-from __future__ import annotations
-
-import json
+import argparse
+import os
 import sys
-
-import click
-from click.core import ParameterSource
 
 from .errors import (
     DomainError,
@@ -28,55 +25,90 @@ from .special import kernel_constant
 _DEFAULT_FUNC = "x*exp(-x^2)"
 
 
-@click.group()
-def main():
-    """Numerical experiments on sign-truncated fractional-order forms."""
+def _bool(text):
+    """An on/off value from config text, such as true, no, on or 0."""
+    word = text.strip().lower()
+    if word in ("1", "true", "t", "yes", "y", "on"):
+        return True
+    if word in ("0", "false", "f", "no", "n", "off"):
+        return False
+    raise ValueError(f"{text!r} is not a valid boolean")
 
 
-def _option(*decls, **attrs):
-    """A flag whose help shows its default."""
-    return click.option(*decls, show_default=True, **attrs)
+def _report_path(text):
+    """--out, refused before the experiment runs if it cannot be written."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise argparse.ArgumentTypeError(f"file {text!r} is not writable")
+    return text
 
 
-def _many(flag, name, default, type=float):
-    return _option(flag, name, type=type, multiple=True, default=default)
+def _report_format(text):
+    if text not in ("json", "csv"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not one of 'json', 'csv'")
+    return text
 
 
-_FUNC = _option("--func", "func", default=_DEFAULT_FUNC)
-_S = _option("--s", "s", type=float, default=1.25)
-_TOL = _option("--tol", "tol", type=float, default=1e-3)
-_EXTRAPOLATE = _option(
-    "--extrapolate/--no-extrapolate",
+class _Flag:
+    """A flag: its option string, the key of its value, the cast of its
+    text, its default and help. A repeatable flag (`many`) collects a
+    list that replaces its default; a flag cast by `_bool` is an on/off
+    pair such as --extrapolate/--no-extrapolate."""
+
+    def __init__(
+        self, decl, key, cast=float, default=None, help="", many=False, required=False
+    ):
+        self.decl, self.key, self.cast, self.default = decl, key, cast, default
+        self.help, self.many, self.required = help, many, required
+
+    def add_to(self, parser):
+        if self.required:
+            note = "[required]"
+        elif self.default is None:
+            note = ""
+        else:
+            shown = ", ".join(map(str, self.default)) if self.many else self.default
+            note = f"[default: {shown}]"
+        if self.cast is _bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {
+                "type": self.cast,
+                "action": "append" if self.many else "store",
+                "required": self.required,
+            }
+        parser.add_argument(
+            self.decl, dest=self.key, help=f"{self.help}  {note}".strip(), **kind
+        )
+
+
+def _many(decl, key, default, cast=float):
+    return _Flag(decl, key, cast, default, many=True)
+
+
+_FUNC = _Flag("--func", "func", str, _DEFAULT_FUNC)
+_S = _Flag("--s", "s", float, 1.25)
+_TOL = _Flag("--tol", "tol", float, 1e-3)
+_EXTRAPOLATE = _Flag(
+    "--extrapolate",
     "extrapolate",
-    default=True,
-    help="Extrapolate the frequency-cutoff tail of kinked integrands.",
+    _bool,
+    True,
+    "Extrapolate the frequency-cutoff tail of kinked integrands.",
 )
-_L = _option(
-    "--L", "L", type=float, default=20.0, help="Half-width of the sampling box."
+_L = _Flag("--L", "L", float, 20.0, "Half-width of the sampling box.")
+_N = _Flag("--N", "N", int, 16384, "Grid nodes (power of two).")
+_CONFIG = _Flag(
+    "--config",
+    "config_path",
+    str,
+    help="JSON config file with the same keys as the flags; flags win.",
 )
-_N = _option("--N", "N", type=int, default=16384, help="Grid nodes (power of two).")
 _IO = (
-    click.option(
-        "--out",
-        "out",
-        type=click.Path(dir_okay=False, writable=True),
-        default=None,
-        help="Report output path.",
-    ),
-    _option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        help="Report file format.",
-    ),
-    click.option(
-        "--config",
-        "config_path",
-        type=click.Path(exists=True, dir_okay=False),
-        default=None,
-        help="JSON config file with the same keys as the flags; flags win.",
-    ),
+    _Flag("--out", "out", _report_path, help="Report output path."),
+    _Flag("--format", "fmt", _report_format, "json", "Report file format: json or csv."),
+    _CONFIG,
 )
 
 
@@ -86,51 +118,47 @@ def _spec(values):
     return GridSpec(1, values["L"], values["N"])
 
 
-def _apply_config(ctx, params: dict) -> dict:
-    """The subcommand's parameters, without config_path, with the config
-    file's values overlaid onto defaulted ones (flags win). A bad config
-    value is a usage error, like a bad flag."""
-    values = dict(params)
-    config_path = values.pop("config_path")
-    if not config_path:
-        return values
+def _config(path, flags, given, parser):
+    """The values of the JSON config file at path for the flags that were
+    not given, each cast like its flag's text. A bad file, key or value is
+    a usage error, like a bad flag. json loads here, so that a run without
+    --config starts without it."""
+    import json
+
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config {config_path}: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        parser.error(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
-        raise click.UsageError(f"config {config_path} must hold a JSON object")
-    flags = {p.name: p for p in ctx.command.params}
+        parser.error(f"config {path} must hold a JSON object")
+    by_key = {f.key: f for f in flags if f is not _CONFIG}
+    values = {}
     for key, val in data.items():
-        if key not in values:
-            raise click.UsageError(
-                f"config key {key!r} is not a flag of this subcommand"
-            )
-        if ctx.get_parameter_source(key) is ParameterSource.DEFAULT:
-            values[key] = _config_value(ctx, flags[key], val, config_path)
+        if key not in by_key:
+            parser.error(f"config key {key!r} is not a flag of this subcommand")
+        if key not in given:
+            try:
+                values[key] = _config_value(by_key[key], val)
+            except ValueError as exc:
+                parser.error(f"config {path}: {exc}")
     return values
 
 
-def _config_value(ctx, param, val, config_path):
+def _config_value(flag, val):
     """Cast a config value as the flag casts its text: a repeatable flag
     takes a list of numbers or strings, any other flag one of them."""
     items = val if isinstance(val, list) else [val]
-    if isinstance(val, list) != param.multiple or not all(
+    if isinstance(val, list) != flag.many or not all(
         isinstance(v, (str, int, float)) for v in items
     ):
-        shape = (
-            "a list of numbers or strings" if param.multiple
-            else "a number or string"
-        )
-        raise click.UsageError(
-            f"config {config_path}: {param.name!r} needs {shape}"
-        )
-    text = [str(v) for v in items]
+        shape = "a list of numbers or strings" if flag.many else "a number or string"
+        raise ValueError(f"{flag.key!r} needs {shape}")
     try:
-        return param.type_cast_value(ctx, text if param.multiple else text[0])
-    except click.BadParameter as exc:
-        raise click.UsageError(f"config {config_path}: {exc.format_message()}")
+        cast = [flag.cast(str(v)) for v in items]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{flag.key!r}: {exc}") from None
+    return cast if flag.many else cast[0]
 
 
 def _run(builder):
@@ -138,14 +166,32 @@ def _run(builder):
     try:
         return builder()
     except (DomainError, ExpressionError, SupportRuleError, OverflowError) as exc:
-        click.echo(f"validation error: {exc}", err=True)
+        print(f"validation error: {exc}", file=sys.stderr)
         sys.exit(2)
     except FraclabError as exc:
-        click.echo(f"experiment failure: {exc}", err=True)
+        print(f"experiment failure: {exc}", file=sys.stderr)
         sys.exit(1)
 
 
-# subcommand name -> body(experiments module, flag values) -> report
+def constants(values):
+    """Print the kernel normalization constant for (n, s)."""
+    n, s = values["n"], values["s"]
+    value = _run(lambda: kernel_constant(n, s))
+    print(f"C({n}, {s:g}) = {value!r}")
+
+
+# subcommand name -> (help, flags, run(flag values)), in help order
+_COMMANDS = {
+    "constants": (
+        constants.__doc__,
+        (
+            _Flag("--n", "n", int, 1),
+            _Flag("--s", "s", float, help="Fractional order.", required=True),
+        ),
+        constants,
+    )
+}
+# experiment subcommand name -> body(experiments module, flag values) -> report
 BODIES = {}
 
 
@@ -154,41 +200,101 @@ def _experiment(*flags):
     (in help order) plus --out/--format/--config. The body takes the
     experiments module and the flag values, overlaid with the config file,
     and returns a report; the subcommand prints it, writes it and exits by
-    the status contract. BODIES keeps the body under the subcommand name.
-    numpy loads here, with the first experiment, so that `constants`,
-    --help and usage errors start without it."""
+    the status contract. BODIES keeps the body under the subcommand name."""
 
     def register(body):
-        @click.pass_context
-        def command(ctx, **params):
-            from . import experiments, reports
-
-            values = _apply_config(ctx, params)
-            report = _run(lambda: body(experiments, values))
-            click.echo(reports.report_to_text(report), nl=False)
-            out = values["out"]
-            if out:
-                _run(lambda: reports.write_report(report, out, values["fmt"]))
-                click.echo(f"report written to {out}")
-            if not report.all_pass:
-                sys.exit(1)
-
-        for flag in reversed(flags + _IO):
-            command = flag(command)
         name = body.__name__.replace("_", "-")
         BODIES[name] = body
-        return main.command(name=name, help=body.__doc__)(command)
+        _COMMANDS[name] = (body.__doc__, flags + _IO, lambda v: _report(body, v))
+        return body
 
     return register
 
 
-@main.command()
-@click.option("--n", "n", type=int, default=1, show_default=True)
-@click.option("--s", "s", type=float, required=True, help="Fractional order.")
-def constants(n, s):
-    """Print the kernel normalization constant for (n, s)."""
-    value = _run(lambda: kernel_constant(n, s))
-    click.echo(f"C({n}, {s:g}) = {value!r}")
+def _report(body, values):
+    """Run an experiment body, print its report, write it to --out and exit
+    1 unless every verdict passed. numpy loads here, with the first
+    experiment, so that `constants`, --help and usage errors start without
+    it."""
+    from . import experiments, reports
+
+    report = _run(lambda: body(experiments, values))
+    print(reports.report_to_text(report), end="", flush=True)
+    out = values["out"]
+    if out:
+        _run(lambda: reports.write_report(report, out, values["fmt"]))
+        print(f"report written to {out}", flush=True)
+    if not report.all_pass:
+        sys.exit(1)
+
+
+def _parsers(named):
+    """The top-level parser and each subcommand's parser by name. Only the
+    named subcommand's parser gets its flags: the others serve the list
+    of subcommands in --help. A flag that is not given is left out of the
+    parsed namespace."""
+    top = argparse.ArgumentParser(
+        prog="fraclab",
+        description="Numerical experiments on sign-truncated fractional-order forms.",
+        add_help=False,
+        allow_abbrev=False,
+    )
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (doc, flags, _) in _COMMANDS.items():
+        sub = commands.add_parser(
+            name,
+            help=doc,
+            description=doc,
+            add_help=False,
+            allow_abbrev=False,
+            argument_default=argparse.SUPPRESS,
+        )
+        for flag in flags if name == named else ():
+            flag.add_to(sub)
+    for parser in (top, *commands.choices.values()):
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return top, commands.choices
+
+
+def _joined(words, flags):
+    """words with each of the flags that takes a value joined to the word
+    after it (`--func=-exp(-x^2)`), so that the word is the value even
+    when it starts with '-', which argparse would read as a flag."""
+    takes_value = {f.decl for f in flags if f.cast is not _bool}
+    joined, rest = [], iter(words)
+    for word in rest:
+        value = next(rest, None) if word in takes_value else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
+def parse(argv):
+    """The subcommand that argv names and its flag values: each flag's
+    default, overlaid with the --config file, overlaid with the flags
+    given. A usage error prints the usage and exits 2."""
+    argv = list(argv)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    top, subs = _parsers(named)
+    flags = _COMMANDS[named][1] if named else ()
+    given, extra = top.parse_known_args(argv[:1] + _joined(argv[1:], flags))
+    given = vars(given)
+    name = given.pop("command")
+    if extra:
+        subs[name].error(f"unrecognized arguments: {' '.join(extra)}")
+    _, flags, _ = _COMMANDS[name]
+    values = {f.key: f.default for f in flags if f is not _CONFIG}
+    if "config_path" in given:
+        values.update(_config(given.pop("config_path"), flags, given, subs[name]))
+    values.update(given)
+    return name, values
+
+
+def main(argv=None):
+    """Run the subcommand that argv (default: the process arguments) names
+    and exit with its status."""
+    name, values = parse(sys.argv[1:] if argv is None else argv)
+    _COMMANDS[name][2](values)
+    sys.exit(0)
 
 
 @_experiment(_FUNC, _S, _TOL, _EXTRAPOLATE, _L, _N)
@@ -235,8 +341,8 @@ def truncation_bound(experiments, v):
 
 
 @_experiment(
-    _option("--count", "count", type=int, default=100),
-    _option("--seed", "seed", type=int, default=42),
+    _Flag("--count", "count", int, 100),
+    _Flag("--seed", "seed", int, 42),
     _L,
     _N,
 )
@@ -248,7 +354,7 @@ def interp(experiments, v):
 @_experiment(
     _FUNC,
     _S,
-    _many("--N-list", "N_list", (2048, 4096, 8192, 16384), type=int),
+    _many("--N-list", "N_list", (2048, 4096, 8192, 16384), cast=int),
     _L,
     _TOL,
     _EXTRAPOLATE,

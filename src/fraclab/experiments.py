@@ -838,7 +838,7 @@ def random_function_source(rng: np.random.Generator) -> str:
     box; the slowest decay rate still clears the support rule there."""
     terms = []
     for _ in range(int(rng.integers(2, 5))):
-        amp = float(rng.uniform(0.2, 1.0)) * float(rng.choice([-1.0, 1.0]))
+        amp = float(rng.uniform(0.2, 1.0)) * (-1.0, 1.0)[int(rng.integers(0, 2))]
         center = float(rng.uniform(-2.0, 2.0))
         width = float(rng.uniform(0.4, 1.0))
         rate = 1.0 / (2.0 * width * width)

@@ -10,8 +10,6 @@ C(n, a) (n + 2a)(2a + 2) = -C(n, a + 1), which is what makes iterated
 Laplacians of the Riesz kernel computable in closed form.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError, PoleError

@@ -1,39 +1,56 @@
-"""Command-line interface tests (click runner, small grids)."""
+"""Command-line interface tests: `main(argv)` runs in this process, on
+small grids."""
 
+import contextlib
+import io
 import json
 import re
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from fraclab.cli import main
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    out: str
+    err: str
 
 
-def test_constants_prints_full_precision(runner):
-    res = runner.invoke(main, ["constants", "--n", "1", "--s", "0.5"])
+def invoke(args):
+    """Call main(args) and capture its stdout, stderr and exit status; the
+    CLI always ends with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            raise AssertionError(f"main({args}) returned without exiting")
+    return Result(0 if code is None else code, out.getvalue(), err.getvalue())
+
+
+def test_constants_prints_full_precision():
+    res = invoke(["constants", "--n", "1", "--s", "0.5"])
     assert res.exit_code == 0
-    assert res.output.strip() == "C(1, 0.5) = 0.3183098861837907"
+    assert res.out.strip() == "C(1, 0.5) = 0.3183098861837907"
 
 
-def test_constants_rejects_integer_order(runner):
-    res = runner.invoke(main, ["constants", "--s", "1.0"])
+def test_constants_rejects_integer_order():
+    res = invoke(["constants", "--s", "1.0"])
     assert res.exit_code == 2
-    assert "validation error" in res.output
+    assert "validation error" in res.err
 
 
-def test_identity_runs_and_writes_report(runner, tmp_path):
+def test_identity_runs_and_writes_report(tmp_path):
     out = tmp_path / "identity.json"
-    res = runner.invoke(
-        main,
+    res = invoke(
         ["identity", "--s", "1.25", "--N", "4096", "--out", str(out)],
     )
-    assert res.exit_code == 0, res.output
-    assert "pass" in res.output
+    assert res.exit_code == 0, res
+    assert "pass" in res.out
     doc = json.loads(out.read_text())
     assert doc["experiment"] == "identity"
     assert doc["params"]["s"] == 1.25
@@ -41,77 +58,76 @@ def test_identity_runs_and_writes_report(runner, tmp_path):
     assert all(v["status"] != "fail" for v in doc["verdicts"])
 
 
-def test_unwritable_report_path_exits_1_without_traceback(runner, tmp_path):
+def test_unwritable_report_path_exits_1_without_traceback(tmp_path):
     out = tmp_path / "missing" / "identity.json"
-    res = runner.invoke(main, ["identity", "--N", "4096", "--out", str(out)])
-    assert res.exit_code == 1, res.output
-    assert isinstance(res.exception, SystemExit)
-    last = res.output.splitlines()[-1]
+    res = invoke(["identity", "--N", "4096", "--out", str(out)])
+    assert res.exit_code == 1, res
+    last = res.err.splitlines()[-1]
     assert last.startswith(f"experiment failure: cannot write report to {out}")
 
 
-def test_identity_rejects_out_of_range_order(runner):
-    res = runner.invoke(main, ["identity", "--s", "2.0", "--N", "4096"])
+def test_identity_rejects_out_of_range_order():
+    res = invoke(["identity", "--s", "2.0", "--N", "4096"])
     assert res.exit_code == 2
 
 
-def test_identity_failing_tolerance_exits_one(runner):
-    res = runner.invoke(
-        main, ["identity", "--s", "1.25", "--N", "4096", "--tol", "1e-9"]
+def test_identity_failing_tolerance_exits_one():
+    res = invoke(
+        ["identity", "--s", "1.25", "--N", "4096", "--tol", "1e-9"]
     )
     assert res.exit_code == 1
-    assert "fail" in res.output
+    assert "fail" in res.out
 
 
-def test_config_file_supplies_defaults_but_flags_win(runner, tmp_path):
+def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"s": 2.0, "N": 4096}))
     # config alone would fail validation (s = 2), but the flag overrides it
-    res = runner.invoke(
-        main, ["identity", "--config", str(cfg), "--s", "1.25"]
+    res = invoke(
+        ["identity", "--config", str(cfg), "--s", "1.25"]
     )
-    assert res.exit_code == 0, res.output
-    bad = runner.invoke(main, ["identity", "--config", str(cfg)])
+    assert res.exit_code == 0, res
+    bad = invoke(["identity", "--config", str(cfg)])
     assert bad.exit_code == 2
 
 
-def test_config_rejects_unknown_keys(runner, tmp_path):
+def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     for command, key in (("identity", "nonsense"), ("sign-sweep", "tol")):
         cfg.write_text(json.dumps({key: 1e-3}))
-        res = runner.invoke(main, [command, "--config", str(cfg), "--N", "4096"])
-        assert res.exit_code == 2, (command, res.output)
-        assert f"config key {key!r} is not a flag" in res.output
+        res = invoke([command, "--config", str(cfg), "--N", "4096"])
+        assert res.exit_code == 2, (command, res)
+        assert f"config key {key!r} is not a flag" in res.err
 
 
-def test_config_list_values_reach_the_driver(runner, tmp_path):
+def test_config_list_values_reach_the_driver(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"s_list": [0.5, 1.25], "N": 4096}))
     out = tmp_path / "sweep.json"
-    res = runner.invoke(
-        main, ["sign-sweep", "--config", str(cfg), "--out", str(out)]
+    res = invoke(
+        ["sign-sweep", "--config", str(cfg), "--out", str(out)]
     )
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == 0, res
     doc = json.loads(out.read_text())
     assert doc["params"]["s_list"] == [0.5, 1.25]
     assert doc["params"]["N"] == 4096
 
 
-def test_config_rejects_config_path_key(runner, tmp_path):
+def test_config_rejects_config_path_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"config_path": "other.json"}))
-    res = runner.invoke(main, ["identity", "--config", str(cfg), "--N", "4096"])
+    res = invoke(["identity", "--config", str(cfg), "--N", "4096"])
     assert res.exit_code == 2
-    assert "config_path" in res.output
+    assert "config_path" in res.err
 
 
-def test_config_values_are_type_checked_like_flags(runner, tmp_path):
+def test_config_values_are_type_checked_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     # a value the flag would accept is converted, as on the command line
     cfg.write_text(json.dumps({"N": "4096"}))
     out = tmp_path / "identity.json"
-    res = runner.invoke(main, ["identity", "--config", str(cfg), "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = invoke(["identity", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res
     assert json.loads(out.read_text())["params"]["N"] == 4096
     # one it would reject is a usage error, not a traceback
     for command, bad in (
@@ -123,15 +139,14 @@ def test_config_values_are_type_checked_like_flags(runner, tmp_path):
         ("sign-sweep", {"s_list": [0.5, [1.25]]}),
     ):
         cfg.write_text(json.dumps(bad))
-        res = runner.invoke(main, [command, "--config", str(cfg), "--N", "1024"])
-        assert res.exit_code == 2, (bad, res.output)
-        assert "Error: config" in res.output
+        res = invoke([command, "--config", str(cfg), "--N", "1024"])
+        assert res.exit_code == 2, (bad, res)
+        assert ": error: config " in res.err
 
 
-def test_csv_report_format(runner, tmp_path):
+def test_csv_report_format(tmp_path):
     out = tmp_path / "identity.csv"
-    res = runner.invoke(
-        main,
+    res = invoke(
         [
             "identity",
             "--s", "1.25",
@@ -140,68 +155,67 @@ def test_csv_report_format(runner, tmp_path):
             "--format", "csv",
         ],
     )
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == 0, res
     lines = out.read_text().splitlines()
     assert lines[0].startswith("experiment,quantity,")
     assert all(line.startswith("identity,") for line in lines[1:])
 
 
-def test_sign_sweep_with_probe_orders(runner):
-    res = runner.invoke(
-        main,
+def test_sign_sweep_with_probe_orders():
+    res = invoke(
         ["sign-sweep", "--N", "4096", "--s", "0.5", "--s", "1.25", "--s", "1.75"],
     )
-    assert res.exit_code == 0, res.output
-    assert "inconclusive" in res.output
+    assert res.exit_code == 0, res
+    assert "inconclusive" in res.out
 
 
-def test_counterexample_defaults(runner):
+def test_counterexample_defaults():
     # default cutoffs reach 1280, which needs the default 16384-node grid
-    res = runner.invoke(main, ["counterexample"])
-    assert res.exit_code == 0, res.output
+    res = invoke(["counterexample"])
+    assert res.exit_code == 0, res
 
 
-def test_truncation_bound_runs(runner):
-    res = runner.invoke(
-        main,
+def test_truncation_bound_runs():
+    res = invoke(
         [
             "truncation-bound",
             "--N", "4096",
             "--eps", "0.04", "--eps", "0.02", "--eps", "0.01",
         ],
     )
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == 0, res
 
 
-def test_truncation_bound_needs_two_eps_levels(runner):
-    res = runner.invoke(main, ["truncation-bound", "--N", "4096", "--eps", "0.1"])
-    assert res.exit_code == 2, res.output
-    assert "validation error" in res.output
+def test_truncation_bound_needs_two_eps_levels():
+    res = invoke(["truncation-bound", "--N", "4096", "--eps", "0.1"])
+    assert res.exit_code == 2, res
+    assert "validation error" in res.err
 
 
-def test_counterexample_rejects_nonpositive_cutoff(runner):
+def test_counterexample_rejects_nonpositive_cutoff():
     cutoffs = ["--cutoff", "-5", "--cutoff", "80", "--cutoff", "160", "--cutoff", "320"]
-    res = runner.invoke(main, ["counterexample", "--N", "4096", *cutoffs])
-    assert res.exit_code == 2, res.output
-    assert "validation error" in res.output
+    res = invoke(["counterexample", "--N", "4096", *cutoffs])
+    assert res.exit_code == 2, res
+    assert "validation error" in res.err
 
 
-def test_counterexample_refuses_a_root_that_is_not_simple(runner):
+def test_counterexample_refuses_a_root_that_is_not_simple():
     # x^3 has no kink at its triple root: its central difference reads 4
     # times as much at h = 2 Delta as at h = Delta, and no growth follows
-    res = runner.invoke(main, ["counterexample", "--func", "x^3*exp(-x^2)"])
-    assert res.exit_code == 2, res.output
-    assert res.output == (
+    res = invoke(["counterexample", "--func", "x^3*exp(-x^2)"])
+    assert res.exit_code == 2, res
+    assert res.out == ""
+    assert res.err == (
         "validation error: input must have a simple root at the origin: its "
         "central differences at h = Delta and 2 Delta are 5.960e-06 and "
         "2.384e-05\n"
     )
     # a simple root of any scale passes the same check
     cutoffs = ["--cutoff", "40", "--cutoff", "80", "--cutoff", "160", "--cutoff", "320"]
-    res = runner.invoke(
-        main, ["counterexample", "--N", "4096", "--func", "1e-9*x*exp(-x^2)", *cutoffs]
+    res = invoke(
+        ["counterexample", "--N", "4096", "--func", "1e-9*x*exp(-x^2)", *cutoffs]
     )
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == 0, res
 
 
 @pytest.mark.parametrize(
@@ -214,34 +228,36 @@ def test_counterexample_refuses_a_root_that_is_not_simple(runner):
         "counterexample --cutoff 0.2 --cutoff 0.21 --cutoff 0.22 --cutoff 0.23",
     ],
 )
-def test_uninformative_levels_exit_2(runner, args):
+def test_uninformative_levels_exit_2(args):
     cmd, *rest = args.split()
-    res = runner.invoke(main, [cmd, "--N", "4096", *rest])
-    assert res.exit_code == 2, res.output
-    assert "validation error" in res.output
+    res = invoke([cmd, "--N", "4096", *rest])
+    assert res.exit_code == 2, res
+    assert "validation error" in res.err
 
 
 @pytest.mark.parametrize(
     "args",
     [
         "identity --N 4096 --tol -1",
+        # a negative value with an exponent is a value, not a flag
+        "identity --N 4096 --tol -1e-3",
         "identity --N 4096 --tol 0",
         "truncation-bound --N 4096 --tol nan",
         "convergence --N-list 1024 --N-list 2048 --N-list 4096 --tol 0",
     ],
 )
-def test_nonpositive_or_nan_tolerance_exits_2(runner, args):
-    res = runner.invoke(main, args.split())
-    assert res.exit_code == 2, res.output
-    assert "tolerance must be positive" in res.output
+def test_nonpositive_or_nan_tolerance_exits_2(args):
+    res = invoke(args.split())
+    assert res.exit_code == 2, res
+    assert "tolerance must be positive" in res.err
 
 
-def test_sign_sweep_has_no_tolerance_flag(runner):
+def test_sign_sweep_has_no_tolerance_flag():
     # its verdicts are gated on the error estimates alone
-    res = runner.invoke(main, ["sign-sweep", "--N", "1024", "--tol", "1e-3"])
-    assert res.exit_code == 2, res.output
-    assert "No such option '--tol'" in res.output
-    assert "--tol" not in runner.invoke(main, ["sign-sweep", "--help"]).output
+    res = invoke(["sign-sweep", "--N", "1024", "--tol", "1e-3"])
+    assert res.exit_code == 2, res
+    assert "unrecognized arguments: --tol 1e-3" in res.err
+    assert "--tol" not in invoke(["sign-sweep", "--help"]).out
 
 
 @pytest.mark.parametrize(
@@ -267,13 +283,13 @@ def test_sign_sweep_has_no_tolerance_flag(runner):
         "sign-sweep --func -exp(-x^2) --N 1024 --s 0.5",
     ],
 )
-def test_out_of_range_values_exit_2_without_traceback(runner, args):
+def test_out_of_range_values_exit_2_without_traceback(args):
     # the suite turns numpy's RuntimeWarning into an error, so a leaked
     # overflow warning fails here too
-    res = runner.invoke(main, args.split())
-    assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)
-    (line,) = res.output.splitlines()
+    res = invoke(args.split())
+    assert res.exit_code == 2, res
+    assert res.out == ""
+    (line,) = res.err.splitlines()
     assert line.startswith("validation error:")
     if "--L" in args:
         assert "L is too small" in line or "L=" in line
@@ -285,42 +301,41 @@ def test_out_of_range_values_exit_2_without_traceback(runner, args):
         assert line.startswith("validation error: no sign change, so ")
 
 
-def test_sign_sweep_far_above_three_halves_is_non_finite_without_warnings(runner):
-    res = runner.invoke(main, ["sign-sweep", "--s", "95.5", "--N", "1024"])
-    assert res.exit_code == 0, res.output
-    assert "defect is non-finite" in res.output
-    assert "Warning" not in res.output
+def test_sign_sweep_far_above_three_halves_is_non_finite_without_warnings():
+    res = invoke(["sign-sweep", "--s", "95.5", "--N", "1024"])
+    assert res.exit_code == 0, res
+    assert "defect is non-finite" in res.out
+    assert "Warning" not in res.out + res.err
 
 
-def test_counterexample_empty_order_list_in_config_exits_2(runner, tmp_path):
+def test_counterexample_empty_order_list_in_config_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"s_list": []}))
-    res = runner.invoke(main, ["counterexample", "--config", str(cfg)])
-    assert res.exit_code == 2, res.output
-    assert "s list must be nonempty" in res.output
+    res = invoke(["counterexample", "--config", str(cfg)])
+    assert res.exit_code == 2, res
+    assert "s list must be nonempty" in res.err
 
 
-def test_interp_subcommand(runner):
-    res = runner.invoke(main, ["interp", "--count", "5", "--seed", "7", "--N", "4096"])
-    assert res.exit_code == 0, res.output
+def test_interp_subcommand():
+    res = invoke(["interp", "--count", "5", "--seed", "7", "--N", "4096"])
+    assert res.exit_code == 0, res
 
 
-def test_convergence_n_list_parsing(runner):
-    res = runner.invoke(
-        main,
+def test_convergence_n_list_parsing():
+    res = invoke(
         [
             "convergence",
             "--s", "1.25",
             "--N-list", "1024", "--N-list", "2048", "--N-list", "4096",
         ],
     )
-    assert res.exit_code == 0, res.output
-    bad = runner.invoke(main, ["convergence", "--N-list", "x"])
+    assert res.exit_code == 0, res
+    bad = invoke(["convergence", "--N-list", "x"])
     assert bad.exit_code == 2
 
 
-def test_help_lists_all_subcommands(runner):
-    res = runner.invoke(main, ["--help"])
+def test_help_lists_all_subcommands():
+    res = invoke(["--help"])
     assert res.exit_code == 0
     for name in (
         "constants",
@@ -331,7 +346,86 @@ def test_help_lists_all_subcommands(runner):
         "interp",
         "convergence",
     ):
-        assert name in res.output
+        assert name in res.out
+
+
+def test_help_lists_each_flag_with_its_default():
+    text = " ".join(invoke(["identity", "--help"]).out.split())
+    for flag, default in (
+        ("--func FUNC", "x*exp(-x^2)"),
+        ("--s S", "1.25"),
+        ("--tol TOL", "0.001"),
+        ("--extrapolate, --no-extrapolate", "True"),
+        ("--L L", "20.0"),
+        ("--N N", "16384"),
+        ("--format FMT", "json"),
+    ):
+        pattern = rf"{re.escape(flag)} [^[]*\[default: {re.escape(default)}\]"
+        assert re.search(pattern, text), flag
+    text = " ".join(invoke(["sign-sweep", "--help"]).out.split())
+    assert "--s S_LIST [default: 0.25, 0.5, 0.75, 1.1, 1.25, 1.4]" in text
+    text = " ".join(invoke(["constants", "--help"]).out.split())
+    assert "--n N [default: 1] --s S Fractional order. [required]" in text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "",
+        "no-such-command",
+        # a flag is never abbreviated: --ext is not --extrapolate
+        "identity --ext --N 1024",
+    ],
+)
+def test_usage_errors_exit_2(args):
+    assert invoke(args.split()).exit_code == 2
+
+
+def test_repeated_flag_replaces_its_default_list(tmp_path):
+    out = tmp_path / "sweep.json"
+    res = invoke(
+        ["sign-sweep", "--N", "1024", "--s", "0.5", "--s", "1.75", "--out", str(out)]
+    )
+    assert res.exit_code == 0, res
+    assert json.loads(out.read_text())["params"]["s_list"] == [0.5, 1.75]
+
+
+def test_config_false_turns_extrapolation_off_like_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"extrapolate": False}))
+    out = tmp_path / "identity.json"
+    docs = []
+    for args in (["--no-extrapolate"], ["--config", str(cfg)]):
+        res = invoke(["identity", "--N", "1024", "--out", str(out), *args])
+        assert res.exit_code == 1, res  # N = 1024 misses the tolerance
+        doc = json.loads(out.read_text())
+        del doc["runtime_seconds"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["params"]["extrapolate"] is False
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"N": 1024', "cannot read config"),
+        (b'{"N": "\xff"}', "cannot read config"),  # not UTF-8
+        (b"[1024]", "must hold a JSON object"),
+    ],
+)
+def test_unreadable_config_exits_2(tmp_path, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    res = invoke(["identity", "--config", str(cfg)])
+    assert res.exit_code == 2, res
+    assert message in res.err
+
+
+def test_directory_report_path_or_missing_config_exits_2(tmp_path):
+    for args in (["--out", str(tmp_path)], ["--config", str(tmp_path / "no.json")]):
+        res = invoke(["identity", "--N", "1024", *args])
+        assert res.exit_code == 2, (args, res)
+        assert res.out == ""
 
 
 @pytest.mark.parametrize(
@@ -344,11 +438,11 @@ def test_help_lists_all_subcommands(runner):
         "--s 1.0",
     ],
 )
-def test_convergence_without_cross_form_exits_2(runner, args):
+def test_convergence_without_cross_form_exits_2(args):
     grid = ["--N-list", "1024", "--N-list", "2048", "--N-list", "4096"]
-    res = runner.invoke(main, ["convergence", *grid, *args.split()])
-    assert res.exit_code == 2, res.output
-    assert "validation error" in res.output
+    res = invoke(["convergence", *grid, *args.split()])
+    assert res.exit_code == 2, res
+    assert "validation error" in res.err
 
 
 SMALL_RUNS = {
@@ -366,15 +460,15 @@ CSV_HEADER = (
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
-def test_every_experiment_writes_json_and_csv(runner, tmp_path, command):
+def test_every_experiment_writes_json_and_csv(tmp_path, command):
     args = [command, *SMALL_RUNS[command].split()]
     out = tmp_path / "report.json"
-    res = runner.invoke(main, [*args, "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = invoke([*args, "--out", str(out)])
+    assert res.exit_code == 0, res
     assert json.loads(out.read_text())["experiment"] == command
     out = tmp_path / "report.csv"
-    res = runner.invoke(main, [*args, "--out", str(out), "--format", "csv"])
-    assert res.exit_code == 0, res.output
+    res = invoke([*args, "--out", str(out), "--format", "csv"])
+    assert res.exit_code == 0, res
     header, *rows = out.read_text().splitlines()
     assert header == CSV_HEADER
     assert rows and all(row.startswith(f"{command},") for row in rows)
@@ -420,9 +514,10 @@ verdicts: 2 pass, 0 fail, 0 inconclusive (runtime #s)
 
 
 @pytest.mark.parametrize("args", sorted(CONSOLE))
-def test_console_output_is_pinned(runner, args):
+def test_console_output_is_pinned(args):
     # every printed line, with the wall time masked
     code, expected = CONSOLE[args]
-    res = runner.invoke(main, args.split())
-    assert res.exit_code == code, res.output
-    assert re.sub(r"\(runtime [0-9.]+s\)", "(runtime #s)", res.output) == expected
+    res = invoke(args.split())
+    assert res.exit_code == code, res
+    assert re.sub(r"\(runtime [0-9.]+s\)", "(runtime #s)", res.out) == expected
+    assert res.err == ""

@@ -323,6 +323,26 @@ def test_random_function_source_family():
     ]
 
 
+def test_random_function_source_keeps_its_generator_stream():
+    # recorded when each sign was drawn with rng.choice([-1.0, 1.0]); a
+    # sign draw that took another share of the stream would change them
+    rng = np.random.default_rng(0)
+    assert random_function_source(rng) == (
+        "0.41582937101109629*exp(-2.9756307097744346*(x+1.8361059042552212)^2)"
+        " + 0.93020446182217742*exp(-0.94817264937822132*(x-0.9179862439359936)^2)"
+        " + 0.85268284329722577*exp(-0.59793935287381661*(x+1.9890459993194076)^2)"
+        "*cos(6.1075881250096087*x+1.1036768144935105)"
+        " + -0.89054313787990935*exp(-1.1703871047536478*(x+0.80115243785046086)^2)"
+        "*cos(1.8699829354969477*x+4.2136574690389281)"
+    )
+    assert random_function_source(rng) == (
+        "-0.71775160925940007*exp(-0.50167825153629664*(x+0.46528978295246626)^2)"
+        " + 0.7484335875845558*exp(-0.75633853101448867*(x-0.6018371050712652)^2)"
+        "*cos(1.9456755351568784*x+4.5332449384088411)"
+        " + -0.62028345798058071*exp(-0.57353784095454452*(x+0.056658564672843692)^2)"
+    )
+
+
 def _dealias_one_at_a_time(spectrum, kinks):
     # reference: each spectrum de-aliased on its own, one (location, jump)
     # kink at a time, with the ghost model written as one expression

@@ -56,27 +56,26 @@ for args, code in [
     (["constants", "--s", "0.5"], 0),
     (["--help"], 0),
     (["identity", "--help"], 0),
-    (["constants"], 2),  # a click usage error: --s is required
+    (["constants"], 2),  # a usage error: --s is required
 ]:
     assert exit_code(args) == code, args
-    assert "numpy" not in sys.modules, args
+    loaded = [m for m in ("numpy", "click", "json") if m in sys.modules]
+    assert not loaded, (args, loaded)
 
 assert exit_code(["interp", "--count", "2", "--N", "1024"]) == 0
 assert "numpy" in sys.modules, "an experiment ran without numpy"
+assert "click" not in sys.modules, "interp"
 """
 
 
-# what `import fraclab.cli` loads beyond click itself: the package, the
-# modules `constants` needs and json. A new module here, such as
-# concurrent.futures for a thread pool, would add to every cold start.
-START_UP = """fraclab fraclab.cli fraclab.errors fraclab.special json json.decoder
-    json.encoder json.scanner _json locale _locale""".split()
+# what `import fraclab.cli` adds to a bare interpreter: the package, the
+# modules `constants` needs and the argument parser. A new module here,
+# such as json or concurrent.futures, would add to every cold start.
+START_UP = """fraclab fraclab.cli fraclab.errors fraclab.special argparse
+    gettext""".split()
 
 START_UP_CHILD = f"""
 import sys
-
-import click
-from click.core import ParameterSource
 
 before = set(sys.modules)
 import fraclab.cli

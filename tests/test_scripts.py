@@ -36,6 +36,19 @@ def test_cold_start_times_one_round_on_each_tree(capsys):
     assert all("median" in row and row.endswith("exit 0") for row in rows)
 
 
+def test_cold_start_fails_when_the_trees_exit_differently(tmp_path, capsys):
+    # a tree whose fraclab exits 3 on import, so that an installed fraclab
+    # cannot stand in for it, against src, whose command exits 0
+    (tmp_path / "fraclab").mkdir()
+    (tmp_path / "fraclab" / "__init__.py").write_text("raise SystemExit(3)\n")
+    src = str(SCRIPTS.parent / "src")
+    script = _load("cold_start")
+    args = ["--rounds", "1", str(tmp_path), src, "constants", "--s", "0.5"]
+    assert script.main(args) == 1
+    *_, last = capsys.readouterr().out.splitlines()
+    assert last == "the two trees exit with different statuses"
+
+
 def test_oracle_table_generates_exactly_the_recorded_values():
     script = _load("oracle_table")
     generated = {(case, s) for case in script.CASES for s in script.ORDERS}
