@@ -41,6 +41,27 @@ mirror reproduces the full-axis arithmetic to the last bit: dxi * (-k) ==
 np.cos even bit for bit, and every later step is a complex product, sum,
 quotient or exponential whose result conjugates exactly when its operands
 do. tests/test_experiments.py checks this against the full-axis ghost.
+
+Two forms stand in for the complex operations of the closed form, and
+each gives the same doubles:
+
+* The unit phasors e^{i pi alpha w} and e^{-i xi z} are written as cos and
+  sin of their angle into the real and imaginary parts of a buffer. As a
+  complex argument of np.exp, (i pi alpha) w or (-i xi) z, the angle has a
+  zero real part, and exp(0) is 1, so np.exp gives the cosine and sine of
+  the imaginary part. That part is pi alpha w, and 0.0 + (-xi) z, whose
+  0.0 makes an angle that underflows +0.0; the buffer's angle is formed
+  the same way.
+* A quotient by sin^2(pi alpha) or xi^2 is a product with the stored
+  reciprocal, part by part. numpy divides a complex number by a real d
+  with Smith's method, which scales each part by 1/d after adding a zero
+  to it; the two differ only in the sign of a part that is itself an
+  exact zero. The ghost has one only at w = 0: a +0.0 imaginary part
+  beside a positive real one, where they agree.
+
+tests/test_experiments.py pins both forms against the complex expression
+on the whole axis, with a kink at +0.0, -0.0, a node, a subnormal z and
+the z that makes w = 0.
 """
 
 from __future__ import annotations
@@ -94,11 +115,11 @@ class _AliasBasis(NamedTuple):
 
     ximax: float
     xi: np.ndarray
-    xi_sq: np.ndarray
     pa: np.ndarray  # pi alpha
     cos_pa: np.ndarray
     sin_pa: np.ndarray
-    sin_sq: np.ndarray
+    inv_sin_sq: np.ndarray  # 1 / sin^2(pi alpha)
+    inv_xi_sq: np.ndarray  # 1 / xi^2
 
 
 def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
@@ -108,7 +129,9 @@ def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
     xi = spectrum.delta_xi * np.arange(-c, 0)
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
-    return _AliasBasis(ximax, xi, xi**2, pa, np.cos(pa), sin_pa, sin_pa**2)
+    return _AliasBasis(
+        ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
+    )
 
 
 def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
@@ -122,29 +145,46 @@ def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
     ghost and work are complex buffers of the basis length; work is left
     holding phase / xi^2.
 
-    Every step runs in place on the operands, and in the order, of the
-    expression it stands for, so the result is the same to the last bit.
+    Every step runs in place on the buffers, and in the order of the
+    expression it stands for, so the result is that of the expression
+    evaluated with complex exponentials and quotients to the last bit (see
+    the module docstring for the two forms that stand in for those).
     """
     b = basis
     theta = (-b.ximax * z / np.pi) % 1.0
     w = 1.0 - 2.0 * theta
     # lattice = pi^2 e^{i pi alpha w} (cos(pi alpha) - i w sin(pi alpha))
     #           / sin^2(pi alpha)
-    np.multiply(1j, b.pa, out=ghost)
-    np.multiply(ghost, w, out=ghost)
-    np.exp(ghost, out=ghost)
+    np.multiply(b.pa, w, out=ghost.imag)
+    _unit_phasor(ghost)
     np.multiply(1j * w, b.sin_pa, out=work)
     np.subtract(b.cos_pa, work, out=work)
     np.multiply(np.pi**2, ghost, out=ghost)
     np.multiply(ghost, work, out=ghost)
-    np.divide(ghost, b.sin_sq, out=ghost)
-    # phase
-    np.multiply(-1j, b.xi, out=work)
-    np.multiply(work, z, out=work)
-    np.exp(work, out=work)
+    _scale_parts(ghost, b.inv_sin_sq)
+    # phase; e^{(-i xi) z} takes its angle as 0.0 + (-xi) z, and the 0.0
+    # gives an angle that underflows (subnormal z) the sign of +0.0
+    np.multiply(b.xi, -z, out=work.imag)
+    work.imag += 0.0
+    _unit_phasor(work)
     np.multiply(work, ghost, out=ghost)
     ghost /= (2.0 * b.ximax) ** 2
-    ghost -= np.divide(work, b.xi_sq, out=work)
+    _scale_parts(work, b.inv_xi_sq)
+    ghost -= work
+
+
+def _scale_parts(out, factor: np.ndarray) -> None:
+    """Scale the real and the imaginary part of the complex buffer out by
+    the real array factor."""
+    out.real *= factor
+    out.imag *= factor
+
+
+def _unit_phasor(out) -> None:
+    """Turn the angles held in the imaginary part of the complex buffer out
+    into the unit phasors e^{i angle}."""
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
 
 
 def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
@@ -165,18 +205,20 @@ def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
         return spectra
     basis = _alias_basis(spectra[0])
     c = spectra[0].spec.N // 2
-    # over the nonzero frequencies: k = -N/2 .. -1, then k = 1 .. N/2 - 1
-    ghost = np.empty(2 * c - 1, dtype=complex)
+    # the ghost over k = -N/2 .. -1; the one over k = 1 .. N/2 - 1 is its
+    # mirrored conjugate, formed in work[:c - 1] per truncation
+    ghost = np.empty(c, dtype=complex)
     work = np.empty_like(ghost)
     for z, slope in crossings:
-        _crossing_ghost(z, basis, ghost[:c], work[:c])
-        np.conjugate(ghost[c - 1 : 0 : -1], out=ghost[c:])
+        _crossing_ghost(z, basis, ghost, work)
         for mode, spectrum in zip(modes, spectra):
-            jump = _JUMP_FACTOR[mode] * abs(slope)
-            np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
-            # the ghost skips xi = 0, which sits between these two slices
-            spectrum.coeffs[:c] -= work[:c]
-            spectrum.coeffs[c + 1 :] -= work[c:]
+            scale = -(_JUMP_FACTOR[mode] * abs(slope) / np.sqrt(2.0 * np.pi))
+            np.multiply(scale, ghost, out=work)
+            spectrum.coeffs[:c] -= work
+            # the ghost skips xi = 0, which sits between the two halves
+            np.conjugate(ghost[c - 1 : 0 : -1], out=work[: c - 1])
+            np.multiply(scale, work[: c - 1], out=work[: c - 1])
+            spectrum.coeffs[c + 1 :] -= work[: c - 1]
     return spectra
 
 
@@ -431,9 +473,10 @@ def sign_sweep(
     # both cross spectra serve every order, so form each one once
     su = forward_transform(u)
     plain = cross_spectrum(su, su)
+    del su
     (sa,) = dealias_spectrum(u, crossings, ("abs",))
     modulus = cross_spectrum(sa, sa)
-    del su, sa
+    del sa
     results = []
     verdicts = []
     for s in orders:

@@ -19,6 +19,14 @@ always subtracts those endpoint terms; they are bilinear in (u, v), so
 exact polarization is preserved. The correction vanishes identically when
 2s is an even integer (smooth multiplier).
 
+In-place transform. forward_transform casts the samples into the one
+complex array it returns and runs the FFT on it in place (np.fft.fft with
+out=, numpy >= 2.0). pocketfft copies its input into the output array and
+transforms there in either case, so the in-place call is the same
+arithmetic as the out-of-place one, bit for bit; it only skips numpy's
+separate cast copy and output array. The fftshift then goes through one
+half-length temporary.
+
 Half-axis evaluation. The spectra of real inputs are Hermitian, so the
 forms need only the cross spectrum F[u] conj(F[v]) (cross_spectrum, formed
 once per pair of inputs and shared across orders) and a multiplier that
@@ -75,14 +83,18 @@ def forward_transform(u: GridFunction) -> Spectrum:
     _require_decay(u)
     spec = u.spec
     pref = spec.delta / math.sqrt(2.0 * math.pi)
-    raw = np.fft.fft(u.samples)
     c = spec.N // 2
-    # fftshift while scaling by pref, then * (-1)^k in place with the
-    # complex products of that expression; -N/2 is even. The factor 1 + 0j
-    # is not skipped: it can turn a -0.0 part into +0.0.
-    coeffs = np.empty_like(raw)
-    np.multiply(pref, raw[c:], out=coeffs[:c])
-    np.multiply(pref, raw[:c], out=coeffs[c:])
+    # the one complex array of the result: the samples cast into it, the
+    # FFT run on it in place
+    coeffs = u.samples.astype(complex)
+    np.fft.fft(coeffs, out=coeffs)
+    # fftshift while scaling by pref, through one half-length temporary,
+    # then * (-1)^k in place with the complex products of that expression;
+    # -N/2 is even. The factor 1 + 0j is not skipped: it can turn a -0.0
+    # part into +0.0.
+    upper = np.multiply(pref, coeffs[c:])
+    np.multiply(pref, coeffs[:c], out=coeffs[c:])
+    coeffs[:c] = upper
     coeffs[0::2] *= 1.0
     coeffs[1::2] *= -1.0
     return Spectrum(spec, coeffs)

@@ -430,20 +430,44 @@ def _alias_basis_full_axis(spectrum):
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
     return experiments._AliasBasis(
-        ximax, xi, xi**2, pa, np.cos(pa), sin_pa, sin_pa**2
+        ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
     )
 
 
+def _crossing_ghost_reference(z, basis, ghost, work):
+    """Reference: _crossing_ghost as it was written with complex exponentials
+    and complex quotients by sin^2(pi alpha) and xi^2, on buffers of any
+    length (the whole axis here)."""
+    b = basis
+    theta = (-b.ximax * z / np.pi) % 1.0
+    w = 1.0 - 2.0 * theta
+    np.multiply(1j, b.pa, out=ghost)
+    np.multiply(ghost, w, out=ghost)
+    np.exp(ghost, out=ghost)
+    np.multiply(1j * w, b.sin_pa, out=work)
+    np.subtract(b.cos_pa, work, out=work)
+    np.multiply(np.pi**2, ghost, out=ghost)
+    np.multiply(ghost, work, out=ghost)
+    np.divide(ghost, b.sin_pa**2, out=ghost)
+    np.multiply(-1j, b.xi, out=work)
+    np.multiply(work, z, out=work)
+    np.exp(work, out=work)
+    np.multiply(work, ghost, out=ghost)
+    ghost /= (2.0 * b.ximax) ** 2
+    ghost -= np.divide(work, b.xi**2, out=work)
+
+
 def _dealias_full_axis(u, crossings, modes):
-    """Reference: dealias_spectrum with every ghost evaluated on the whole
-    axis instead of mirrored from its negative half."""
+    """Reference: dealias_spectrum with every ghost evaluated by
+    _crossing_ghost_reference on the whole axis instead of mirrored from
+    its negative half."""
     spectra = [forward_transform(truncate(u, m)) for m in modes]
     basis = _alias_basis_full_axis(spectra[0])
     c = u.spec.N // 2
     ghost = np.empty(u.spec.N - 1, dtype=complex)
     work = np.empty_like(ghost)
     for z, slope in crossings:
-        experiments._crossing_ghost(z, basis, ghost, work)
+        _crossing_ghost_reference(z, basis, ghost, work)
         for mode, spectrum in zip(modes, spectra):
             jump = experiments._JUMP_FACTOR[mode] * abs(slope)
             np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
@@ -469,7 +493,8 @@ def _two_crossings(N):
 @pytest.mark.parametrize("L", [20.0, 7.3])
 def test_alias_basis_is_the_mirrored_negative_half(N, L):
     # the half-axis basis is the first half of the full one, and the full
-    # one is odd (xi, pi alpha, sin) or even (cos, sin^2, xi^2) bit for bit
+    # one is odd (xi, pi alpha, sin) or even (cos, 1/sin^2, 1/xi^2) bit for
+    # bit
     spectrum = forward_transform(GridFunction(GridSpec(1, L, N), np.zeros(N)))
     half = experiments._alias_basis(spectrum)
     full = _alias_basis_full_axis(spectrum)
@@ -477,7 +502,7 @@ def test_alias_basis_is_the_mirrored_negative_half(N, L):
     assert half.ximax == full.ximax
     for name, sign in [
         ("xi", -1.0), ("pa", -1.0), ("sin_pa", -1.0),
-        ("cos_pa", 1.0), ("sin_sq", 1.0), ("xi_sq", 1.0),
+        ("cos_pa", 1.0), ("inv_sin_sq", 1.0), ("inv_xi_sq", 1.0),
     ]:
         h, f = getattr(half, name), getattr(full, name)
         assert np.array_equal(_bits(h), _bits(f[:c])), name
@@ -493,6 +518,47 @@ def test_mirrored_ghosts_match_full_axis_ghosts(N):
     got = dealias_spectrum(u, crossings, modes)
     want = _dealias_full_axis(u, crossings, modes)
     for a, b in zip(got, want):
+        assert np.array_equal(_bits(a.coeffs), _bits(b.coeffs))
+
+
+def _pinned_crossing(N, case):
+    """A crossing location of one of the signed-zero cases at N nodes."""
+    spec = _two_crossings(N).spec
+    if case == "node":
+        z = float(spec.axis_nodes()[N // 2 + 1])
+        assert z == spec.delta
+        return z
+    if case == "half":  # theta = 1/2, so w = 1 - 2 theta = 0
+        z = spec.delta / 2.0
+        assert (-(np.pi * (N // 2) / spec.L) * z / np.pi) % 1.0 == 0.5
+        return z
+    return {"zero": 0.0, "negative zero": -0.0, "subnormal": -5e-324}[case]
+
+
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+@pytest.mark.parametrize("case", ["zero", "negative zero", "node", "half", "subnormal"])
+def test_ghost_matches_the_complex_exponential_form(N, case):
+    # the unit phasors written as cos and sin, and the quotients by
+    # sin^2(pi alpha) and xi^2 taken as products with their reciprocals,
+    # give the ghost of the complex form bit for bit, signed zeros included
+    u = _two_crossings(N)
+    z = _pinned_crossing(N, case)
+    spectrum = forward_transform(u)
+    c = N // 2
+    ghost, work = np.empty(c, dtype=complex), np.empty(c, dtype=complex)
+    experiments._crossing_ghost(z, experiments._alias_basis(spectrum), ghost, work)
+    want_ghost = np.empty(N - 1, dtype=complex)
+    want_work = np.empty_like(want_ghost)
+    _crossing_ghost_reference(
+        z, _alias_basis_full_axis(spectrum), want_ghost, want_work
+    )
+    assert np.array_equal(_bits(ghost), _bits(want_ghost[:c]))
+    assert np.array_equal(_bits(work), _bits(want_work[:c]))
+    # and the spectra de-aliased through the mirrored half
+    crossings = [(z, find_crossings(u)[0][1])]
+    modes = ("pos", "neg", "abs")
+    got = dealias_spectrum(u, crossings, modes)
+    for a, b in zip(got, _dealias_full_axis(u, crossings, modes)):
         assert np.array_equal(_bits(a.coeffs), _bits(b.coeffs))
 
 
@@ -516,6 +582,16 @@ def test_each_cross_spectrum_formed_once_across_orders(monkeypatch):
     assert len(calls) == 1
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_interp_sweep_holds_one_draw_per_thread():
     # tracemalloc peak of interp_sweep(50) at 2^14 after the same warm-up:
     # 7,775,592 bytes while every draw was held to the end, 1,262,514 once
@@ -523,13 +599,7 @@ def test_interp_sweep_holds_one_draw_per_thread():
     # 2.59 MB while interpolation_ratio held each spectrum beside its cross
     # spectrum and 2.01 MB once it drops it (numpy 2.4.6, Python 3.11)
     interp_sweep(3, seed=1, spec=GridSpec(1, 20.0, 1024))
-    tracemalloc.start()
-    try:
-        interp_sweep(50, seed=0, spec=SPEC)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_500_000
+    assert _peak_bytes(lambda: interp_sweep(50, seed=0, spec=SPEC)) <= 2_500_000
 
 
 def serial_ratios(count, seed, spec):
@@ -695,15 +765,24 @@ def test_one_ghost_per_crossing(monkeypatch):
 def test_verify_identity_peak_memory():
     # tracemalloc peak of this call before the ghosts were shared:
     # 12,261,288 bytes (numpy 2.4.6, Python 3.11, after the same warm-up);
-    # the shared de-aliasing measured 9,049,832
+    # the shared de-aliasing measured 9,049,832, and 7,475,424 before the
+    # in-place transform and the half-axis ghost buffers, which measured
+    # 6,426,688
     verify_identity("x*exp(-x^2)", 1.25, spec=GridSpec(1, 20.0, 1024))
-    tracemalloc.start()
-    try:
-        verify_identity("x*exp(-x^2)", 1.25, spec=GridSpec(1, 20.0, 2**16))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12_261_288
+    spec = GridSpec(1, 20.0, 2**16)
+    assert _peak_bytes(lambda: verify_identity("x*exp(-x^2)", 1.25, spec=spec)) <= 6_500_000
+
+
+def test_sign_sweep_peak_memory():
+    # 7,475,000 bytes while the spectrum of u was held through the
+    # de-aliasing of |u| and the transform kept two complex arrays; the
+    # in-place transform and dropping that spectrum measured 5,377,432
+    # (numpy 2.4.6, Python 3.11, after the same warm-up); holding the
+    # spectrum of u again would cost 1 MiB more
+    orders = [0.5, 0.75, 1.25, 1.75]
+    sign_sweep("x*exp(-x^2)", orders, spec=GridSpec(1, 20.0, 1024))
+    spec = GridSpec(1, 20.0, 2**16)
+    assert _peak_bytes(lambda: sign_sweep("x*exp(-x^2)", orders, spec=spec)) <= 5_500_000
 
 
 def test_refined_form_polarization():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import re
 
 import mpmath
 import pytest
@@ -33,7 +34,16 @@ def test_cold_start_times_one_round_on_each_tree(capsys):
     title, *rows = capsys.readouterr().out.splitlines()
     assert title == "constants --s 0.5: 1 alternated rounds"
     assert len(rows) == 2
-    assert all("median" in row and row.endswith("exit 0") for row in rows)
+    for row in rows:
+        fields = re.fullmatch(
+            r"  .+  median [\d.]+ s  quartiles [\d.]+-[\d.]+ s"
+            r"  peak rss ([\d.]+) MiB  minor faults ([\d,]+)  exit 0",
+            row,
+        )
+        assert fields, row
+        # a Python process takes some MiB and some hundred faults to start
+        assert float(fields[1]) > 1.0
+        assert int(fields[2].replace(",", "")) > 100
 
 
 def test_cold_start_fails_when_the_trees_exit_differently(tmp_path, capsys):
