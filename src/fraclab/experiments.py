@@ -7,61 +7,16 @@ embed the tolerance used and the discrepancy achieved.
 
 Refined spectral evaluation of kinked integrands
 ------------------------------------------------
-A derivative jump J at location z forces the slow coefficient tail
-F(xi) ~ -J e^{-i xi z} / (sqrt(2 pi) xi^2). Two consequences are handled
-explicitly:
+A derivative jump forces a slow coefficient tail ~ xi^{-2}, which sampling
+aliases. dealias_spectrum names the truncations and their jumps (|u|
+carries twice the jump of u+ or u-), and the spectral module subtracts the
+alias ghosts exactly (see its docstring).
 
-* Sampling aliases that tail: the DFT coefficient at xi picks up ghost
-  images at xi + 2 Xi m for every integer m (Xi the Nyquist frequency).
-  Summed over the whole lattice the ghosts have the closed form
-
-      sum_m exp(2 pi i m theta) / (m + alpha)^2
-        = pi^2 e^{i pi alpha (1 - 2 theta)}
-          [cos(pi alpha) - i (1 - 2 theta) sin(pi alpha)] / sin^2(pi alpha)
-
-  with alpha = xi / (2 Xi), theta = (-Xi z / pi) mod 1, so the alias can
-  be subtracted exactly instead of being fitted away.
-
-* The truncated frequency sum then misses a genuine tail ~ Xi^{2s-3}.
-  Partial sums at geometrically spaced cutoffs are fitted against the
-  basis [1, Xi^{2s-3}, Xi^{2s-5}] and the constant term is the
-  extrapolated value. After de-aliasing the fit is insensitive to the
-  window choice, which is what the error estimate measures.
-
-Ghost strengths add linearly over crossings and over the truncations
-(|u| carries twice the jump of u+ or u-), so the refined route preserves
-the exact polarization algebra of the plain sums. u+, u- and |u| kink at
-the same crossings, so dealias_spectrum builds one ghost per crossing and
-scales it per truncation by -jump / sqrt(2 pi).
-
-The ghost is conjugate-symmetric, G(-xi) = conj(G(xi)), so it is built on
-the negative frequencies only and mirrored onto the positive ones. The
-mirror reproduces the full-axis arithmetic to the last bit: dxi * (-k) ==
--(dxi * k) and x / y, pi * x change sign exactly with x, np.sin is odd and
-np.cos even bit for bit, and every later step is a complex product, sum,
-quotient or exponential whose result conjugates exactly when its operands
-do. tests/test_experiments.py checks this against the full-axis ghost.
-
-Two forms stand in for the complex operations of the closed form, and
-each gives the same doubles:
-
-* The unit phasors e^{i pi alpha w} and e^{-i xi z} are written as cos and
-  sin of their angle into the real and imaginary parts of a buffer. As a
-  complex argument of np.exp, (i pi alpha) w or (-i xi) z, the angle has a
-  zero real part, and exp(0) is 1, so np.exp gives the cosine and sine of
-  the imaginary part. That part is pi alpha w, and 0.0 + (-xi) z, whose
-  0.0 makes an angle that underflows +0.0; the buffer's angle is formed
-  the same way.
-* A quotient by sin^2(pi alpha) or xi^2 is a product with the stored
-  reciprocal, part by part. numpy divides a complex number by a real d
-  with Smith's method, which scales each part by 1/d after adding a zero
-  to it; the two differ only in the sign of a part that is itself an
-  exact zero. The ghost has one only at w = 0: a +0.0 imaginary part
-  beside a positive real one, where they agree.
-
-tests/test_experiments.py pins both forms against the complex expression
-on the whole axis, with a kink at +0.0, -0.0, a node, a subnormal z and
-the z that makes w = 0.
+The truncated frequency sum then misses a genuine tail ~ Xi^{2s-3}.
+Partial sums at geometrically spaced cutoffs are fitted against the basis
+[1, Xi^{2s-3}, Xi^{2s-5}] and the constant term is the extrapolated value.
+After de-aliasing the fit is insensitive to the window choice, which is
+what the error estimate measures.
 """
 
 from __future__ import annotations
@@ -73,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass
 from numbers import Integral
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,6 +48,7 @@ from .special import (
 )
 from .spectral import (
     Spectrum,
+    _subtract_alias_ghosts,
     cross_spectrum,
     forward_transform,
     interpolation_ratio,
@@ -101,90 +57,11 @@ from .spectral import (
 
 
 # ----------------------------------------------------------------------
-# exact lattice de-aliasing of derivative-jump tails
+# de-aliased truncations
 
 # first-derivative jump of each truncation at a sign crossing of slope
 # kappa, in units of |kappa|: u+ and u- turn by |kappa|, |u| by 2 |kappa|
 _JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
-
-
-class _AliasBasis(NamedTuple):
-    """The crossing-independent arrays of the ghost model on one grid,
-    over the negative frequencies xi_k, k = -N/2 .. -1, with
-    alpha = xi / (2 ximax)."""
-
-    ximax: float
-    xi: np.ndarray
-    pa: np.ndarray  # pi alpha
-    cos_pa: np.ndarray
-    sin_pa: np.ndarray
-    inv_sin_sq: np.ndarray  # 1 / sin^2(pi alpha)
-    inv_xi_sq: np.ndarray  # 1 / xi^2
-
-
-def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
-    """The _AliasBasis of the grid of spectrum."""
-    c = spectrum.spec.N // 2
-    ximax = np.pi * c / spectrum.spec.L
-    xi = spectrum.delta_xi * np.arange(-c, 0)
-    pa = np.pi * (xi / (2.0 * ximax))
-    sin_pa = np.sin(pa)
-    return _AliasBasis(
-        ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
-    )
-
-
-def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
-    """Write into ghost the alias ghost of a kink at z, per unit of the
-    scale -jump / sqrt(2 pi) that dealias_spectrum applies:
-
-        phase * lattice / (2 ximax)^2 - phase / xi^2,   phase = e^{-i xi z}
-
-    with lattice = sum_m exp(2 pi i m theta) / (m + alpha)^2 in its closed
-    form (see the module docstring), on the frequencies of the basis.
-    ghost and work are complex buffers of the basis length; work is left
-    holding phase / xi^2.
-
-    Every step runs in place on the buffers, and in the order of the
-    expression it stands for, so the result is that of the expression
-    evaluated with complex exponentials and quotients to the last bit (see
-    the module docstring for the two forms that stand in for those).
-    """
-    b = basis
-    theta = (-b.ximax * z / np.pi) % 1.0
-    w = 1.0 - 2.0 * theta
-    # lattice = pi^2 e^{i pi alpha w} (cos(pi alpha) - i w sin(pi alpha))
-    #           / sin^2(pi alpha)
-    np.multiply(b.pa, w, out=ghost.imag)
-    _unit_phasor(ghost)
-    np.multiply(1j * w, b.sin_pa, out=work)
-    np.subtract(b.cos_pa, work, out=work)
-    np.multiply(np.pi**2, ghost, out=ghost)
-    np.multiply(ghost, work, out=ghost)
-    _scale_parts(ghost, b.inv_sin_sq)
-    # phase; e^{(-i xi) z} takes its angle as 0.0 + (-xi) z, and the 0.0
-    # gives an angle that underflows (subnormal z) the sign of +0.0
-    np.multiply(b.xi, -z, out=work.imag)
-    work.imag += 0.0
-    _unit_phasor(work)
-    np.multiply(work, ghost, out=ghost)
-    ghost /= (2.0 * b.ximax) ** 2
-    _scale_parts(work, b.inv_xi_sq)
-    ghost -= work
-
-
-def _scale_parts(out, factor: np.ndarray) -> None:
-    """Scale the real and the imaginary part of the complex buffer out by
-    the real array factor."""
-    out.real *= factor
-    out.imag *= factor
-
-
-def _unit_phasor(out) -> None:
-    """Turn the angles held in the imaginary part of the complex buffer out
-    into the unit phasors e^{i angle}."""
-    np.cos(out.imag, out=out.real)
-    np.sin(out.imag, out=out.imag)
 
 
 def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
@@ -193,33 +70,11 @@ def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
 
     crossings is find_crossings(u): truncation puts a kink at every sign
     crossing, with the jump given by the slope there and the truncation
-    (|u| turns twice as sharply as u+ and u-). The ghost of each crossing
-    is built once and scaled per truncation by -jump / sqrt(2 pi), so a
-    call costs one ghost per crossing whatever the number of modes. Each
-    spectrum receives its crossings' ghosts in crossing order. The ghost
-    model keeps the (correct) m = 0 tail and removes only the lattice
-    translates.
+    (|u| turns twice as sharply as u+ and u-). The spectra are marked
+    kinked when there is a crossing.
     """
     spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
-    if not crossings:
-        return spectra
-    basis = _alias_basis(spectra[0])
-    c = spectra[0].spec.N // 2
-    # the ghost over k = -N/2 .. -1; the one over k = 1 .. N/2 - 1 is its
-    # mirrored conjugate, formed in work[:c - 1] per truncation
-    ghost = np.empty(c, dtype=complex)
-    work = np.empty_like(ghost)
-    for z, slope in crossings:
-        _crossing_ghost(z, basis, ghost, work)
-        for mode, spectrum in zip(modes, spectra):
-            scale = -(_JUMP_FACTOR[mode] * abs(slope) / np.sqrt(2.0 * np.pi))
-            np.multiply(scale, ghost, out=work)
-            spectrum.coeffs[:c] -= work
-            # the ghost skips xi = 0, which sits between the two halves
-            np.conjugate(ghost[c - 1 : 0 : -1], out=work[: c - 1])
-            np.multiply(scale, work[: c - 1], out=work[: c - 1])
-            spectrum.coeffs[c + 1 :] -= work[: c - 1]
-    return spectra
+    return _subtract_alias_ghosts(spectra, crossings, [_JUMP_FACTOR[m] for m in modes])
 
 
 # ----------------------------------------------------------------------
@@ -243,19 +98,16 @@ def _fit_constant(cuts, vals, s):
 
 
 def refined_form(
-    cross: Spectrum,
-    s: float,
-    kinky: bool,
-    extrapolate: bool = True,
+    cross: Spectrum, s: float, *, extrapolate: bool = True
 ) -> RefinedValue:
     """Frequency-sum value of the s-form of two spectra, given as their
     cross_spectrum, with cutoff extrapolation for kinked inputs with s in
     the slowly convergent band.
 
-    kinky says whether the inputs have derivative jumps; their spectra
-    then come from dealias_spectrum. Divergent tails (growing octave
-    increments) are flagged rather than extrapolated; the reported value
-    is then the bare partial sum.
+    cross.kinked says whether the inputs have derivative jumps, their
+    spectra then coming from dealias_spectrum. Divergent tails (growing
+    octave increments) are flagged rather than extrapolated; the reported
+    value is then the bare partial sum.
     """
     xi, partial = shell_partial_sums(cross, s)
     total = float(partial[-1])
@@ -269,7 +121,7 @@ def refined_form(
     )
     if diverged:
         return RefinedValue(value=total, error_estimate=abs(inc1), diverged=True)
-    if extrapolate and kinky and 0.75 < s < 1.5:
+    if extrapolate and cross.kinked and 0.75 < s < 1.5:
         dxi = float(xi[1] - xi[0])
         ximax = float(xi[-1])
         lo = max(ximax / 32.0, 12.0 * dxi)
@@ -291,7 +143,7 @@ def refined_form(
             return RefinedValue(value=val_a, error_estimate=est, diverged=False)
     # plain corrected sum; the residual tail of a kinked integrand is a
     # geometric series in octaves with ratio 2^{2s-3}
-    if kinky and s < 1.4:
+    if cross.kinked and s < 1.4:
         ratio = 2.0 ** (2.0 * s - 3.0)
         est = abs(inc1) * ratio / (1.0 - ratio)
     else:
@@ -309,9 +161,8 @@ def _truncation_forms(
     route holds none of them."""
     modes = tuple(dict.fromkeys(m for pair in pairs for m in pair))
     spectra = dict(zip(modes, dealias_spectrum(u, crossings, modes)))
-    kinky = bool(crossings)
     return [
-        refined_form(cross_spectrum(spectra[a], spectra[b]), s, kinky, extrapolate)
+        refined_form(cross_spectrum(spectra[a], spectra[b]), s, extrapolate=extrapolate)
         for a, b in pairs
     ]
 
@@ -403,7 +254,7 @@ def verify_identity(
         u, crossings, order, [("pos", "neg"), ("abs", "abs")], extrapolate
     )
     su = forward_transform(u)
-    q_plain = refined_form(cross_spectrum(su, su), order, kinky=False)
+    q_plain = refined_form(cross_spectrum(su, su), order)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
 
@@ -480,8 +331,8 @@ def sign_sweep(
     results = []
     verdicts = []
     for s in orders:
-        q_plain = refined_form(plain, s, kinky=False)
-        q_abs = refined_form(modulus, s, kinky=True)
+        q_plain = refined_form(plain, s)
+        q_abs = refined_form(modulus, s)
         defect = q_abs.value - q_plain.value
         err = q_abs.error_estimate + q_plain.error_estimate
         diverged = q_abs.diverged or q_plain.diverged
@@ -523,6 +374,9 @@ def counterexample_scan(
     increments shrinking to roundoff.
     """
     t0 = time.perf_counter()
+    # the root checks below read the samples two nodes either side of 0
+    if spec.N < 8:
+        raise DomainError(f"the scan needs N >= 8 grid nodes, got N={spec.N}")
     cutoffs = np.asarray(list(cutoff_list), dtype=float)
     if cutoffs.size < 4:
         raise DomainError("need at least 4 cutoffs for a growth fit")

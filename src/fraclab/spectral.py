@@ -31,17 +31,60 @@ Half-axis evaluation. The spectra of real inputs are Hermitian, so the
 forms need only the cross spectrum F[u] conj(F[v]) (cross_spectrum, formed
 once per pair of inputs and shared across orders) and a multiplier that
 depends on |xi| alone. The multiplier is raised to 2s only on the N/2 + 1
-shell radii m dxi, m = 0 .. N/2, and mirrored onto the axis. The mirror is
-exact to the last bit: dxi * (-m) == -(dxi * m) in IEEE arithmetic, so
-|xi_{-m}| and |xi_m| are the same double and so are their powers. The
-shell sums add the two terms of shell m in np.bincount's order,
-(0.0 + t_{-m}) + t_m, which keeps even the sign of a zero sum.
+shell radii m dxi, m = 0 .. N/2 (see Mirrors below). The shell sums add
+the two terms of shell m in np.bincount's order, (0.0 + t_{-m}) + t_m,
+which keeps even the sign of a zero sum.
+
+Alias ghosts of kinks. A derivative jump J at z forces the slow
+coefficient tail F(xi) ~ -J e^{-i xi z} / (sqrt(2 pi) xi^2), and sampling
+aliases it: the DFT coefficient at xi picks up ghost images at xi + 2 Xi m
+for every integer m (Xi the Nyquist frequency). Summed over the lattice
+the ghosts have the closed form
+
+    sum_m exp(2 pi i m theta) / (m + alpha)^2
+      = pi^2 e^{i pi alpha (1 - 2 theta)}
+        [cos(pi alpha) - i (1 - 2 theta) sin(pi alpha)] / sin^2(pi alpha)
+
+with alpha = xi / (2 Xi), theta = (-Xi z / pi) mod 1, so
+_subtract_alias_ghosts removes them exactly instead of leaving them to a
+fit. Ghost strengths add linearly over kinks and over spectra, which keeps
+the exact polarization algebra of the plain sums.
+
+Mirrors. The multiplier depends on |xi| alone and the ghost is
+conjugate-symmetric, G(-xi) = conj(G(xi)), so each is computed on half the
+axis and mirrored. The mirror reproduces the full-axis arithmetic to the
+last bit: dxi * (-m) == -(dxi * m) in IEEE arithmetic, x / y and pi * x
+change sign exactly with x, np.sin is odd and np.cos even bit for bit, and
+every later step is a power of |xi| or a complex product, sum, quotient or
+exponential whose result conjugates exactly when its operands do.
+
+Two forms stand in for the complex operations of the ghost's closed form,
+and each gives the same doubles:
+
+* The unit phasors e^{i pi alpha w} and e^{-i xi z} are written as cos and
+  sin of their angle into the real and imaginary parts of a buffer. As a
+  complex argument of np.exp, (i pi alpha) w or (-i xi) z, the angle has a
+  zero real part, and exp(0) is 1, so np.exp gives the cosine and sine of
+  the imaginary part. That part is pi alpha w, and 0.0 + (-xi) z, whose
+  0.0 makes an angle that underflows +0.0; the buffer's angle is formed
+  the same way.
+* A quotient by sin^2(pi alpha) or xi^2 is a product with the stored
+  reciprocal, part by part. numpy divides a complex number by a real d
+  with Smith's method, which scales each part by 1/d after adding a zero
+  to it; the two differ only in the sign of a part that is itself an
+  exact zero. The ghost has one only at w = 0: a +0.0 imaginary part
+  beside a positive real one, where they agree.
+
+tests/test_experiments.py pins the mirrored ghost and both forms against
+the complex expression on the whole axis, with a kink at +0.0, -0.0, a
+node, a subnormal z and the z that makes w = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,10 +97,13 @@ _EVEN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex coefficients on the dual grid of a GridSpec."""
+    """Complex coefficients on the dual grid of a GridSpec. kinked marks
+    the spectrum of an input with derivative jumps whose alias ghosts were
+    subtracted, and any cross spectrum formed with one."""
 
     spec: GridSpec
     coeffs: np.ndarray = field(repr=False)
+    kinked: bool = False
 
     @property
     def delta_xi(self) -> float:
@@ -71,7 +117,7 @@ class Spectrum:
 def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
     """The products F[u] conj(F[v]) on the dual grid, on which every
     multiplier form of the pair depends."""
-    return Spectrum(su.spec, su.coeffs * np.conj(sv.coeffs))
+    return Spectrum(su.spec, su.coeffs * np.conj(sv.coeffs), su.kinked or sv.kinked)
 
 
 def forward_transform(u: GridFunction) -> Spectrum:
@@ -262,3 +308,103 @@ def shell_partial_sums(cross: Spectrum, s: float):
     if s > 0.0 and not _even_integer_lambda(2.0 * s):
         partial = partial - _endpoint_terms(g, 2.0 * s, dxi)
     return radii, partial
+
+
+# ----------------------------------------------------------------------
+# alias ghosts of derivative jumps
+
+
+class _AliasBasis(NamedTuple):
+    """The crossing-independent arrays of the ghost model on one grid,
+    over the negative frequencies xi_k, k = -N/2 .. -1, with
+    alpha = xi / (2 ximax)."""
+
+    ximax: float
+    xi: np.ndarray
+    pa: np.ndarray  # pi alpha
+    cos_pa: np.ndarray
+    sin_pa: np.ndarray
+    inv_sin_sq: np.ndarray  # 1 / sin^2(pi alpha)
+    inv_xi_sq: np.ndarray  # 1 / xi^2
+
+
+def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
+    """The _AliasBasis of the grid of spectrum."""
+    c = spectrum.spec.N // 2
+    ximax = np.pi * c / spectrum.spec.L
+    xi = spectrum.delta_xi * np.arange(-c, 0)
+    pa = np.pi * (xi / (2.0 * ximax))
+    sin_pa = np.sin(pa)
+    return _AliasBasis(
+        ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
+    )
+
+
+def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
+    """Write into ghost the alias ghost of a kink at z, per unit of the
+    scale -jump / sqrt(2 pi) that _subtract_alias_ghosts applies:
+
+        phase * lattice / (2 ximax)^2 - phase / xi^2,   phase = e^{-i xi z}
+
+    with lattice = sum_m exp(2 pi i m theta) / (m + alpha)^2 in its closed
+    form (see the module docstring), on the frequencies of the basis.
+    ghost and work are complex buffers of the basis length; work is left
+    holding phase / xi^2. Every step runs in place, in the order of the
+    expression, so the result is that of the expression to the last bit.
+    """
+    b = basis
+    theta = (-b.ximax * z / np.pi) % 1.0
+    w = 1.0 - 2.0 * theta
+    # lattice = pi^2 e^{i pi alpha w} (cos(pi alpha) - i w sin(pi alpha))
+    #           / sin^2(pi alpha), with the two forms of the module docstring
+    np.multiply(b.pa, w, out=ghost.imag)
+    np.cos(ghost.imag, out=ghost.real)
+    np.sin(ghost.imag, out=ghost.imag)
+    np.multiply(1j * w, b.sin_pa, out=work)
+    np.subtract(b.cos_pa, work, out=work)
+    np.multiply(np.pi**2, ghost, out=ghost)
+    np.multiply(ghost, work, out=ghost)
+    ghost.real *= b.inv_sin_sq
+    ghost.imag *= b.inv_sin_sq
+    # phase; e^{(-i xi) z} takes its angle as 0.0 + (-xi) z, and the 0.0
+    # gives an angle that underflows (subnormal z) the sign of +0.0
+    np.multiply(b.xi, -z, out=work.imag)
+    work.imag += 0.0
+    np.cos(work.imag, out=work.real)
+    np.sin(work.imag, out=work.imag)
+    np.multiply(work, ghost, out=ghost)
+    ghost /= (2.0 * b.ximax) ** 2
+    work.real *= b.inv_xi_sq
+    work.imag *= b.inv_xi_sq
+    ghost -= work
+
+
+def _subtract_alias_ghosts(spectra, crossings, jump_factors):
+    """spectra, marked kinked, with the alias ghosts of their derivative
+    jumps subtracted in place; spectra as given when there is no crossing.
+
+    crossings are (z, slope) pairs, and spectra[i] has the jump
+    jump_factors[i] * |slope| at every z. The ghost of each crossing is
+    built once and scaled per spectrum by -jump / sqrt(2 pi); each spectrum
+    receives its crossings' ghosts in crossing order. The model keeps the
+    (correct) m = 0 tail and removes only the lattice translates.
+    """
+    if not crossings:
+        return spectra
+    basis = _alias_basis(spectra[0])
+    c = spectra[0].spec.N // 2
+    # the ghost over k = -N/2 .. -1; the one over k = 1 .. N/2 - 1 is its
+    # mirrored conjugate, formed in work[:c - 1] per spectrum
+    ghost = np.empty(c, dtype=complex)
+    work = np.empty_like(ghost)
+    for z, slope in crossings:
+        _crossing_ghost(z, basis, ghost, work)
+        for factor, spectrum in zip(jump_factors, spectra):
+            scale = -(factor * abs(slope) / np.sqrt(2.0 * np.pi))
+            np.multiply(scale, ghost, out=work)
+            spectrum.coeffs[:c] -= work
+            # the ghost skips xi = 0, which sits between the two halves
+            np.conjugate(ghost[c - 1 : 0 : -1], out=work[: c - 1])
+            np.multiply(scale, work[: c - 1], out=work[: c - 1])
+            spectrum.coeffs[c + 1 :] -= work[: c - 1]
+    return tuple(Spectrum(s.spec, s.coeffs, kinked=True) for s in spectra)

@@ -281,6 +281,8 @@ def test_sign_sweep_has_no_tolerance_flag():
         "identity --func exp(-x^2) --N 1024",
         "identity --func -exp(-x^2) --N 1024",
         "sign-sweep --func -exp(-x^2) --N 1024 --s 0.5",
+        # the scan's root checks read two nodes either side of the origin
+        "counterexample --N 4 --L 0.5 --cutoff 1 --cutoff 2 --cutoff 3 --cutoff 4",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(args):
@@ -291,6 +293,10 @@ def test_out_of_range_values_exit_2_without_traceback(args):
     assert res.out == ""
     (line,) = res.err.splitlines()
     assert line.startswith("validation error:")
+    if "--N 4 " in args:
+        # refused for its grid alone, whatever its L and cutoffs
+        assert line.endswith("got N=4")
+        return
     if "--L" in args:
         assert "L is too small" in line or "L=" in line
     if "--eps" in args and ("nan" in args or "inf" in args):
@@ -443,6 +449,29 @@ def test_convergence_without_cross_form_exits_2(args):
     res = invoke(["convergence", *grid, *args.split()])
     assert res.exit_code == 2, res
     assert "validation error" in res.err
+
+
+TINY = [f"--N {N} --L {L}" for N in (4, 8, 16, 32, 64, 128) for L in (0.5, 5, 20)]
+TINY_GRIDS = {
+    **dict.fromkeys(("identity", "sign-sweep", "truncation-bound", "interp"), TINY),
+    "counterexample": [
+        f"{grid} --cutoff 1 --cutoff 2 --cutoff 3 --cutoff 4" for grid in TINY
+    ],
+    "convergence": [
+        f"--N-list {a} --N-list {b} --N-list {c} --L {L}"
+        for a, b, c in ((4, 8, 16), (8, 16, 32), (64, 128, 256))
+        for L in (0.5, 5, 20)
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_GRIDS))
+def test_tiny_grids_end_in_an_exit_status(command):
+    # every experiment on grids of 4 to 256 nodes ends in an exit status;
+    # an exception or a leaked RuntimeWarning would escape invoke
+    for args in TINY_GRIDS[command]:
+        res = invoke([command, *args.split()])
+        assert res.exit_code in (0, 1, 2), (args, res)
 
 
 SMALL_RUNS = {

@@ -15,6 +15,7 @@ import pytest
 
 import fraclab.experiments as experiments
 import fraclab.kernel as kernel
+import fraclab.spectral as spectral
 from fraclab.errors import DomainError, FraclabError, SupportRuleError
 from fraclab.experiments import (
     convergence_study,
@@ -180,6 +181,11 @@ def test_counterexample_scan_validation():
     # ...in a simple root: a triple root has no kink to scan for
     with pytest.raises(DomainError, match="simple root"):
         counterexample_scan("x^3*exp(-x^2)", [1.6], shape_cuts, spec=SMALL)
+    # ...which reads the samples two nodes either side of the origin
+    with pytest.raises(DomainError, match="got N=4"):
+        counterexample_scan(
+            "x*exp(-x^2)", [1.3, 1.6], [1.0, 2.0, 3.0, 4.0], GridSpec(1, 0.5, 4)
+        )
 
 
 def test_order_arrays_give_the_same_reports_as_lists():
@@ -429,7 +435,7 @@ def _alias_basis_full_axis(spectrum):
     xi = np.delete(frequency_axis(spectrum), N // 2)
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
-    return experiments._AliasBasis(
+    return spectral._AliasBasis(
         ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
     )
 
@@ -496,7 +502,7 @@ def test_alias_basis_is_the_mirrored_negative_half(N, L):
     # one is odd (xi, pi alpha, sin) or even (cos, 1/sin^2, 1/xi^2) bit for
     # bit
     spectrum = forward_transform(GridFunction(GridSpec(1, L, N), np.zeros(N)))
-    half = experiments._alias_basis(spectrum)
+    half = spectral._alias_basis(spectrum)
     full = _alias_basis_full_axis(spectrum)
     c = N // 2
     assert half.ximax == full.ximax
@@ -546,7 +552,7 @@ def test_ghost_matches_the_complex_exponential_form(N, case):
     spectrum = forward_transform(u)
     c = N // 2
     ghost, work = np.empty(c, dtype=complex), np.empty(c, dtype=complex)
-    experiments._crossing_ghost(z, experiments._alias_basis(spectrum), ghost, work)
+    spectral._crossing_ghost(z, spectral._alias_basis(spectrum), ghost, work)
     want_ghost = np.empty(N - 1, dtype=complex)
     want_work = np.empty_like(want_ghost)
     _crossing_ghost_reference(
@@ -736,7 +742,7 @@ def test_one_ghost_per_crossing(monkeypatch):
     # the tracer of bench/ binds experiments.dealias_spectrum by name, so
     # the drivers must look it up there
     ghosts, calls = [], []
-    build = experiments._crossing_ghost
+    build = spectral._crossing_ghost
     dealias = experiments.dealias_spectrum
 
     def counting_build(z, *args):
@@ -747,7 +753,7 @@ def test_one_ghost_per_crossing(monkeypatch):
         calls.append((len(crossings), tuple(modes)))
         return dealias(u, crossings, modes)
 
-    monkeypatch.setattr(experiments, "_crossing_ghost", counting_build)
+    monkeypatch.setattr(spectral, "_crossing_ghost", counting_build)
     monkeypatch.setattr(experiments, "dealias_spectrum", counting_dealias)
     rep = verify_identity(THREE_ROOTS, 0.6, spec=SMALL)
     assert rep.all_pass
@@ -785,14 +791,30 @@ def test_sign_sweep_peak_memory():
     assert _peak_bytes(lambda: sign_sweep("x*exp(-x^2)", orders, spec=spec)) <= 5_500_000
 
 
+def test_dealiased_spectra_say_so():
+    u = sample("x*exp(-x^2)", SMALL)
+    sp, sa = dealias_spectrum(u, find_crossings(u), ("pos", "abs"))
+    su = forward_transform(u)
+    assert sp.kinked and sa.kinked and not su.kinked
+    # a cross spectrum is kinked when either factor is
+    assert cross_spectrum(sp, su).kinked and cross_spectrum(su, sa).kinked
+    assert not cross_spectrum(su, su).kinked
+    # without a crossing there is no ghost to subtract
+    (plain,) = dealias_spectrum(u, [], ("pos",))
+    assert not plain.kinked
+    # extrapolate is keyword-only, so a stale positional kinky flag raises
+    with pytest.raises(TypeError):
+        refined_form(cross_spectrum(sp, sp), 1.25, True)
+
+
 def test_refined_form_polarization():
     u = sample("x*exp(-x^2)", SPEC)
     sp, sm, sa = dealias_spectrum(u, find_crossings(u), ("pos", "neg", "abs"))
     su = forward_transform(u)
     for s in (1.1, 1.25):
-        cross = refined_form(cross_spectrum(sp, sm), s, kinky=True)
-        whole = refined_form(cross_spectrum(su, su), s, kinky=False)
-        full = refined_form(cross_spectrum(sa, sa), s, kinky=True)
+        cross = refined_form(cross_spectrum(sp, sm), s)
+        whole = refined_form(cross_spectrum(su, su), s)
+        full = refined_form(cross_spectrum(sa, sa), s)
         lhs = 4.0 * cross.value
         rhs = full.value - whole.value
         assert abs(lhs - rhs) <= 1e-12 * max(abs(full.value), abs(whole.value))
@@ -851,8 +873,8 @@ def test_sign_sweep_matches_refined_form_per_order():
     orders = [0.5, 1.25]
     rep = sign_sweep("(x-0.3)*exp(-x^2)", orders, spec=SMALL)
     for s, rec in zip(orders, rep.results):
-        q_plain = refined_form(cross_spectrum(su, su), s, kinky=False)
-        q_abs = refined_form(cross_spectrum(sa, sa), s, kinky=True)
+        q_plain = refined_form(cross_spectrum(su, su), s)
+        q_abs = refined_form(cross_spectrum(sa, sa), s)
         assert rec.spectral_value == q_abs.value - q_plain.value
         assert rec.spectral_error == q_abs.error_estimate + q_plain.error_estimate
 
@@ -863,7 +885,7 @@ def _spectral_cross_form(source, s):
     # do so
     u = sample(source, SPEC)
     sp, sm = dealias_spectrum(u, find_crossings(u), ("pos", "neg"))
-    return refined_form(cross_spectrum(sp, sm), s, kinky=True).value
+    return refined_form(cross_spectrum(sp, sm), s).value
 
 
 @pytest.mark.parametrize(

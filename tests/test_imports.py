@@ -2,8 +2,9 @@
 numpy nor scipy, the CLI start-up loads no module beyond a pinned set, the
 routes that never need an endpoint-corrected form do not load scipy,
 `fraclab.reports` loads neither numpy nor a route, the package resolves
-every public name from its submodule, and the spectral and kernel routes
-do not import each other."""
+every public name from its submodule, the spectral and kernel routes
+do not import each other, and only the spectral module touches a
+spectrum's coefficient layout."""
 
 import ast
 import importlib
@@ -198,3 +199,15 @@ def test_spectral_and_kernel_routes_do_not_import_each_other():
                 seen.add(name)
                 todo.extend(_fraclab_imports(name))
         assert other not in seen, (route, sorted(seen))
+
+
+def test_only_the_spectral_module_touches_spectrum_coefficients():
+    # the half-axis layout of Spectrum.coeffs and its 1/sqrt(2 pi)
+    # convention stay inside spectral.py; drivers pass spectra through
+    touching = sorted(
+        path.name
+        for path in (SRC / "fraclab").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    )
+    assert set(touching) == {"spectral.py"}, touching
