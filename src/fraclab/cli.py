@@ -37,6 +37,8 @@ def _bool(text):
 
 def _report_path(text):
     """--out, refused before the experiment runs if it cannot be written."""
+    if not text:
+        raise argparse.ArgumentTypeError("the report path is empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
     if os.path.exists(text) and not os.access(text, os.W_OK):

@@ -308,8 +308,8 @@ def sign_sweep(
     """Sign of the defect Q_s(|u|) - Q_s(u) across a list of orders.
 
     Orders below 3/2 are gated pass/fail against the sign law; orders
-    above are probes reported as evidence only (inconclusive status), and
-    divergent partial sums are flagged inconclusive in both regimes. Needs
+    from 3/2 on are probes reported as evidence only (inconclusive status),
+    and divergent partial sums are flagged inconclusive in both regimes. Needs
     a sign change, without which the defect is 0.
     """
     t0 = time.perf_counter()
@@ -345,7 +345,7 @@ def sign_sweep(
             verdicts.append(
                 _inconclusive(claim, "partial sums diverge; the form is outside H^s")
             )
-        elif s > 1.5:
+        elif s >= 1.5:
             verdicts.append(
                 _inconclusive(
                     claim,
@@ -369,9 +369,9 @@ def counterexample_scan(
     The input must vanish at the origin in a simple root with positive
     slope and satisfy x phi(x) >= 0 (single crossing of the model shape).
     For each order the octave increments of the cutoff sums are fitted in
-    log-log; a kink predicts exponent 2s - 3, so orders above 3/2 grow
-    (membership fails) while orders below are Cauchy with per-shell
-    increments shrinking to roundoff.
+    log-log; a kink predicts exponent 2s - 3, so orders from 3/2 on grow
+    (membership fails; at 3/2 like log of the cutoff) while orders below
+    are Cauchy with per-shell increments shrinking to roundoff.
     """
     t0 = time.perf_counter()
     # the root checks below read the samples two nodes either side of 0
@@ -462,7 +462,7 @@ def counterexample_scan(
         results.append(_record(f"growth exponent at s={s:g}", slope_fit))
         results.append(_record(f"cauchy metric at s={s:g}", cauchy_metric))
         predicted = 2.0 * s - 3.0
-        if s > 1.5:
+        if s >= 1.5:
             verdicts.append(
                 _check(
                     f"partial sums at s={s:g} grow with exponent 2s-3",

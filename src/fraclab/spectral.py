@@ -1,9 +1,11 @@
 """Fourier side: unitary transform and multiplier forms.
 
 Conventions. The box [-L, L] truncates the line; the dual grid is
-xi_k = pi k / L for k = -N/2 .. N/2 - 1 with step dxi = pi / L. The forward
-transform approximates (2 pi)^{-1/2} integral of e^{-i xi x} u(x) dx by the
-scaled DFT
+xi_k = pi k / L for k = -N/2 .. N/2 - 1 with step dxi = pi / L, stored in
+numpy's FFT order: k = 0 .. N/2 - 1, then -N/2 .. -1, so coeffs[m] and
+coeffs[N - m] hold k = m and k = -m, and coeffs[N/2] holds k = -N/2. The
+forward transform approximates (2 pi)^{-1/2} integral of e^{-i xi x} u(x) dx
+by the scaled DFT
 
     coeffs(k) = (2 pi)^{-1/2} Delta sum_j e^{-i xi_k x_j} u_j,
 
@@ -24,15 +26,14 @@ complex array it returns and runs the FFT on it in place (np.fft.fft with
 out=, numpy >= 2.0). pocketfft copies its input into the output array and
 transforms there in either case, so the in-place call is the same
 arithmetic as the out-of-place one, bit for bit; it only skips numpy's
-separate cast copy and output array. The fftshift then goes through one
-half-length temporary.
+separate cast copy and output array.
 
 Half-axis evaluation. The spectra of real inputs are Hermitian, so the
 forms need only the cross spectrum F[u] conj(F[v]) (cross_spectrum, formed
 once per pair of inputs and shared across orders) and a multiplier that
 depends on |xi| alone. The multiplier is raised to 2s only on the N/2 + 1
 shell radii m dxi, m = 0 .. N/2 (see Mirrors below). The shell sums add
-the two terms of shell m in np.bincount's order, (0.0 + t_{-m}) + t_m,
+the two terms of shell m as (0.0 + t_{-m}) + t_m, the doubles of np.bincount,
 which keeps even the sign of a zero sum.
 
 Alias ghosts of kinks. A derivative jump J at z forces the slow
@@ -97,9 +98,9 @@ _EVEN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex coefficients on the dual grid of a GridSpec. kinked marks
-    the spectrum of an input with derivative jumps whose alias ghosts were
-    subtracted, and any cross spectrum formed with one."""
+    """Complex coefficients on the dual grid of a GridSpec, in numpy's FFT
+    order. kinked marks the spectrum of an input with derivative jumps whose
+    alias ghosts were subtracted, and any cross spectrum formed with one."""
 
     spec: GridSpec
     coeffs: np.ndarray = field(repr=False)
@@ -129,18 +130,13 @@ def forward_transform(u: GridFunction) -> Spectrum:
     _require_decay(u)
     spec = u.spec
     pref = spec.delta / math.sqrt(2.0 * math.pi)
-    c = spec.N // 2
     # the one complex array of the result: the samples cast into it, the
-    # FFT run on it in place
+    # FFT run on it in place, then * pref and * (-1)^k (index and k share
+    # their parity) with the complex products of that expression. The
+    # factor 1 + 0j is not skipped: it can turn a -0.0 part into +0.0.
     coeffs = u.samples.astype(complex)
     np.fft.fft(coeffs, out=coeffs)
-    # fftshift while scaling by pref, through one half-length temporary,
-    # then * (-1)^k in place with the complex products of that expression;
-    # -N/2 is even. The factor 1 + 0j is not skipped: it can turn a -0.0
-    # part into +0.0.
-    upper = np.multiply(pref, coeffs[c:])
-    np.multiply(pref, coeffs[:c], out=coeffs[c:])
-    coeffs[:c] = upper
+    np.multiply(pref, coeffs, out=coeffs)
     coeffs[0::2] *= 1.0
     coeffs[1::2] *= -1.0
     return Spectrum(spec, coeffs)
@@ -172,12 +168,6 @@ def _multiplier(abs_xi: np.ndarray, s: float) -> np.ndarray:
     return abs_xi ** (2.0 * s)
 
 
-def _on_axis(shells: np.ndarray) -> np.ndarray:
-    """A function of |xi| given on the shells m = 0 .. N/2, laid out on the
-    axis k = -N/2 .. N/2 - 1."""
-    return np.concatenate((shells[:0:-1], shells[:-1]))
-
-
 def _even_integer_lambda(lam: float) -> bool:
     r = round(lam)
     return abs(lam - r) < _EVEN_TOL and r >= 0 and r % 2 == 0
@@ -191,13 +181,12 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
     4 terms cover every tolerance used here. Derivatives of g at 0 come from
     high-order central stencils on the frequency grid.
     """
-    N = g.size
-    c = N // 2
-    if c < 4:
+    if g.size < 8:
         return 0.0
     h = dxi
-    g0 = g[c]
-    w = g[c - 3 : c + 4]
+    g0 = g[0]
+    # k = -3 .. 3, wrapped around the end of the FFT order
+    w = np.concatenate((g[-3:], g[:4]))
     try:
         h4 = h**4
         p1, p3, p5 = (dxi ** (lam + k) for k in (1.0, 3.0, 5.0))
@@ -228,7 +217,12 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
 def _form_from_spectra(cross: Spectrum, radii: np.ndarray, s: float) -> float:
     """The plain form of a cross spectrum; radii is cross.shell_radii()."""
     dxi = cross.delta_xi
-    terms = _on_axis(_multiplier(radii, s)) * cross.coeffs
+    c = cross.spec.N // 2
+    weights = _multiplier(radii, s)
+    # in k = -N/2 .. N/2 - 1 order, which sets the pairwise sum's rounding
+    terms = np.empty_like(cross.coeffs)
+    np.multiply(weights[c:0:-1], cross.coeffs[c:], out=terms[:c])
+    np.multiply(weights[:c], cross.coeffs[:c], out=terms[c:])
     total = complex(terms.sum()) * dxi
     value = total.real
     resid = abs(total.imag)
@@ -294,16 +288,16 @@ def shell_partial_sums(cross: Spectrum, s: float):
     c = cross.spec.N // 2
     radii = cross.shell_radii()
     g = np.real(cross.coeffs)
-    # g[c - m] and g[c + m] are the two halves of shell m; shell N/2 has
-    # only k = -N/2 and shell 0 only k = 0. A multiplier that overflows (far
+    # g[N - m] and g[m] are the two halves of shell m; shell N/2 has only
+    # k = -N/2 (g[c]) and shell 0 only k = 0. A multiplier that overflows (far
     # above s = 3/2, or at a tiny L) turns the sums inf or NaN without a
     # warning: sign_sweep reports the defect as non-finite, and
     # _endpoint_terms rejects the tiny L
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _multiplier(radii, s)
         shell_sums = np.zeros(c + 1)
-        shell_sums[1:] += weights[1:] * g[c - 1 :: -1] * dxi
-        shell_sums[:c] += weights[:c] * g[c:] * dxi
+        shell_sums[1:] += weights[1:] * g[: c - 1 : -1] * dxi
+        shell_sums[:c] += weights[:c] * g[:c] * dxi
         partial = np.cumsum(shell_sums)
     if s > 0.0 and not _even_integer_lambda(2.0 * s):
         partial = partial - _endpoint_terms(g, 2.0 * s, dxi)
@@ -393,8 +387,8 @@ def _subtract_alias_ghosts(spectra, crossings, jump_factors):
         return spectra
     basis = _alias_basis(spectra[0])
     c = spectra[0].spec.N // 2
-    # the ghost over k = -N/2 .. -1; the one over k = 1 .. N/2 - 1 is its
-    # mirrored conjugate, formed in work[:c - 1] per spectrum
+    # the ghost over k = -N/2 .. -1, coeffs[c:]; the one over k = 1 .. N/2 - 1,
+    # coeffs[1:c], is its mirrored conjugate, formed in work[:c - 1]
     ghost = np.empty(c, dtype=complex)
     work = np.empty_like(ghost)
     for z, slope in crossings:
@@ -402,9 +396,9 @@ def _subtract_alias_ghosts(spectra, crossings, jump_factors):
         for factor, spectrum in zip(jump_factors, spectra):
             scale = -(factor * abs(slope) / np.sqrt(2.0 * np.pi))
             np.multiply(scale, ghost, out=work)
-            spectrum.coeffs[:c] -= work
-            # the ghost skips xi = 0, which sits between the two halves
+            spectrum.coeffs[c:] -= work
+            # the ghost skips xi = 0, coeffs[0]
             np.conjugate(ghost[c - 1 : 0 : -1], out=work[: c - 1])
             np.multiply(scale, work[: c - 1], out=work[: c - 1])
-            spectrum.coeffs[c + 1 :] -= work[: c - 1]
+            spectrum.coeffs[1:c] -= work[: c - 1]
     return tuple(Spectrum(s.spec, s.coeffs, kinked=True) for s in spectra)

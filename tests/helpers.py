@@ -24,6 +24,7 @@ def mollifier_bump(spec: GridSpec, center: float, radius: float) -> GridFunction
 
 
 def frequency_axis(spectrum) -> np.ndarray:
-    """xi_k = k dxi for k = -N/2 .. N/2 - 1, the layout of Spectrum.coeffs."""
+    """xi_k = k dxi in numpy's FFT order, k = 0 .. N/2 - 1 and then
+    -N/2 .. -1, the layout of Spectrum.coeffs."""
     N = spectrum.spec.N
-    return spectrum.delta_xi * np.arange(-N // 2, N // 2)
+    return spectrum.delta_xi * np.fft.fftfreq(N, 1 / N)

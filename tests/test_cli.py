@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import pytest
 
-from fraclab.cli import main
+from fraclab.cli import BODIES, main
 
 
 class Result(NamedTuple):
@@ -428,10 +428,19 @@ def test_unreadable_config_exits_2(tmp_path, content, message):
 
 
 def test_directory_report_path_or_missing_config_exits_2(tmp_path):
-    for args in (["--out", str(tmp_path)], ["--config", str(tmp_path / "no.json")]):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"out": ""}')
+    for args, error in (
+        (["--out", str(tmp_path)], "is a directory"),
+        (["--config", str(tmp_path / "no.json")], "no.json"),
+        # an empty path would run the experiment and write no report
+        (["--out", ""], "argument --out: the report path is empty"),
+        (["--config", str(empty)], "'out': the report path is empty"),
+    ):
         res = invoke(["identity", "--N", "1024", *args])
         assert res.exit_code == 2, (args, res)
         assert res.out == ""
+        assert error in res.err.splitlines()[-1], (args, res.err)
 
 
 @pytest.mark.parametrize(
@@ -486,6 +495,12 @@ CSV_HEADER = (
     "experiment,quantity,spectral_value,kernel_value,discrepancy,"
     "spectral_error,kernel_error"
 )
+
+
+def test_smoke_tables_cover_every_experiment():
+    # a new subcommand needs its rows in both tables
+    assert set(TINY_GRIDS) == set(BODIES)
+    assert set(SMALL_RUNS) == set(BODIES)
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))

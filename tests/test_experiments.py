@@ -115,6 +115,14 @@ def test_sign_sweep_gated_and_probe_orders():
     assert len(by_claim) == len(rep.verdicts)
 
 
+def test_sign_sweep_probes_the_threshold_order():
+    # the sign law is proven below 3/2 only, so s = 3/2 is a probe
+    rep = sign_sweep("x*exp(-x^2)", [1.5], spec=SMALL)
+    (verdict,) = rep.verdicts
+    assert verdict.status == "inconclusive"
+    assert verdict.detail.startswith("probe outside the proven range")
+
+
 def test_sign_sweep_validation():
     for empty in ([], np.array([])):
         with pytest.raises(DomainError, match="s list must be nonempty"):
@@ -140,6 +148,17 @@ def test_counterexample_scan_exponents():
     assert rep.all_pass
     growth = [r for r in rep.results if "exponent" in r.quantity]
     assert growth
+
+
+def test_counterexample_scan_threshold_order_grows():
+    # at s = 3/2 a kink's partial sums grow like log of the cutoff, the
+    # exponent 2s - 3 = 0, and are not Cauchy
+    rep = counterexample_scan(
+        "x*exp(-x^2)", [1.5], [40.0, 80.0, 160.0, 320.0], spec=SMALL
+    )
+    (verdict,) = rep.verdicts
+    assert verdict.claim == "partial sums at s=1.5 grow with exponent 2s-3"
+    assert verdict.status == "pass", verdict.detail
 
 
 def test_counterexample_scan_validation():
@@ -430,9 +449,10 @@ def _bits(a):
 def _alias_basis_full_axis(spectrum):
     """Reference: the alias basis over every nonzero frequency, k = -N/2
     .. -1 and then k = 1 .. N/2 - 1."""
-    N = spectrum.spec.N
-    ximax = np.pi * (N // 2) / spectrum.spec.L
-    xi = np.delete(frequency_axis(spectrum), N // 2)
+    c = spectrum.spec.N // 2
+    ximax = np.pi * c / spectrum.spec.L
+    xi = frequency_axis(spectrum)
+    xi = np.concatenate((xi[c:], xi[1:c]))
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
     return spectral._AliasBasis(
@@ -477,8 +497,8 @@ def _dealias_full_axis(u, crossings, modes):
         for mode, spectrum in zip(modes, spectra):
             jump = experiments._JUMP_FACTOR[mode] * abs(slope)
             np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
-            spectrum.coeffs[:c] -= work[:c]
-            spectrum.coeffs[c + 1 :] -= work[c:]
+            spectrum.coeffs[c:] -= work[:c]
+            spectrum.coeffs[1:c] -= work[c:]
     return spectra
 
 

@@ -202,7 +202,7 @@ def test_spectral_and_kernel_routes_do_not_import_each_other():
 
 
 def test_only_the_spectral_module_touches_spectrum_coefficients():
-    # the half-axis layout of Spectrum.coeffs and its 1/sqrt(2 pi)
+    # the FFT-order layout of Spectrum.coeffs and its 1/sqrt(2 pi)
     # convention stay inside spectral.py; drivers pass spectra through
     touching = sorted(
         path.name

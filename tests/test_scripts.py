@@ -7,6 +7,8 @@ import re
 import mpmath
 import pytest
 
+from fraclab.cli import BODIES
+
 from oracles import COMPACT_SOURCE, CROSS_FORM, TWO_CROSSING_SOURCE
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -24,7 +26,7 @@ def test_run_full_battery_is_reproducible(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kernel constant C(1, 0.5) = 0.3183098861837907" in out
     assert "bitwise reproducible: True" in out
-    assert len(list(tmp_path.glob("*.json"))) == 6
+    assert len(list(tmp_path.glob("*.json"))) == len(BODIES)
 
 
 def test_cold_start_times_one_round_on_each_tree(capsys):

@@ -47,7 +47,8 @@ def test_gaussian_transform_closed_form():
 def test_hermitian_symmetry_of_real_input():
     su = forward_transform(sample("x*exp(-x^2)", SPEC))
     c = su.coeffs
-    # frequencies come in +/- pairs except the endpoints of the lattice
+    # coeffs[N - m] pairs with coeffs[m]; k = 0 (index 0) and k = -N/2
+    # pair with themselves
     flipped = np.conj(np.roll(c[::-1], 1))
     assert np.max(np.abs(c[1:] - flipped[1:])) <= 1e-12
 
@@ -202,16 +203,15 @@ def _forward_transform_expression(u):
     """Reference: the transform as one expression over the whole axis."""
     pref = u.spec.delta / math.sqrt(2.0 * math.pi)
     phase = np.where(np.arange(u.spec.N) % 2 == 0, 1.0, -1.0)
-    return pref * np.fft.fftshift(np.fft.fft(u.samples)) * phase
+    return pref * np.fft.fft(u.samples) * phase
 
 
 def _shell_partial_sums_full_axis(cross, s):
     """Reference: every frequency raised to 2s and the shells summed by
-    np.bincount over |k|."""
+    np.bincount over |k|, which adds t_m before t_{-m}."""
     dxi = cross.delta_xi
     N = cross.spec.N
-    k = np.arange(-N // 2, N // 2)
-    abs_k = np.abs(k)
+    abs_k = np.abs(np.fft.fftfreq(N, 1 / N)).astype(int)
     g = np.real(cross.coeffs)
     weights = spectral._multiplier(dxi * abs_k.astype(float), s)
     terms = weights * g * dxi
@@ -222,11 +222,17 @@ def _shell_partial_sums_full_axis(cross, s):
     return dxi * np.arange(N // 2 + 1), partial
 
 
+def _terms_full_axis(cross, s):
+    """Reference: the terms of the form with the multiplier evaluated on
+    every frequency, laid out k = -N/2 .. N/2 - 1, the order of their sum."""
+    abs_xi = np.abs(frequency_axis(cross))
+    return np.fft.fftshift(spectral._multiplier(abs_xi, s) * cross.coeffs)
+
+
 def _form_full_axis(cross, s, corrected):
     """Reference: the form with the multiplier evaluated on every
     frequency."""
-    abs_xi = np.abs(frequency_axis(cross))
-    terms = spectral._multiplier(abs_xi, s) * cross.coeffs
+    terms = _terms_full_axis(cross, s)
     total = complex(terms.sum()) * cross.delta_xi
     value = total.real
     lam = 2.0 * s
@@ -239,9 +245,9 @@ def _form_full_axis(cross, s, corrected):
 
 def _unequal_pair(N, seed):
     """Two unrelated Hermitian spectra. Many of their cross products are
-    negative; the one at k = -N/2 always is. The products at k = 0 and
-    k = +-1 are -0.0, so shells 0 and 1 test the order of the signed-zero
-    sums."""
+    negative; the one at k = -N/2 (index N/2) always is. The products at
+    k = 0 and k = +-1 (indices 0, 1 and N - 1) are -0.0, so shells 0 and 1
+    test the order of the signed-zero sums."""
     rng = np.random.default_rng(seed)
     c = N // 2
 
@@ -252,8 +258,8 @@ def _unequal_pair(N, seed):
         return a
 
     a, b = hermitian(), hermitian()
-    a[0], b[0] = 1.0, -0.5
-    for k in (c - 1, c, c + 1):
+    a[c], b[c] = 1.0, -0.5
+    for k in (-1, 0, 1):
         a[k], b[k] = complex(-0.0, 0.0), complex(1.0, -0.0)
     spec = GridSpec(1, 3.0, N)
     return Spectrum(spec, a), Spectrum(spec, b)
@@ -265,14 +271,15 @@ def test_shell_partial_sums_match_full_axis_bincount(N, s):
     su, sv = _unequal_pair(N, seed=N)
     cross = cross_spectrum(su, sv)
     g = np.real(cross.coeffs)
-    assert g[0] < 0.0 and np.all(np.signbit(g[N // 2 - 1 : N // 2 + 2]))
+    assert g[N // 2] < 0.0 and np.all(np.signbit(g[[-1, 0, 1]]))
     radii, partial = shell_partial_sums(cross, s)
     want_radii, want = _shell_partial_sums_full_axis(cross, s)
     assert np.array_equal(_bits(radii), _bits(want_radii))
     assert np.array_equal(_bits(partial), _bits(want))
 
 
-@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+# at N = 32 a sum of the terms in FFT order moves the last bit of the form
+@pytest.mark.parametrize("N", [4, 8, 32, 1024, 2**14])
 def test_forms_match_full_axis_multiplier(N):
     su, sv = _unequal_pair(N, seed=N + 1)
     cross = cross_spectrum(su, sv)
@@ -284,15 +291,10 @@ def test_forms_match_full_axis_multiplier(N):
 
 
 def _forward_transform_reference(u):
-    """Reference: forward_transform as it was written before it ran in
-    place: np.fft.fft of the real samples, then the shift into a new
-    array."""
+    """Reference: forward_transform out of place: np.fft.fft of the real
+    samples, then the products into a new array."""
     pref = u.spec.delta / math.sqrt(2.0 * math.pi)
-    raw = np.fft.fft(u.samples)
-    c = u.spec.N // 2
-    coeffs = np.empty_like(raw)
-    np.multiply(pref, raw[c:], out=coeffs[:c])
-    np.multiply(pref, raw[:c], out=coeffs[c:])
+    coeffs = np.multiply(pref, np.fft.fft(u.samples))
     coeffs[0::2] *= 1.0
     coeffs[1::2] *= -1.0
     return coeffs
@@ -326,9 +328,9 @@ def test_forward_transform_matches_one_expression(u):
 
 
 def test_forward_transform_peak_memory():
-    # one N-point complex array (the result) and one half-length temporary,
-    # 1.5 MiB at 2^16; the out-of-place transform held two complex arrays
-    # at once, 2,098,680 bytes (numpy 2.4.6, Python 3.11)
+    # one N-point complex array, the result, 1 MiB at 2^16; the
+    # out-of-place transform held two complex arrays at once, 2,098,680
+    # bytes (numpy 2.4.6, Python 3.11)
     N = 2**16
     u = sample("x*exp(-x^2)", GridSpec(1, 20.0, N))
     forward_transform(sample("x*exp(-x^2)", GridSpec(1, 20.0, 1024)))
@@ -338,7 +340,7 @@ def test_forward_transform_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * N + 8 * N + 65_536
+    assert peak <= 16 * N + 65_536
 
 
 def test_interpolation_ratio_forms_one_cross_spectrum(monkeypatch):
@@ -357,8 +359,7 @@ def _form_eager_check(cross, s):
     """Reference: the form with the term scale summed on every call, and
     whether the residual passes the threshold without it."""
     dxi = cross.delta_xi
-    weights = spectral._multiplier(cross.shell_radii(), s)
-    terms = spectral._on_axis(weights) * cross.coeffs
+    terms = _terms_full_axis(cross, s)
     total = complex(terms.sum()) * dxi
     value = total.real
     resid = abs(total.imag)
@@ -403,8 +404,7 @@ def test_form_residual_check_rejects_non_hermitian_products():
         1j * su.coeffs * np.conj(sv.coeffs),
     ):
         bad = Spectrum(SPEC, coeffs)
-        weights = spectral._multiplier(bad.shell_radii(), 0.75)
-        terms = spectral._on_axis(weights) * coeffs
+        terms = _terms_full_axis(bad, 0.75)
         total = complex(terms.sum()) * bad.delta_xi
         term_scale = float(np.abs(terms).sum()) * bad.delta_xi
         want = (
