@@ -57,35 +57,14 @@ axis and mirrored. The mirror reproduces the full-axis arithmetic to the
 last bit: dxi * (-m) == -(dxi * m) in IEEE arithmetic, x / y and pi * x
 change sign exactly with x, np.sin is odd and np.cos even bit for bit, and
 every later step is a power of |xi| or a complex product, sum, quotient or
-exponential whose result conjugates exactly when its operands do.
-
-Two forms stand in for the complex operations of the ghost's closed form,
-and each gives the same doubles:
-
-* The unit phasors e^{i pi alpha w} and e^{-i xi z} are written as cos and
-  sin of their angle into the real and imaginary parts of a buffer. As a
-  complex argument of np.exp, (i pi alpha) w or (-i xi) z, the angle has a
-  zero real part, and exp(0) is 1, so np.exp gives the cosine and sine of
-  the imaginary part. That part is pi alpha w, and 0.0 + (-xi) z, whose
-  0.0 makes an angle that underflows +0.0; the buffer's angle is formed
-  the same way.
-* A quotient by sin^2(pi alpha) or xi^2 is a product with the stored
-  reciprocal, part by part. numpy divides a complex number by a real d
-  with Smith's method, which scales each part by 1/d after adding a zero
-  to it; the two differ only in the sign of a part that is itself an
-  exact zero. The ghost has one only at w = 0: a +0.0 imaginary part
-  beside a positive real one, where they agree.
-
-tests/test_experiments.py pins the mirrored ghost and both forms against
-the complex expression on the whole axis, with a kink at +0.0, -0.0, a
-node, a subnormal z and the z that makes w = 0.
+exponential whose result conjugates exactly when its operands do. Ghosts
+are built _BLOCK = 8192 negative frequencies at a time, whatever N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +73,7 @@ from .grid import GridFunction, GridSpec, l2_inner
 from .grid import _require_decay, _require_same_spec
 
 _EVEN_TOL = 1e-12
+_BLOCK = 8192  # negative frequencies per block of alias ghosts
 
 
 @dataclass(frozen=True)
@@ -308,69 +288,44 @@ def shell_partial_sums(cross: Spectrum, s: float):
 # alias ghosts of derivative jumps
 
 
-class _AliasBasis(NamedTuple):
-    """The crossing-independent arrays of the ghost model on one grid,
-    over the negative frequencies xi_k, k = -N/2 .. -1, with
-    alpha = xi / (2 ximax)."""
-
-    ximax: float
-    xi: np.ndarray
-    pa: np.ndarray  # pi alpha
-    cos_pa: np.ndarray
-    sin_pa: np.ndarray
-    inv_sin_sq: np.ndarray  # 1 / sin^2(pi alpha)
-    inv_xi_sq: np.ndarray  # 1 / xi^2
-
-
-def _alias_basis(spectrum: Spectrum) -> _AliasBasis:
-    """The _AliasBasis of the grid of spectrum."""
+def _ghost_block(spectrum: Spectrum, lo: int, hi: int):
+    """(ximax, xi, pi alpha, cos, sin and sin^2 of pi alpha, xi^2) over the
+    frequencies k = lo - N/2 .. hi - N/2 - 1, with alpha = xi / (2 ximax)."""
     c = spectrum.spec.N // 2
     ximax = np.pi * c / spectrum.spec.L
-    xi = spectrum.delta_xi * np.arange(-c, 0)
+    xi = spectrum.delta_xi * np.arange(lo - c, hi - c)
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
-    return _AliasBasis(
-        ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
-    )
+    return ximax, xi, pa, np.cos(pa), sin_pa, sin_pa**2, xi**2
 
 
-def _crossing_ghost(z: float, basis: _AliasBasis, ghost, work) -> None:
-    """Write into ghost the alias ghost of a kink at z, per unit of the
-    scale -jump / sqrt(2 pi) that _subtract_alias_ghosts applies:
+def _crossing_ghost(z: float, block, ghost, work) -> None:
+    """Write into ghost the alias ghost of a kink at z on a _ghost_block,
+    per unit of the scale -jump / sqrt(2 pi) of _subtract_alias_ghosts:
 
         phase * lattice / (2 ximax)^2 - phase / xi^2,   phase = e^{-i xi z}
 
-    with lattice = sum_m exp(2 pi i m theta) / (m + alpha)^2 in its closed
-    form (see the module docstring), on the frequencies of the basis.
-    ghost and work are complex buffers of the basis length; work is left
-    holding phase / xi^2. Every step runs in place, in the order of the
-    expression, so the result is that of the expression to the last bit.
+    with lattice the closed form of the module docstring; ghost and work
+    are complex block-length buffers, and work is left holding phase / xi^2.
     """
-    b = basis
-    theta = (-b.ximax * z / np.pi) % 1.0
-    w = 1.0 - 2.0 * theta
+    ximax, xi, pa, cos_pa, sin_pa, sin_sq, xi_sq = block
+    w = 1.0 - 2.0 * ((-ximax * z / np.pi) % 1.0)  # 1 - 2 theta
     # lattice = pi^2 e^{i pi alpha w} (cos(pi alpha) - i w sin(pi alpha))
-    #           / sin^2(pi alpha), with the two forms of the module docstring
-    np.multiply(b.pa, w, out=ghost.imag)
-    np.cos(ghost.imag, out=ghost.real)
-    np.sin(ghost.imag, out=ghost.imag)
-    np.multiply(1j * w, b.sin_pa, out=work)
-    np.subtract(b.cos_pa, work, out=work)
+    #           / sin^2(pi alpha)
+    np.multiply(1j, pa, out=ghost)
+    np.multiply(ghost, w, out=ghost)
+    np.exp(ghost, out=ghost)
+    np.multiply(1j * w, sin_pa, out=work)
+    np.subtract(cos_pa, work, out=work)
     np.multiply(np.pi**2, ghost, out=ghost)
     np.multiply(ghost, work, out=ghost)
-    ghost.real *= b.inv_sin_sq
-    ghost.imag *= b.inv_sin_sq
-    # phase; e^{(-i xi) z} takes its angle as 0.0 + (-xi) z, and the 0.0
-    # gives an angle that underflows (subnormal z) the sign of +0.0
-    np.multiply(b.xi, -z, out=work.imag)
-    work.imag += 0.0
-    np.cos(work.imag, out=work.real)
-    np.sin(work.imag, out=work.imag)
+    np.divide(ghost, sin_sq, out=ghost)
+    np.multiply(-1j, xi, out=work)
+    np.multiply(work, z, out=work)
+    np.exp(work, out=work)
     np.multiply(work, ghost, out=ghost)
-    ghost /= (2.0 * b.ximax) ** 2
-    work.real *= b.inv_xi_sq
-    work.imag *= b.inv_xi_sq
-    ghost -= work
+    ghost /= (2.0 * ximax) ** 2
+    ghost -= np.divide(work, xi_sq, out=work)
 
 
 def _subtract_alias_ghosts(spectra, crossings, jump_factors):
@@ -378,27 +333,28 @@ def _subtract_alias_ghosts(spectra, crossings, jump_factors):
     jumps subtracted in place; spectra as given when there is no crossing.
 
     crossings are (z, slope) pairs, and spectra[i] has the jump
-    jump_factors[i] * |slope| at every z. The ghost of each crossing is
-    built once and scaled per spectrum by -jump / sqrt(2 pi); each spectrum
-    receives its crossings' ghosts in crossing order. The model keeps the
-    (correct) m = 0 tail and removes only the lattice translates.
+    jump_factors[i] * |slope| at every z, scaled into each crossing's ghost
+    by -jump / sqrt(2 pi). The model keeps the (correct) m = 0 tail and
+    removes only the lattice translates.
     """
     if not crossings:
         return spectra
-    basis = _alias_basis(spectra[0])
     c = spectra[0].spec.N // 2
-    # the ghost over k = -N/2 .. -1, coeffs[c:]; the one over k = 1 .. N/2 - 1,
-    # coeffs[1:c], is its mirrored conjugate, formed in work[:c - 1]
-    ghost = np.empty(c, dtype=complex)
-    work = np.empty_like(ghost)
-    for z, slope in crossings:
-        _crossing_ghost(z, basis, ghost, work)
-        for factor, spectrum in zip(jump_factors, spectra):
-            scale = -(factor * abs(slope) / np.sqrt(2.0 * np.pi))
-            np.multiply(scale, ghost, out=work)
-            spectrum.coeffs[c:] -= work
-            # the ghost skips xi = 0, coeffs[0]
-            np.conjugate(ghost[c - 1 : 0 : -1], out=work[: c - 1])
-            np.multiply(scale, work[: c - 1], out=work[: c - 1])
-            spectrum.coeffs[1:c] -= work[: c - 1]
+    # blocks of k = -N/2 .. -1 in coeffs[c:], conjugated into coeffs[1:c]
+    for lo in range(0, c, _BLOCK):
+        hi = min(lo + _BLOCK, c)
+        block = _ghost_block(spectra[0], lo, hi)
+        ghost = np.empty(hi - lo, dtype=complex)
+        work = np.empty_like(ghost)
+        skip = int(lo == 0)  # k = -N/2 has no mirror
+        mirror = work[: hi - lo - skip]
+        for z, slope in crossings:
+            _crossing_ghost(z, block, ghost, work)
+            for factor, spectrum in zip(jump_factors, spectra):
+                scale = -(factor * abs(slope) / np.sqrt(2.0 * np.pi))
+                np.multiply(scale, ghost, out=work)
+                spectrum.coeffs[c + lo : c + hi] -= work
+                np.conjugate(ghost[skip:][::-1], out=mirror)
+                np.multiply(scale, mirror, out=mirror)
+                spectrum.coeffs[c - hi + 1 : c - lo + 1 - skip] -= mirror
     return tuple(Spectrum(s.spec, s.coeffs, kinked=True) for s in spectra)

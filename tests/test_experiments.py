@@ -9,6 +9,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -446,8 +447,21 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+class _FullAxis(NamedTuple):
+    """The fields of spectral._ghost_block, in its order, over every
+    nonzero frequency."""
+
+    ximax: float
+    xi: np.ndarray
+    pa: np.ndarray  # pi alpha
+    cos_pa: np.ndarray
+    sin_pa: np.ndarray
+    sin_sq: np.ndarray  # sin^2(pi alpha)
+    xi_sq: np.ndarray
+
+
 def _alias_basis_full_axis(spectrum):
-    """Reference: the alias basis over every nonzero frequency, k = -N/2
+    """Reference: the ghost block over every nonzero frequency, k = -N/2
     .. -1 and then k = 1 .. N/2 - 1."""
     c = spectrum.spec.N // 2
     ximax = np.pi * c / spectrum.spec.L
@@ -455,15 +469,13 @@ def _alias_basis_full_axis(spectrum):
     xi = np.concatenate((xi[c:], xi[1:c]))
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
-    return spectral._AliasBasis(
-        ximax, xi, pa, np.cos(pa), sin_pa, 1.0 / sin_pa**2, 1.0 / xi**2
-    )
+    return _FullAxis(ximax, xi, pa, np.cos(pa), sin_pa, sin_pa**2, xi**2)
 
 
 def _crossing_ghost_reference(z, basis, ghost, work):
-    """Reference: _crossing_ghost as it was written with complex exponentials
-    and complex quotients by sin^2(pi alpha) and xi^2, on buffers of any
-    length (the whole axis here)."""
+    """Reference: the ghost of a kink at z with complex exponentials and
+    complex quotients by sin^2(pi alpha) and xi^2, as the module docstring
+    writes it, on buffers of any length (the whole axis here)."""
     b = basis
     theta = (-b.ximax * z / np.pi) % 1.0
     w = 1.0 - 2.0 * theta
@@ -515,28 +527,31 @@ def _two_crossings(N):
     return sample("(x-0.3)*(x+1.1)*exp(-x^2)", GridSpec(1, 20.0, N))
 
 
-@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14, 2**16])
 @pytest.mark.parametrize("L", [20.0, 7.3])
 def test_alias_basis_is_the_mirrored_negative_half(N, L):
-    # the half-axis basis is the first half of the full one, and the full
-    # one is odd (xi, pi alpha, sin) or even (cos, 1/sin^2, 1/xi^2) bit for
-    # bit
+    # the ghost blocks over k = -N/2 .. -1, end to end, are the first half
+    # of the full-axis block, and the full one is odd (xi, pi alpha, sin) or
+    # even (cos, sin^2, xi^2) bit for bit
     spectrum = forward_transform(GridFunction(GridSpec(1, L, N), np.zeros(N)))
-    half = spectral._alias_basis(spectrum)
-    full = _alias_basis_full_axis(spectrum)
     c = N // 2
-    assert half.ximax == full.ximax
-    for name, sign in [
-        ("xi", -1.0), ("pa", -1.0), ("sin_pa", -1.0),
-        ("cos_pa", 1.0), ("inv_sin_sq", 1.0), ("inv_xi_sq", 1.0),
-    ]:
-        h, f = getattr(half, name), getattr(full, name)
+    blocks = [
+        spectral._ghost_block(spectrum, lo, min(lo + spectral._BLOCK, c))
+        for lo in range(0, c, spectral._BLOCK)
+    ]
+    assert len(blocks) == max(1, c // 8192)
+    full = _alias_basis_full_axis(spectrum)
+    assert all(b[0] == full.ximax for b in blocks)
+    for i, sign in enumerate([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0], start=1):
+        h, f, name = np.concatenate([b[i] for b in blocks]), full[i], full._fields[i]
+        assert h.size == c
         assert np.array_equal(_bits(h), _bits(f[:c])), name
         assert np.array_equal(_bits(f[c:]), _bits(sign * h[c - 1 : 0 : -1])), name
 
 
-@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+@pytest.mark.parametrize("N", [4, 8, 1024, 2**14, 2**15, 2**16])
 def test_mirrored_ghosts_match_full_axis_ghosts(N):
+    # 2^15 and 2^16 are two and four ghost blocks, so they cover the seams
     u = _two_crossings(N)
     crossings = find_crossings(u)
     assert len(crossings) == 2
@@ -564,15 +579,16 @@ def _pinned_crossing(N, case):
 @pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
 @pytest.mark.parametrize("case", ["zero", "negative zero", "node", "half", "subnormal"])
 def test_ghost_matches_the_complex_exponential_form(N, case):
-    # the unit phasors written as cos and sin, and the quotients by
-    # sin^2(pi alpha) and xi^2 taken as products with their reciprocals,
-    # give the ghost of the complex form bit for bit, signed zeros included
+    # the one-block builder gives the ghost of the complex form over
+    # k = -N/2 .. -1 (one block at every N here) bit for bit, signed zeros
+    # included
     u = _two_crossings(N)
     z = _pinned_crossing(N, case)
     spectrum = forward_transform(u)
     c = N // 2
+    assert c <= spectral._BLOCK
     ghost, work = np.empty(c, dtype=complex), np.empty(c, dtype=complex)
-    spectral._crossing_ghost(z, spectral._alias_basis(spectrum), ghost, work)
+    spectral._crossing_ghost(z, spectral._ghost_block(spectrum, 0, c), ghost, work)
     want_ghost = np.empty(N - 1, dtype=complex)
     want_work = np.empty_like(want_ghost)
     _crossing_ghost_reference(
@@ -803,12 +819,25 @@ def test_sign_sweep_peak_memory():
     # 7,475,000 bytes while the spectrum of u was held through the
     # de-aliasing of |u| and the transform kept two complex arrays; the
     # in-place transform and dropping that spectrum measured 5,377,432
-    # (numpy 2.4.6, Python 3.11, after the same warm-up); holding the
-    # spectrum of u again would cost 1 MiB more
+    # (numpy 2.4.6, Python 3.11, after the same warm-up), and ghosts built
+    # one block at a time instead of over the half axis measured 3,938,562;
+    # holding the spectrum of u again would cost 1 MiB more
     orders = [0.5, 0.75, 1.25, 1.75]
     sign_sweep("x*exp(-x^2)", orders, spec=GridSpec(1, 20.0, 1024))
     spec = GridSpec(1, 20.0, 2**16)
-    assert _peak_bytes(lambda: sign_sweep("x*exp(-x^2)", orders, spec=spec)) <= 5_500_000
+    assert _peak_bytes(lambda: sign_sweep("x*exp(-x^2)", orders, spec=spec)) <= 4_200_000
+
+
+def test_dealias_spectrum_peak_memory():
+    # 3,803,616 bytes while the ghost basis and buffers spanned the half
+    # axis, 1,902,320 with one block of 8,192 frequencies at a time (numpy
+    # 2.4.6, Python 3.11, after the same warm-up), of which the 1 MiB
+    # result is the largest part
+    small = sample("x*exp(-x^2)", GridSpec(1, 20.0, 1024))
+    dealias_spectrum(small, find_crossings(small), ("pos",))
+    u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**16))
+    crossings = find_crossings(u)
+    assert _peak_bytes(lambda: dealias_spectrum(u, crossings, ("pos",))) <= 2_100_000
 
 
 def test_dealiased_spectra_say_so():
