@@ -43,6 +43,11 @@ def _report_path(text):
         raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
     if os.path.exists(text) and not os.access(text, os.W_OK):
         raise argparse.ArgumentTypeError(f"file {text!r} is not writable")
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
+    if not os.path.exists(text) and not os.access(folder, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} is not writable")
     return text
 
 

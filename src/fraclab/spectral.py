@@ -29,11 +29,11 @@ arithmetic as the out-of-place one, bit for bit; it only skips numpy's
 separate cast copy and output array.
 
 Half-axis evaluation. The spectra of real inputs are Hermitian, so the
-forms need only the cross spectrum F[u] conj(F[v]) (cross_spectrum, formed
-once per pair of inputs and shared across orders) and a multiplier that
-depends on |xi| alone. The multiplier is raised to 2s only on the N/2 + 1
-shell radii m dxi, m = 0 .. N/2 (see Mirrors below). The shell sums add
-the two terms of shell m as (0.0 + t_{-m}) + t_m, the doubles of np.bincount,
+forms need only the real cross spectrum Re(F[u] conj(F[v])) (its imaginary
+part is odd in xi; cross_spectrum forms it once per pair of inputs) and a
+multiplier that depends on |xi| alone, raised to 2s only on the N/2 + 1
+shell radii m dxi, m = 0 .. N/2 (see Mirrors below). The shell sums add the
+two terms of shell m as (0.0 + t_{-m}) + t_m, the doubles of np.bincount,
 which keeps even the sign of a zero sum.
 
 Alias ghosts of kinks. A derivative jump J at z forces the slow
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FraclabError
+from .errors import DomainError
 from .grid import GridFunction, GridSpec, l2_inner
 from .grid import _require_decay, _require_same_spec
 
@@ -78,9 +78,10 @@ _BLOCK = 8192  # negative frequencies per block of alias ghosts
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex coefficients on the dual grid of a GridSpec, in numpy's FFT
-    order. kinked marks the spectrum of an input with derivative jumps whose
-    alias ghosts were subtracted, and any cross spectrum formed with one."""
+    """Coefficients on the dual grid of a GridSpec, in numpy's FFT order:
+    complex for a transform, real for a cross spectrum. kinked marks the
+    spectrum of an input with derivative jumps whose alias ghosts were
+    subtracted, and any cross spectrum formed with one."""
 
     spec: GridSpec
     coeffs: np.ndarray = field(repr=False)
@@ -96,9 +97,12 @@ class Spectrum:
 
 
 def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
-    """The products F[u] conj(F[v]) on the dual grid, on which every
-    multiplier form of the pair depends."""
-    return Spectrum(su.spec, su.coeffs * np.conj(sv.coeffs), su.kinked or sv.kinked)
+    """Re(F[u] conj(F[v])) on the dual grid, numpy's complex products kept to
+    their real parts, on which every form of the pair depends. For real u
+    and v the imaginary parts are odd in xi, so no form reads them."""
+    products = np.conjugate(sv.coeffs)
+    np.multiply(su.coeffs, products, out=products)
+    return Spectrum(su.spec, products.real.copy(), su.kinked or sv.kinked)
 
 
 def forward_transform(u: GridFunction) -> Spectrum:
@@ -196,29 +200,15 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
 
 def _form_from_spectra(cross: Spectrum, radii: np.ndarray, s: float) -> float:
     """The plain form of a cross spectrum; radii is cross.shell_radii()."""
-    dxi = cross.delta_xi
     c = cross.spec.N // 2
     weights = _multiplier(radii, s)
-    # in k = -N/2 .. N/2 - 1 order, which sets the pairwise sum's rounding
-    terms = np.empty_like(cross.coeffs)
-    np.multiply(weights[c:0:-1], cross.coeffs[c:], out=terms[:c])
-    np.multiply(weights[:c], cross.coeffs[:c], out=terms[c:])
-    total = complex(terms.sum()) * dxi
-    value = total.real
-    resid = abs(total.imag)
-    # round-off rides on the term-magnitude sum, not on the (possibly
-    # heavily cancelled) real part; a product that is not Hermitian, such
-    # as one misaligned by a bin, shows up at the term scale itself. The
-    # term scale only raises the threshold, so it is summed only when the
-    # residual passes the cheaper one.
-    if resid > 1e-10 * max(abs(value), 1e-300):
-        term_scale = float(np.abs(terms).sum()) * dxi
-        if resid > 1e-10 * max(abs(value), term_scale, 1e-300):
-            raise FraclabError(
-                f"form imaginary residual {resid:.3e} exceeds 1e-10 of the "
-                f"term scale {term_scale:.3e}"
-            )
-    return value
+    # the terms in k = -N/2 .. N/2 - 1 order as the real parts of a zeroed
+    # complex buffer: numpy's pairwise sum splits a complex array otherwise
+    # than a real one, so a real sum would move interp's pinned ratios
+    terms = np.zeros(cross.spec.N, dtype=complex)
+    np.multiply(weights[c:0:-1], cross.coeffs[c:], out=terms.real[:c])
+    np.multiply(weights[:c], cross.coeffs[:c], out=terms.real[c:])
+    return float(terms.sum().real) * cross.delta_xi
 
 
 def quadratic_form(u: GridFunction, v: GridFunction, s: float) -> float:
@@ -267,7 +257,7 @@ def shell_partial_sums(cross: Spectrum, s: float):
     dxi = cross.delta_xi
     c = cross.spec.N // 2
     radii = cross.shell_radii()
-    g = np.real(cross.coeffs)
+    g = cross.coeffs
     # g[N - m] and g[m] are the two halves of shell m; shell N/2 has only
     # k = -N/2 (g[c]) and shell 0 only k = 0. A multiplier that overflows (far
     # above s = 3/2, or at a tiny L) turns the sums inf or NaN without a

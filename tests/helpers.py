@@ -1,6 +1,7 @@
 """Test helpers: a smooth unit-mass bump, the separated-support input of the
-kernel and acceptance tests, and the frequency axis of a spectrum, the
-oracle axis of the spectral and de-aliasing tests."""
+kernel and acceptance tests, the frequency axis of a spectrum, the oracle
+axis of the spectral and de-aliasing tests, and the bit patterns that
+their bit-for-bit comparisons read."""
 
 import numpy as np
 
@@ -28,3 +29,9 @@ def frequency_axis(spectrum) -> np.ndarray:
     -N/2 .. -1, the layout of Spectrum.coeffs."""
     N = spectrum.spec.N
     return spectrum.delta_xi * np.fft.fftfreq(N, 1 / N)
+
+
+def bits(a) -> np.ndarray:
+    """The 64-bit patterns of a float or complex array, so that equality
+    tells -0.0 from 0.0 and compares NaNs by payload."""
+    return np.ascontiguousarray(a).view(np.uint64)

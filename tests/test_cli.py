@@ -59,7 +59,10 @@ def test_identity_runs_and_writes_report(tmp_path):
 
 
 def test_unwritable_report_path_exits_1_without_traceback(tmp_path):
-    out = tmp_path / "missing" / "identity.json"
+    # a link into a missing directory passes the check before the run, as
+    # its own directory exists, and fails only when the report is written
+    out = tmp_path / "identity.json"
+    out.symlink_to(tmp_path / "missing" / "identity.json")
     res = invoke(["identity", "--N", "4096", "--out", str(out)])
     assert res.exit_code == 1, res
     last = res.err.splitlines()[-1]
@@ -430,8 +433,14 @@ def test_unreadable_config_exits_2(tmp_path, content, message):
 def test_directory_report_path_or_missing_config_exits_2(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"out": ""}')
+    missing = tmp_path / "missing"
+    nodir = tmp_path / "nodir.json"
+    nodir.write_text(json.dumps({"out": str(missing / "r.json")}))
     for args, error in (
         (["--out", str(tmp_path)], "is a directory"),
+        # the run would print its report and then fail to write it
+        (["--out", str(missing / "r.json")], f"directory {str(missing)!r} does not exist"),
+        (["--config", str(nodir)], f"directory {str(missing)!r} does not exist"),
         (["--config", str(tmp_path / "no.json")], "no.json"),
         # an empty path would run the experiment and write no report
         (["--out", ""], "argument --out: the report path is empty"),

@@ -34,7 +34,7 @@ from fraclab.kernel import find_crossings
 from fraclab.reports import ExperimentReport, Verdict, discrepancy, report_to_json
 from fraclab.spectral import cross_spectrum, forward_transform, interpolation_ratio
 
-from helpers import frequency_axis, mollifier_bump
+from helpers import bits, frequency_axis, mollifier_bump
 from oracles import CROSS_FORM, COMPACT_SOURCE, OFF_NODE_SOURCE, TWO_CROSSING_SOURCE
 
 SPEC = GridSpec(1, 20.0, 16384)
@@ -443,10 +443,6 @@ def test_shared_dealias_matches_one_spectrum_at_a_time():
         assert np.array_equal(spectrum.coeffs, alone)
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 class _FullAxis(NamedTuple):
     """The fields of spectral._ghost_block, in its order, over every
     nonzero frequency."""
@@ -545,8 +541,8 @@ def test_alias_basis_is_the_mirrored_negative_half(N, L):
     for i, sign in enumerate([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0], start=1):
         h, f, name = np.concatenate([b[i] for b in blocks]), full[i], full._fields[i]
         assert h.size == c
-        assert np.array_equal(_bits(h), _bits(f[:c])), name
-        assert np.array_equal(_bits(f[c:]), _bits(sign * h[c - 1 : 0 : -1])), name
+        assert np.array_equal(bits(h), bits(f[:c])), name
+        assert np.array_equal(bits(f[c:]), bits(sign * h[c - 1 : 0 : -1])), name
 
 
 @pytest.mark.parametrize("N", [4, 8, 1024, 2**14, 2**15, 2**16])
@@ -559,7 +555,7 @@ def test_mirrored_ghosts_match_full_axis_ghosts(N):
     got = dealias_spectrum(u, crossings, modes)
     want = _dealias_full_axis(u, crossings, modes)
     for a, b in zip(got, want):
-        assert np.array_equal(_bits(a.coeffs), _bits(b.coeffs))
+        assert np.array_equal(bits(a.coeffs), bits(b.coeffs))
 
 
 def _pinned_crossing(N, case):
@@ -594,14 +590,14 @@ def test_ghost_matches_the_complex_exponential_form(N, case):
     _crossing_ghost_reference(
         z, _alias_basis_full_axis(spectrum), want_ghost, want_work
     )
-    assert np.array_equal(_bits(ghost), _bits(want_ghost[:c]))
-    assert np.array_equal(_bits(work), _bits(want_work[:c]))
+    assert np.array_equal(bits(ghost), bits(want_ghost[:c]))
+    assert np.array_equal(bits(work), bits(want_work[:c]))
     # and the spectra de-aliased through the mirrored half
     crossings = [(z, find_crossings(u)[0][1])]
     modes = ("pos", "neg", "abs")
     got = dealias_spectrum(u, crossings, modes)
     for a, b in zip(got, _dealias_full_axis(u, crossings, modes)):
-        assert np.array_equal(_bits(a.coeffs), _bits(b.coeffs))
+        assert np.array_equal(bits(a.coeffs), bits(b.coeffs))
 
 
 def test_each_cross_spectrum_formed_once_across_orders(monkeypatch):
@@ -639,9 +635,11 @@ def test_interp_sweep_holds_one_draw_per_thread():
     # 7,775,592 bytes while every draw was held to the end, 1,262,514 once
     # each draw was dropped after its ratio on one thread; with two threads
     # 2.59 MB while interpolation_ratio held each spectrum beside its cross
-    # spectrum and 2.01 MB once it drops it (numpy 2.4.6, Python 3.11)
+    # spectrum and 2.01 MB once it drops it; 1.86-1.87 MB while a cross
+    # spectrum was complex and 1.47-1.48 MB since it is real (numpy 2.4.6,
+    # Python 3.11)
     interp_sweep(3, seed=1, spec=GridSpec(1, 20.0, 1024))
-    assert _peak_bytes(lambda: interp_sweep(50, seed=0, spec=SPEC)) <= 2_500_000
+    assert _peak_bytes(lambda: interp_sweep(50, seed=0, spec=SPEC)) <= 1_700_000
 
 
 def serial_ratios(count, seed, spec):
@@ -820,12 +818,13 @@ def test_sign_sweep_peak_memory():
     # de-aliasing of |u| and the transform kept two complex arrays; the
     # in-place transform and dropping that spectrum measured 5,377,432
     # (numpy 2.4.6, Python 3.11, after the same warm-up), and ghosts built
-    # one block at a time instead of over the half axis measured 3,938,562;
-    # holding the spectrum of u again would cost 1 MiB more
+    # one block at a time instead of over the half axis measured 3,938,562,
+    # and real cross spectra 3,671,880-3,672,792; holding the spectrum of u
+    # again would cost 1 MiB more
     orders = [0.5, 0.75, 1.25, 1.75]
     sign_sweep("x*exp(-x^2)", orders, spec=GridSpec(1, 20.0, 1024))
     spec = GridSpec(1, 20.0, 2**16)
-    assert _peak_bytes(lambda: sign_sweep("x*exp(-x^2)", orders, spec=spec)) <= 4_200_000
+    assert _peak_bytes(lambda: sign_sweep("x*exp(-x^2)", orders, spec=spec)) <= 3_800_000
 
 
 def test_dealias_spectrum_peak_memory():

@@ -15,7 +15,6 @@ import scipy.special
 from fraclab import spectral
 from fraclab.errors import (
     DomainError,
-    FraclabError,
     GridMismatchError,
     SupportRuleError,
 )
@@ -31,7 +30,7 @@ from fraclab.spectral import (
 )
 from fraclab.special import gamma
 
-from helpers import frequency_axis
+from helpers import bits, frequency_axis
 
 SPEC = GridSpec(1, 16.0, 2048)
 GAUSS = sample("exp(-x^2/2)", SPEC)
@@ -195,10 +194,6 @@ def test_zeta_against_scipy_grid():
 # half-axis evaluation against the full-axis arithmetic it replaced
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 def _forward_transform_expression(u):
     """Reference: the transform as one expression over the whole axis."""
     pref = u.spec.delta / math.sqrt(2.0 * math.pi)
@@ -222,19 +217,14 @@ def _shell_partial_sums_full_axis(cross, s):
     return dxi * np.arange(N // 2 + 1), partial
 
 
-def _terms_full_axis(cross, s):
-    """Reference: the terms of the form with the multiplier evaluated on
-    every frequency, laid out k = -N/2 .. N/2 - 1, the order of their sum."""
-    abs_xi = np.abs(frequency_axis(cross))
-    return np.fft.fftshift(spectral._multiplier(abs_xi, s) * cross.coeffs)
-
-
 def _form_full_axis(cross, s, corrected):
     """Reference: the form with the multiplier evaluated on every
-    frequency."""
-    terms = _terms_full_axis(cross, s)
-    total = complex(terms.sum()) * cross.delta_xi
-    value = total.real
+    frequency, its terms laid out k = -N/2 .. N/2 - 1 and summed as complex
+    numbers with zero imaginary parts. numpy's pairwise sum splits a complex
+    array otherwise than a real one, and the form sums a complex buffer."""
+    abs_xi = np.abs(frequency_axis(cross))
+    terms = np.fft.fftshift(spectral._multiplier(abs_xi, s) * cross.coeffs)
+    value = terms.astype(complex).sum().real * cross.delta_xi
     lam = 2.0 * s
     if corrected and s > 0.0 and not spectral._even_integer_lambda(lam):
         value -= spectral._endpoint_terms(
@@ -274,20 +264,37 @@ def test_shell_partial_sums_match_full_axis_bincount(N, s):
     assert g[N // 2] < 0.0 and np.all(np.signbit(g[[-1, 0, 1]]))
     radii, partial = shell_partial_sums(cross, s)
     want_radii, want = _shell_partial_sums_full_axis(cross, s)
-    assert np.array_equal(_bits(radii), _bits(want_radii))
-    assert np.array_equal(_bits(partial), _bits(want))
+    assert np.array_equal(bits(radii), bits(want_radii))
+    assert np.array_equal(bits(partial), bits(want))
 
 
 # at N = 32 a sum of the terms in FFT order moves the last bit of the form
 @pytest.mark.parametrize("N", [4, 8, 32, 1024, 2**14])
 def test_forms_match_full_axis_multiplier(N):
-    su, sv = _unequal_pair(N, seed=N + 1)
-    cross = cross_spectrum(su, sv)
-    radii = cross.shell_radii()
-    for s in (0.0, 0.25, 1.0, 1.25, 1.75, 2.0):
-        want = _form_full_axis(cross, s, False)
-        got = spectral._form_from_spectra(cross, radii, s)
-        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    spec = GridSpec(1, 20.0, N)
+    u, w, z = (
+        forward_transform(sample(src, spec))
+        for src in ("(x-0.3)*exp(-x^2)", "exp(-x^2)", "x*exp(-x^2)")
+    )
+    # w against z is even against odd: the form cancels to round-off
+    for a, b in (_unequal_pair(N, seed=N + 1), (u, w), (u, u), (w, z)):
+        cross = cross_spectrum(a, b)
+        radii = cross.shell_radii()
+        for s in (0.0, 0.25, 1.0, 1.25, 1.75, 2.0):
+            want = _form_full_axis(cross, s, False)
+            got = spectral._form_from_spectra(cross, radii, s)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_cross_spectrum_is_the_real_part_of_the_products():
+    # the products of _unequal_pair at k = 0 and k = +-1 are -0.0
+    v = forward_transform(sample("(x-0.3)*exp(-x^2)", SPEC))
+    for su, sv in ((v, v), _unequal_pair(1024, seed=7)):
+        got = cross_spectrum(su, sv).coeffs
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        want = np.real(su.coeffs * np.conj(sv.coeffs))
+        assert np.array_equal(bits(got), bits(want))
+    assert np.all(np.signbit(got[[-1, 0, 1]]))
 
 
 def _forward_transform_reference(u):
@@ -322,9 +329,9 @@ def test_forward_transform_matches_one_expression(u):
     samples = u.samples.copy()
     got = forward_transform(u).coeffs
     assert not np.shares_memory(got, u.samples)
-    assert np.array_equal(_bits(u.samples), _bits(samples))
-    assert np.array_equal(_bits(got), _bits(_forward_transform_expression(u)))
-    assert np.array_equal(_bits(got), _bits(_forward_transform_reference(u)))
+    assert np.array_equal(bits(u.samples), bits(samples))
+    assert np.array_equal(bits(got), bits(_forward_transform_expression(u)))
+    assert np.array_equal(bits(got), bits(_forward_transform_reference(u)))
 
 
 def test_forward_transform_peak_memory():
@@ -353,64 +360,3 @@ def test_interpolation_ratio_forms_one_cross_spectrum(monkeypatch):
     monkeypatch.setattr(spectral, "cross_spectrum", counting)
     interpolation_ratio(GAUSS, 0.3, 0.9)
     assert len(calls) == 1
-
-
-def _form_eager_check(cross, s):
-    """Reference: the form with the term scale summed on every call, and
-    whether the residual passes the threshold without it."""
-    dxi = cross.delta_xi
-    terms = _terms_full_axis(cross, s)
-    total = complex(terms.sum()) * dxi
-    value = total.real
-    resid = abs(total.imag)
-    term_scale = float(np.abs(terms).sum()) * dxi
-    if resid > 1e-10 * max(abs(value), term_scale, 1e-300):
-        raise FraclabError("residual")
-    gated = resid > 1e-10 * max(abs(value), 1e-300)
-    return value, gated
-
-
-@pytest.mark.parametrize("N", [1024, 2**14])
-def test_form_residual_check_matches_eager(N):
-    spec = GridSpec(1, 20.0, N)
-    su, sv = _unequal_pair(N, seed=N + 2)
-    u, w, z = (
-        forward_transform(sample(src, spec))
-        for src in ("(x-0.3)*exp(-x^2)", "exp(-x^2)", "x*exp(-x^2)")
-    )
-    gated = 0
-    # w against z is even against odd: the real part cancels to round-off,
-    # so the residual passes the cheap gate and the term scale decides
-    for a, b in ((su, sv), (su, su), (u, w), (u, u), (w, z)):
-        cross = cross_spectrum(a, b)
-        radii = cross.shell_radii()
-        for s in (0.0, 0.25, 1.0, 1.25, 1.75):
-            want, passed_gate = _form_eager_check(cross, s)
-            gated += passed_gate
-            got = spectral._form_from_spectra(cross, radii, s)
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
-    assert gated > 0
-
-
-def test_form_residual_check_rejects_non_hermitian_products():
-    # su * sv without conj is itself Hermitian for real u and v (it is the
-    # spectrum of their convolution), so the broken products here are a
-    # one-bin misalignment and a stray factor i
-    u = sample("(x-0.3)*exp(-x^2)", SPEC)
-    v = sample("x*exp(-x^2)", SPEC)
-    su, sv = forward_transform(u), forward_transform(v)
-    for coeffs in (
-        su.coeffs * np.conj(np.roll(sv.coeffs, 1)),
-        1j * su.coeffs * np.conj(sv.coeffs),
-    ):
-        bad = Spectrum(SPEC, coeffs)
-        terms = _terms_full_axis(bad, 0.75)
-        total = complex(terms.sum()) * bad.delta_xi
-        term_scale = float(np.abs(terms).sum()) * bad.delta_xi
-        want = (
-            f"form imaginary residual {abs(total.imag):.3e} exceeds 1e-10 of "
-            f"the term scale {term_scale:.3e}"
-        )
-        with pytest.raises(FraclabError) as err:
-            spectral._form_from_spectra(bad, bad.shell_radii(), 0.75)
-        assert str(err.value) == want
