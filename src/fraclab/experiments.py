@@ -114,8 +114,10 @@ def refined_form(
     scale = max(abs(total), _TINY)
     top = partial[-1]
     n_half = len(partial) - 1
-    inc1 = float(top - partial[n_half // 2])
-    inc2 = float(partial[n_half // 2] - partial[n_half // 4])
+    # partial sums that overflowed difference to NaN, which flags nothing
+    with np.errstate(invalid="ignore"):
+        inc1 = float(top - partial[n_half // 2])
+        inc2 = float(partial[n_half // 2] - partial[n_half // 4])
     diverged = (
         abs(inc1) > 1.05 * abs(inc2) and abs(inc1) > 1e-10 * scale
     )
@@ -139,7 +141,7 @@ def refined_form(
             val_a, resid_a = fit((lo, hi))
             val_b, _ = fit((1.5 * lo, hi / 1.5))
             est = abs(val_a - val_b) + resid_a
-            est = max(est, 1e-14 * max(abs(val_a), 1.0))
+            est = max(est, 1e-14 * abs(val_a))
             return RefinedValue(value=val_a, error_estimate=est, diverged=False)
     # plain corrected sum; the residual tail of a kinked integrand is a
     # geometric series in octaves with ratio 2^{2s-3}
@@ -184,6 +186,14 @@ def _sign_changes(u: GridFunction, quantity: str, where: str = ""):
     if not crossings:
         raise DomainError(f"no sign change{where}, so {quantity} is 0")
     return crossings
+
+
+def _underflow(cross: float, where: str) -> str:
+    """Why a cross form of u+ and u- too small to check is refused: a sign
+    change makes it nonzero, so 0 means that it underflowed."""
+    return (
+        f"the cross form of u+ and u- {where} underflows to 0: its value is {cross:.3e}"
+    )
 
 
 def _sign_name(x: float) -> str:
@@ -258,7 +268,9 @@ def verify_identity(
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
 
-    phi_tol = max(tol * max(abs(cross.value), 1e-8), 1e-13)
+    phi_tol = tol * abs(cross.value)
+    if phi_tol == 0.0:
+        raise DomainError(_underflow(cross.value, f"at relative tolerance {tol:g}"))
     phi = phi_integral(u, crossings, order, tol=phi_tol)
     kernel_cross = -c_ns * phi.value
     kernel_err = abs(c_ns) * phi.error_estimate
@@ -366,17 +378,14 @@ def counterexample_scan(
 ) -> ExperimentReport:
     """Partial-sum growth of the positive-part form for a kinked input.
 
-    The input must vanish at the origin in a simple root with positive
-    slope and satisfy x phi(x) >= 0 (single crossing of the model shape).
+    The input must have the model shape: find_crossings finds one sign
+    change, rising, within Delta/2 of the origin, and it is a simple root.
     For each order the octave increments of the cutoff sums are fitted in
     log-log; a kink predicts exponent 2s - 3, so orders from 3/2 on grow
     (membership fails; at 3/2 like log of the cutoff) while orders below
     are Cauchy with per-shell increments shrinking to roundoff.
     """
     t0 = time.perf_counter()
-    # the root checks below read the samples two nodes either side of 0
-    if spec.N < 8:
-        raise DomainError(f"the scan needs N >= 8 grid nodes, got N={spec.N}")
     cutoffs = np.asarray(list(cutoff_list), dtype=float)
     if cutoffs.size < 4:
         raise DomainError("need at least 4 cutoffs for a growth fit")
@@ -392,29 +401,28 @@ def counterexample_scan(
             f"largest cutoff {cutoffs[-1]:g} exceeds the frequency range "
             f"{ximax:g}"
         )
-    x = spec.axis_nodes()
     sp = phi.samples
-    scale = float(np.max(np.abs(sp)))
-    if scale == 0.0:
-        raise DomainError("input function is identically zero")
     mid = spec.N // 2
-    if abs(sp[mid]) > 1e-9 * scale:
-        raise DomainError("input must vanish at the origin")
     slope = (sp[mid + 1] - sp[mid - 1]) / (2.0 * spec.delta)
-    if not slope > 0.0:
-        raise DomainError("input must have positive slope at the origin")
+    crossings = find_crossings(phi)
+    if len(crossings) != 1:
+        raise DomainError(f"input must change sign once, not {len(crossings)} times")
+    ((z, kappa),) = crossings
+    if not (kappa > 0.0 and abs(z) <= spec.delta / 2.0):
+        raise DomainError(
+            f"input must rise through 0 within Delta/2 of the origin, not cross "
+            f"at {z:.3e} with slope {kappa:.3e}"
+        )
     # the slope of a simple root does not depend on the step, while that of
     # a root of order p grows like h^(p-1): x^3 reads 4 times as much at
     # h = 2 Delta as at h = Delta
     wide = (sp[mid + 2] - sp[mid - 2]) / (4.0 * spec.delta)
-    if not 0.5 <= wide / slope <= 2.0:
+    if not (slope > 0.0 and 0.5 <= wide / slope <= 2.0):
         raise DomainError(
             f"input must have a simple root at the origin: its central "
             f"differences at h = Delta and 2 Delta are {slope:.3e} and "
             f"{wide:.3e}"
         )
-    if np.min(x * sp) < -1e-12 * scale * spec.L:
-        raise DomainError("input must satisfy x * phi(x) >= 0")
 
     orders = _order_list(s_list)
     params = _base_params(
@@ -423,7 +431,7 @@ def counterexample_scan(
         cutoffs=[float(c) for c in cutoffs],
         function=str(phi_source),
     )
-    (su,) = dealias_spectrum(phi, find_crossings(phi), ("pos",))
+    (su,) = dealias_spectrum(phi, crossings, ("pos",))
     cross = cross_spectrum(su, su)
     del su
     # the last shell m dxi <= c, i.e. floor(c / dxi) on the radii that
@@ -442,19 +450,22 @@ def counterexample_scan(
     for s in orders:
         xi, partial = shell_partial_sums(cross, s)
         svals = partial[idx]
-        incs = np.diff(svals)
-        good = np.abs(incs) > 0
-        slope_fit = float(
-            np.polyfit(np.log(cutoffs[:-1][good]), np.log(np.abs(incs[good])), 1)[0]
-        ) if np.count_nonzero(good) >= 2 else math.nan
         # per-shell relative increments over the top octave of the largest cutoff
         top = cutoffs[-1]
         sel = (xi >= top / 2.0) & (xi <= top)
-        shell_inc = np.diff(partial)[sel[1:]]
-        denom = max(abs(float(partial[idx[-1]])), _TINY)
-        rel = np.abs(shell_inc) / denom
+        # partial sums that overflowed to inf or NaN difference without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            incs = np.diff(svals)
+            shell_inc = np.diff(partial)[sel[1:]]
+            denom = max(abs(float(partial[idx[-1]])), _TINY)
+            rel = np.abs(shell_inc) / denom
+            decreasing = bool(np.all(np.diff(np.abs(incs)) < 0))
+        good = np.isfinite(incs) & (incs != 0.0)
+        decided = np.count_nonzero(good) >= 2
+        slope_fit = float(
+            np.polyfit(np.log(cutoffs[:-1][good]), np.log(np.abs(incs[good])), 1)[0]
+        ) if decided else math.nan
         cauchy_metric = float(np.mean(rel)) if rel.size else math.nan
-        decreasing = bool(np.all(np.diff(np.abs(incs)) < 0))
         for c, v in zip(cutoffs, svals):
             results.append(
                 _record(f"partial sum at s={s:g}, cutoff={c:g}", float(v))
@@ -463,9 +474,22 @@ def counterexample_scan(
         results.append(_record(f"cauchy metric at s={s:g}", cauchy_metric))
         predicted = 2.0 * s - 3.0
         if s >= 1.5:
+            claim = f"partial sums at s={s:g} grow with exponent 2s-3"
+        else:
+            claim = f"partial sums at s={s:g} are Cauchy"
+        if not decided:
+            cause = "underflow" if np.all(np.isfinite(incs)) else "overflow"
+            verdicts.append(
+                _inconclusive(
+                    claim,
+                    f"the partial sums {cause}: fewer than two octave "
+                    f"increments are finite and nonzero",
+                )
+            )
+        elif s >= 1.5:
             verdicts.append(
                 _check(
-                    f"partial sums at s={s:g} grow with exponent 2s-3",
+                    claim,
                     abs(slope_fit - predicted) <= 0.15,
                     f"fitted exponent {slope_fit:.4f} vs predicted "
                     f"{predicted:.4f} (tolerance 0.15)",
@@ -474,7 +498,7 @@ def counterexample_scan(
         else:
             verdicts.append(
                 _check(
-                    f"partial sums at s={s:g} are Cauchy",
+                    claim,
                     decreasing and cauchy_metric < 1e-4,
                     f"octave increments decreasing: {decreasing}; mean "
                     f"relative shell increment {cauchy_metric:.3e} "
@@ -657,6 +681,8 @@ def convergence_study(
         (spectral,) = _truncation_forms(
             u, crossings, order, [("pos", "neg")], extrapolate
         )
+        if spectral.value == 0.0:
+            raise DomainError(_underflow(spectral.value, f"at N={N}"))
         phi = phi_integral(u, crossings, order, tol=1e-10)
         kernel = -c_ns * phi.value
         results.append(

@@ -29,7 +29,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid on the line: [-L, L] with N power-of-two nodes.
+    """Grid on the line: [-L, L] with N >= 8 nodes, N a power of two.
 
     n is the space dimension, recorded in every report; only n = 1 is
     supported. L is stored as a float and N as an int, so that a numpy
@@ -51,10 +51,9 @@ class GridSpec:
         object.__setattr__(self, "N", operator.index(self.N))
         if not (0 < self.L < math.inf):
             raise DomainError(f"half-width must be positive and finite, got L={self.L}")
-        if not _is_power_of_two(self.N) or self.N < 4:
-            raise DomainError(
-                f"N must be a power of two >= 4, got {self.N}"
-            )
+        # the endpoint stencil reads shells -3 .. 3, counterexample nodes N/2 +- 2
+        if not _is_power_of_two(self.N) or self.N < 8:
+            raise DomainError(f"N must be a power of two >= 8, got N={self.N}")
         # the spectral route squares the frequencies |xi| <= pi N / (2L)
         xi_max = math.pi / self.L * (self.N // 2)
         if not math.isfinite(xi_max * xi_max):
@@ -150,13 +149,9 @@ def outer_window(spec: GridSpec) -> tuple[int, int]:
 def max_tail(u: GridFunction) -> float:
     """Largest |u| on the outer half of the box, |x| >= L/2."""
     a, b = outer_window(u.spec)
-    # the prefix is never empty: the first node, x = -L, lies outside;
-    # the suffix is empty when node 3N/4 rounds below L/2 and N = 4
+    # neither part is empty: a >= 1, and b <= 3N/4 + 1 < N from N = 8 on
     s = u.samples
-    tail = float(np.max(np.abs(s[:a])))
-    if b < s.size:
-        tail = max(tail, float(np.max(np.abs(s[b:]))))
-    return tail
+    return max(float(np.max(np.abs(s[:a]))), float(np.max(np.abs(s[b:]))))
 
 
 def _require_decay(u: GridFunction) -> None:

@@ -165,8 +165,6 @@ def _endpoint_terms(g: np.ndarray, lam: float, dxi: float) -> float:
     4 terms cover every tolerance used here. Derivatives of g at 0 come from
     high-order central stencils on the frequency grid.
     """
-    if g.size < 8:
-        return 0.0
     h = dxi
     g0 = g[0]
     # k = -3 .. 3, wrapped around the end of the FFT order

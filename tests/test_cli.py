@@ -284,7 +284,8 @@ def test_sign_sweep_has_no_tolerance_flag():
         "identity --func exp(-x^2) --N 1024",
         "identity --func -exp(-x^2) --N 1024",
         "sign-sweep --func -exp(-x^2) --N 1024 --s 0.5",
-        # the scan's root checks read two nodes either side of the origin
+        # a grid refuses fewer than 8 nodes, which the endpoint stencil and
+        # the scan's root check need
         "counterexample --N 4 --L 0.5 --cutoff 1 --cutoff 2 --cutoff 3 --cutoff 4",
     ],
 )
@@ -315,6 +316,53 @@ def test_sign_sweep_far_above_three_halves_is_non_finite_without_warnings():
     assert res.exit_code == 0, res
     assert "defect is non-finite" in res.out
     assert "Warning" not in res.out + res.err
+
+
+@pytest.mark.parametrize(
+    "args, verdicts",
+    [
+        # the multiplier overflows at s = 100.5, and inf - inf is NaN
+        ("sign-sweep --s 100.5 --N 1024", ["INCONCLUSIVE"]),
+        ("counterexample --s 1.3 --s 100.5", ["PASS", "INCONCLUSIVE"]),
+        # the octave increments of a tiny input underflow to 0
+        (
+            "counterexample --func 1e-200*x*exp(-x^2) --s 1.3 --s 1.6",
+            ["INCONCLUSIVE", "INCONCLUSIVE"],
+        ),
+    ],
+)
+def test_undecidable_orders_are_inconclusive_without_warnings(args, verdicts):
+    # the suite turns numpy's RuntimeWarning into an error
+    res = invoke(args.split())
+    assert res.exit_code == 0, res
+    assert res.err == ""
+    lines = [line for line in res.out.splitlines() if line.startswith("[")]
+    assert [line[1:].split("]")[0] for line in lines] == verdicts
+    if args.startswith("counterexample"):
+        cause = "underflow" if "1e-200" in args else "overflow"
+        detail = (
+            f"the partial sums {cause}: fewer than two octave increments are "
+            f"finite and nonzero"
+        )
+        assert all(line.endswith(detail) for line in lines if "INCONCLUSIVE" in line)
+
+
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        ("identity --N 1024", "at relative tolerance 0.001"),
+        ("convergence --N-list 1024 --N-list 2048 --N-list 4096", "at N=1024"),
+    ],
+)
+def test_underflowed_cross_form_exits_2(args, where):
+    # a sign change makes the cross form nonzero, so 0 means underflow
+    res = invoke([*args.split(), "--func", "1e-170*x*exp(-x^2)"])
+    assert res.exit_code == 2, res
+    assert res.out == ""
+    assert res.err.splitlines() == [
+        f"validation error: the cross form of u+ and u- {where} underflows to 0: "
+        f"its value is 0.000e+00"
+    ]
 
 
 def test_counterexample_empty_order_list_in_config_exits_2(tmp_path):

@@ -22,9 +22,9 @@ from fraclab.spectral import forward_transform
 
 
 def test_axis_nodes_layout():
-    spec = GridSpec(1, 2.0, 4)
+    spec = GridSpec(1, 4.0, 8)
     nodes = spec.axis_nodes()
-    assert np.array_equal(nodes, np.array([-2.0, -1.0, 0.0, 1.0]))
+    assert np.array_equal(nodes, np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]))
     assert spec.delta == 1.0
 
 
@@ -43,6 +43,11 @@ def test_gridspec_validation():
         GridSpec(3, 2.0, 8)
     with pytest.raises(DomainError):
         GridSpec(1, 2.0, 1)
+    # the endpoint stencil and the counterexample scan need 8 nodes
+    for N in (2, 4):
+        with pytest.raises(DomainError) as err:
+            GridSpec(1, 2.0, N)
+        assert str(err.value) == f"N must be a power of two >= 8, got N={N}"
     # the squared frequencies (pi N / 2L)^2 must stay finite
     with pytest.raises(DomainError, match="L=1e-300 is too small"):
         GridSpec(1, 1e-300, 1024)
@@ -57,19 +62,19 @@ def test_gridspec_validation():
 
 
 def test_sample_reports_offending_node():
-    spec = GridSpec(1, 2.0, 4)
+    spec = GridSpec(1, 2.0, 8)
     with pytest.raises(DomainError):
         sample("1/x", spec)  # pole sits on the x = 0 node
 
 
 def test_grid_function_names_the_bad_node_and_the_shape():
-    spec = GridSpec(1, 2.0, 4)
+    spec = GridSpec(1, 2.0, 8)
     with pytest.raises(DomainError) as exc:
-        GridFunction(spec, [0.0, 1.0, 2.0, math.inf])
+        GridFunction(spec, [0.0, 1.0, 2.0, math.inf, 0.0, 0.0, 0.0, 0.0])
     assert str(exc.value) == "non-finite sample at node index 3"
     with pytest.raises(DomainError) as exc:
         GridFunction(spec, np.zeros(3))
-    assert str(exc.value) == "sample shape (3,) does not match grid (4,)"
+    assert str(exc.value) == "sample shape (3,) does not match grid (8,)"
 
 
 def test_truncation_identities_reference_function():
@@ -133,11 +138,11 @@ def _outer_mask(spec):
     return np.abs(spec.axis_nodes()) >= spec.L / 2.0
 
 
-# at L = 7.3, N = 4 node 3 rounds below L/2, so the suffix is empty
+# at L = 7.3 node 3N/4 rounds below L/2, so the suffix starts one node later
 _WINDOW_LS = [7.3, *np.random.default_rng(0).uniform(0.1, 100.0, 200)]
 
 
-@pytest.mark.parametrize("N", [4, 8, 16, 1024, 2**14])
+@pytest.mark.parametrize("N", [8, 16, 1024, 2**14])
 def test_outer_window_matches_node_mask(N):
     for L in _WINDOW_LS:
         spec = GridSpec(1, float(L), N)
@@ -148,7 +153,7 @@ def test_outer_window_matches_node_mask(N):
         assert np.array_equal(got, _outer_mask(spec)), L
 
 
-@pytest.mark.parametrize("N", [4, 8, 16, 1024, 2**14])
+@pytest.mark.parametrize("N", [8, 16, 1024, 2**14])
 def test_max_tail_equals_masked_max(N):
     rng = np.random.default_rng(N)
     for L in _WINDOW_LS[:20]:

@@ -255,7 +255,7 @@ def _unequal_pair(N, seed):
     return Spectrum(spec, a), Spectrum(spec, b)
 
 
-@pytest.mark.parametrize("N", [4, 8, 1024, 2**14])
+@pytest.mark.parametrize("N", [8, 1024, 2**14])
 @pytest.mark.parametrize("s", [0.0, 0.25, 1.0, 1.25, 1.75, 2.0])
 def test_shell_partial_sums_match_full_axis_bincount(N, s):
     su, sv = _unequal_pair(N, seed=N)
@@ -269,7 +269,7 @@ def test_shell_partial_sums_match_full_axis_bincount(N, s):
 
 
 # at N = 32 a sum of the terms in FFT order moves the last bit of the form
-@pytest.mark.parametrize("N", [4, 8, 32, 1024, 2**14])
+@pytest.mark.parametrize("N", [8, 32, 1024, 2**14])
 def test_forms_match_full_axis_multiplier(N):
     spec = GridSpec(1, 20.0, N)
     u, w, z = (
@@ -312,7 +312,7 @@ def _forward_transform_reference(u):
     [
         GAUSS,
         sample("x*exp(-x^2)", SPEC),
-        sample("(x-0.3)*exp(-x^2)", GridSpec(1, 20.0, 4)),
+        sample("(x-0.3)*exp(-x^2)", GridSpec(1, 20.0, 8)),
         sample("(x-0.3)*exp(-x^2)", GridSpec(1, 20.0, 2**14)),
         GridFunction(GridSpec(1, 20.0, 8), np.full(8, -0.0)),
         GridFunction(GridSpec(1, 20.0, 8), np.array([0, 0, 0, -0.0, 1, -1, 0, 0])),
