@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Compare the benchmark's end-to-end metrics between two source trees.
+
+Each pair runs `python3 bench/run.py --workload W --seconds S` once in each
+tree, from that tree's root and with that tree's own bench/, alternating
+which tree goes first. For every metric of the result line it prints each
+tree's median and quartiles over the runs, the change of the median, and
+in how many pairs NEW_TREE read lower than OLD_TREE (ties count for
+neither): lower is better for every end-to-end metric. A gain is marked
+when NEW_TREE wins at least nine tenths of the pairs and its median is
+lower by more than OLD_TREE's interquartile range.
+
+Returns 1, with a line saying why, when a run prints no result line,
+reports `correct: false` or counts a failed op: then the timings are not
+of the same, correct work.
+
+Usage: python scripts/bench_pairs.py OLD_TREE NEW_TREE --workload W [--pairs 10] [--seconds 20]
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+
+def run(tree, workload, seconds):
+    """One benchmark run in tree: its result line as a dict, or None."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds)],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+
+
+def spread(values):
+    """(median, first quartile, third quartile)."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return statistics.median(values), q1, q3
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("old", help="the root of the parent tree")
+    ap.add_argument("new", help="the root of the changed tree")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        ap.error("need at least one pair and a positive run length")
+
+    trees = (args.old, args.new)
+    results = ([], [])
+    for i in range(args.pairs):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            result = run(trees[side], args.workload, args.seconds)
+            if result is None:
+                print(f"a run in {trees[side]} printed no result line")
+                return 1
+            results[side].append(result)
+
+    print(f"{args.workload}: {args.pairs} alternated pairs of {args.seconds:g} s runs")
+    names = list(results[1][0]["metrics"])
+    width = max(len(n) for n in names)
+    for name in names:
+        old, new = ([r["metrics"][name]["value"] for r in side] for side in results)
+        unit = results[1][0]["metrics"][name]["unit"]
+        wins = sum(b < a for a, b in zip(old, new))
+        (m_old, q1_old, q3_old), (m_new, q1_new, q3_new) = spread(old), spread(new)
+        change = f"{(m_new - m_old) / m_old:+.1%}" if m_old else "n/a"
+        gain = wins >= 0.9 * args.pairs and m_old - m_new > q3_old - q1_old
+        print(
+            f"  {name:<{width}}  old {m_old:.4g} ({q1_old:.4g}-{q3_old:.4g})"
+            f"  new {m_new:.4g} ({q1_new:.4g}-{q3_new:.4g}) {unit}"
+            f"  {change}  new wins {wins} of {args.pairs}{'  gain' if gain else ''}"
+        )
+    for tree, side in zip(trees, results):
+        if not all(r["correct"] for r in side):
+            print(f"a run in {tree} is not correct")
+            return 1
+        if any(r["failed"] for r in side):
+            print(f"a run in {tree} failed ops")
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

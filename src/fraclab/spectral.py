@@ -276,12 +276,12 @@ def shell_partial_sums(cross: Spectrum, s: float):
 # alias ghosts of derivative jumps
 
 
-def _ghost_block(spectrum: Spectrum, lo: int, hi: int):
+def _ghost_block(spec: GridSpec, lo: int, hi: int):
     """(ximax, xi, pi alpha, cos, sin and sin^2 of pi alpha, xi^2) over the
     frequencies k = lo - N/2 .. hi - N/2 - 1, with alpha = xi / (2 ximax)."""
-    c = spectrum.spec.N // 2
-    ximax = np.pi * c / spectrum.spec.L
-    xi = spectrum.delta_xi * np.arange(lo - c, hi - c)
+    c = spec.N // 2
+    ximax = np.pi * c / spec.L
+    xi = (math.pi / spec.L) * np.arange(lo - c, hi - c)
     pa = np.pi * (xi / (2.0 * ximax))
     sin_pa = np.sin(pa)
     return ximax, xi, pa, np.cos(pa), sin_pa, sin_pa**2, xi**2
@@ -316,14 +316,30 @@ def _crossing_ghost(z: float, block, ghost, work) -> None:
     ghost -= np.divide(work, xi_sq, out=work)
 
 
-def _subtract_alias_ghosts(spectra, crossings, jump_factors):
+def _alias_ghosts(spec: GridSpec, crossings, out) -> None:
+    """Write into out[i] the ghost of _crossing_ghost for the kink at
+    crossings[i][0] over k = -N/2 .. -1, one _BLOCK at a time; out is a
+    complex (len(crossings), N/2) array. It needs no spectrum, so it can
+    run while the spectra are transformed."""
+    c = spec.N // 2
+    for lo in range(0, c, _BLOCK):
+        hi = min(lo + _BLOCK, c)
+        block = _ghost_block(spec, lo, hi)
+        work = np.empty(hi - lo, dtype=complex)
+        for ghost, (z, _) in zip(out, crossings):
+            _crossing_ghost(z, block, ghost[lo:hi], work)
+
+
+def _subtract_alias_ghosts(spectra, crossings, jump_factors, ghosts=None):
     """spectra, marked kinked, with the alias ghosts of their derivative
     jumps subtracted in place; spectra as given when there is no crossing.
 
     crossings are (z, slope) pairs, and spectra[i] has the jump
     jump_factors[i] * |slope| at every z, scaled into each crossing's ghost
     by -jump / sqrt(2 pi). The model keeps the (correct) m = 0 tail and
-    removes only the lattice translates.
+    removes only the lattice translates. ghosts, when given, holds the
+    ghosts that _alias_ghosts wrote; otherwise each block's are built as
+    they are subtracted.
     """
     if not crossings:
         return spectra
@@ -331,13 +347,17 @@ def _subtract_alias_ghosts(spectra, crossings, jump_factors):
     # blocks of k = -N/2 .. -1 in coeffs[c:], conjugated into coeffs[1:c]
     for lo in range(0, c, _BLOCK):
         hi = min(lo + _BLOCK, c)
-        block = _ghost_block(spectra[0], lo, hi)
-        ghost = np.empty(hi - lo, dtype=complex)
-        work = np.empty_like(ghost)
+        if ghosts is None:
+            block = _ghost_block(spectra[0].spec, lo, hi)
+            ghost = np.empty(hi - lo, dtype=complex)
+        work = np.empty(hi - lo, dtype=complex)
         skip = int(lo == 0)  # k = -N/2 has no mirror
         mirror = work[: hi - lo - skip]
-        for z, slope in crossings:
-            _crossing_ghost(z, block, ghost, work)
+        for i, (z, slope) in enumerate(crossings):
+            if ghosts is None:
+                _crossing_ghost(z, block, ghost, work)
+            else:
+                ghost = ghosts[i, lo:hi]
             for factor, spectrum in zip(jump_factors, spectra):
                 scale = -(factor * abs(slope) / np.sqrt(2.0 * np.pi))
                 np.multiply(scale, ghost, out=work)

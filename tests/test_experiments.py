@@ -583,7 +583,7 @@ def test_alias_basis_is_the_mirrored_negative_half(N, L):
     spectrum = forward_transform(GridFunction(GridSpec(1, L, N), np.zeros(N)))
     c = N // 2
     blocks = [
-        spectral._ghost_block(spectrum, lo, min(lo + spectral._BLOCK, c))
+        spectral._ghost_block(spectrum.spec, lo, min(lo + spectral._BLOCK, c))
         for lo in range(0, c, spectral._BLOCK)
     ]
     assert len(blocks) == max(1, c // 8192)
@@ -635,7 +635,7 @@ def test_ghost_matches_the_complex_exponential_form(N, case):
     c = N // 2
     assert c <= spectral._BLOCK
     ghost, work = np.empty(c, dtype=complex), np.empty(c, dtype=complex)
-    spectral._crossing_ghost(z, spectral._ghost_block(spectrum, 0, c), ghost, work)
+    spectral._crossing_ghost(z, spectral._ghost_block(spectrum.spec, 0, c), ghost, work)
     want_ghost = np.empty(N - 1, dtype=complex)
     want_work = np.empty_like(want_ghost)
     _crossing_ghost_reference(
@@ -852,6 +852,22 @@ def test_one_ghost_per_crossing(monkeypatch):
     convergence_study("(x^2-0.390625)*exp(-x^2)", 1.25, Ns)
     assert len(ghosts) == 2 * len(Ns)
 
+    # at 2^17 on two CPUs the helper thread builds each ghost once per block
+    # of 8,192 frequencies for all three spectra
+    ghosts.clear()
+    builders = set()
+
+    def noting_build(z, *args):
+        builders.add(threading.current_thread())
+        return counting_build(z, *args)
+
+    monkeypatch.setattr(spectral, "_crossing_ghost", noting_build)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    u = sample(THREE_ROOTS, GridSpec(1, 20.0, 2**17))
+    dealias(u, find_crossings(u), ("pos", "neg", "abs"))
+    assert len(ghosts) == 3 * 8
+    assert len(builders) == 1 and threading.main_thread() not in builders
+
 
 def test_verify_identity_peak_memory():
     # tracemalloc peak of this call before the ghosts were shared:
@@ -899,6 +915,119 @@ def test_dealias_spectrum_peak_memory():
     u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**16))
     crossings = find_crossings(u)
     assert _peak_bytes(lambda: dealias_spectrum(u, crossings, ("pos",))) <= 2_100_000
+
+
+def test_overlapped_dealias_spectrum_peak_memory(monkeypatch):
+    # 3,148,272 bytes in the per-block loop at 2^17 and 5,119,749 with the
+    # ghosts built on a helper thread into a (1, N/2) store beside the
+    # transform (numpy 2.4.6, Python 3.11, after the same warm-up): the 1 MiB
+    # store and the helper's block buffers are held while the transform is
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    small = sample("x*exp(-x^2)", GridSpec(1, 20.0, 1024))
+    dealias_spectrum(small, find_crossings(small), ("pos",))
+    u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**17))
+    crossings = find_crossings(u)
+    assert _peak_bytes(lambda: dealias_spectrum(u, crossings, ("pos",))) <= 5_500_000
+
+
+def _overlap_case(case):
+    """An input at N = 2^17 with 1, 2 or 39 crossings, or the two-crossing
+    input with its first slope at one of the signed-zero crossings of
+    _pinned_crossing; (u, crossings)."""
+    N = 2**17
+    if case == 1:
+        u = sample("x*exp(-x^2)", GridSpec(1, 20.0, N))
+    elif case == 39:
+        u = sample("sin(3*x)*exp(-x^2)", GridSpec(1, 20.0, N))
+    else:
+        u = _two_crossings(N)
+    crossings = find_crossings(u)
+    if isinstance(case, str):
+        return u, [(_pinned_crossing(N, case), crossings[0][1])]
+    assert len(crossings) == case
+    return u, crossings
+
+
+@pytest.mark.parametrize(
+    "case", [1, 2, 39, "zero", "negative zero", "node", "half", "subnormal"]
+)
+def test_overlapped_dealias_matches_the_per_block_loop(monkeypatch, case):
+    # from 2^17 on, two CPUs build the ghosts on a helper thread beside the
+    # transforms and one CPU in the per-block loop, with the same bits
+    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    u, crossings = _overlap_case(case)
+    modes = ("pos", "neg", "abs")
+    got = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        CountingThread.started = []
+        got.append(dealias_spectrum(u, crossings, modes))
+        assert len(CountingThread.started) == cpus - 1
+        assert not any(t.is_alive() for t in CountingThread.started)
+    for serial, overlapped in zip(*got):
+        assert serial.kinked and overlapped.kinked
+        assert np.array_equal(bits(serial.coeffs), bits(overlapped.coeffs))
+
+
+def test_dealias_spectrum_starts_a_thread_only_when_the_overlap_pays(monkeypatch):
+    # one usable CPU, a grid below 2^17 or no crossing: no helper thread
+    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    big = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**17))
+    small = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**16))
+    for cpus, u, crossings in (
+        (1, big, find_crossings(big)),
+        (2, small, find_crossings(small)),
+        (2, big, []),
+    ):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        CountingThread.started = []
+        dealias_spectrum(u, crossings, ("pos",))
+        assert CountingThread.started == []
+    # without the affinity call, cpu_count decides
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    dealias_spectrum(big, find_crossings(big), ("pos",))
+    assert CountingThread.started == []
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    dealias_spectrum(big, find_crossings(big), ("pos",))
+    assert len(CountingThread.started) == 1
+
+
+def test_overlapped_dealias_raises_and_joins_its_helper(monkeypatch):
+    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = threading.active_count()
+    # an error in the helper's ghosts reaches the caller
+    u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**17))
+    build = spectral._crossing_ghost
+
+    def failing_build(z, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("ghost failed")
+        return build(z, *args)
+
+    monkeypatch.setattr(spectral, "_crossing_ghost", failing_build)
+    CountingThread.started = []
+    with pytest.raises(DomainError, match="ghost failed"):
+        dealias_spectrum(u, find_crossings(u), ("pos", "abs"))
+    assert len(CountingThread.started) == 1
+    assert not CountingThread.started[0].is_alive()
+    assert threading.active_count() == threads
+    monkeypatch.setattr(spectral, "_crossing_ghost", build)
+    # and so does the support rule of a transform, as in the per-block loop;
+    # the slow decay leaves u+ at 20 exp(-4) on the box's edge
+    wide = sample("x*exp(-x^2/100)", GridSpec(1, 20.0, 2**17))
+    crossings = find_crossings(wide)
+    CountingThread.started = []
+    with pytest.raises(SupportRuleError) as overlapped:
+        dealias_spectrum(wide, crossings, ("pos",))
+    assert len(CountingThread.started) == 1
+    assert not CountingThread.started[0].is_alive()
+    assert threading.active_count() == threads
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(SupportRuleError) as serial:
+        dealias_spectrum(wide, crossings, ("pos",))
+    assert str(overlapped.value) == str(serial.value)
 
 
 def test_dealiased_spectra_say_so():

@@ -77,3 +77,66 @@ def test_oracle_table_reproduces_a_value_at_low_precision():
         with mpmath.workdps(10):
             value = float(script.cross_form(case, 1.25))
         assert value == pytest.approx(CROSS_FORM[case][1.25], rel=1e-8)
+
+
+def _fake_tree(root, pass_s, correct=True, failed=0):
+    """A tree whose bench/run.py notes its arguments in args.txt, from its
+    own root, and prints one result line."""
+    (root / "bench").mkdir(parents=True)
+    result = {
+        "correct": correct,
+        "attempted": 3,
+        "failed": failed,
+        "metrics": {
+            "pass_s": {"value": pass_s, "unit": "s"},
+            "peak_rss_mb": {"value": 50.0, "unit": "MiB"},
+        },
+    }
+    (root / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "with open('args.txt', 'a') as f:\n"
+        "    f.write(' '.join(sys.argv[1:]) + '\\n')\n"
+        "print('end-to-end metrics:')\n"
+        f"print(json.dumps({result!r}))\n"
+    )
+    return root
+
+
+def test_bench_pairs_reports_medians_and_wins(tmp_path, capsys):
+    old = _fake_tree(tmp_path / "old", 2.0)
+    new = _fake_tree(tmp_path / "new", 1.5)
+    script = _load("bench_pairs")
+    args = [str(old), str(new), "--workload", "fine-grid", "--pairs", "2", "--seconds", "0.5"]
+    assert script.main(args) == 0
+    title, pass_s, rss = capsys.readouterr().out.splitlines()
+    assert title == "fine-grid: 2 alternated pairs of 0.5 s runs"
+    assert pass_s.split() == [
+        "pass_s", "old", "2", "(2-2)", "new", "1.5", "(1.5-1.5)", "s", "-25.0%",
+        "new", "wins", "2", "of", "2", "gain",
+    ]
+    # equal values win no pair and mark no gain
+    assert rss.split()[-5:] == ["new", "wins", "0", "of", "2"]
+    for tree in (old, new):
+        assert (tree / "args.txt").read_text() == "--workload fine-grid --seconds 0.5\n" * 2
+
+
+def test_bench_pairs_fails_on_an_incorrect_run_or_a_failed_op(tmp_path, capsys):
+    script = _load("bench_pairs")
+    old = _fake_tree(tmp_path / "old", 2.0)
+    for name, kwargs, why in (
+        ("wrong", {"correct": False}, "is not correct"),
+        ("failing", {"failed": 1}, "failed ops"),
+    ):
+        new = _fake_tree(tmp_path / name, 1.0, **kwargs)
+        args = [str(old), str(new), "--workload", "battery", "--pairs", "1"]
+        assert script.main(args) == 1
+        *_, last = capsys.readouterr().out.splitlines()
+        assert last == f"a run in {new} {why}"
+    # a run that exits before its result line, as bench/run.py does when
+    # the tree has no sources
+    silent = tmp_path / "silent"
+    (silent / "bench").mkdir(parents=True)
+    (silent / "bench" / "run.py").write_text("raise SystemExit(2)\n")
+    assert script.main([str(old), str(silent), "--workload", "battery", "--pairs", "1"]) == 1
+    *_, last = capsys.readouterr().out.splitlines()
+    assert last == f"a run in {silent} printed no result line"
