@@ -69,6 +69,11 @@ _JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
 # the overlap saves 1-2 ms, too little for the N/2-point ghost per crossing
 # that its store holds beyond the serial loop's 8,192-point blocks.
 _OVERLAP_N = 2**17
+# and only up to this many crossings, so that the store is no larger than one
+# spectrum. With many crossings the ghosts take longer than the transforms
+# they hide behind: at 39 crossings the overlap was 4-19% slower at 2^17 and
+# 2^18 and its store took 39 MiB at 2^17.
+_OVERLAP_CROSSINGS = 2
 
 
 def _usable_cpus() -> int:
@@ -89,13 +94,19 @@ def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
     kinked when there is a crossing.
 
     The ghosts depend on the grid and the crossings alone. From N = 2^17 on,
-    when the process may run on two CPUs, a helper thread builds them into
-    one (crossings, N/2) store while this thread transforms, since the FFTs
-    and the ghosts' ufuncs release the GIL; the subtraction then reads the
-    store. Otherwise each block of ghosts is built as it is subtracted. The
-    spectra are the same bit for bit either way.
+    with one or two crossings and when the process may run on two CPUs, a
+    helper thread builds them into one (crossings, N/2) store while this
+    thread transforms, since the FFTs and the ghosts' ufuncs release the GIL;
+    the subtraction then reads the store. Otherwise each block of ghosts is
+    built as it is subtracted. The spectra are the same bit for bit either
+    way.
     """
-    if not crossings or u.spec.N < _OVERLAP_N or _usable_cpus() < 2:
+    if (
+        not crossings
+        or len(crossings) > _OVERLAP_CROSSINGS
+        or u.spec.N < _OVERLAP_N
+        or _usable_cpus() < 2
+    ):
         ghosts = None
         spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
     else:
