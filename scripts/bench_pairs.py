@@ -10,15 +10,22 @@ neither): lower is better for every end-to-end metric. A gain is marked
 when NEW_TREE wins at least nine tenths of the pairs and its median is
 lower by more than OLD_TREE's interquartile range.
 
+When OLD_TREE has a BENCHMARK.json (only read), each of its end-to-end
+metrics is judged against its bound, a share of OLD_TREE's median. It is
+marked `regression` when NEW_TREE's median is worse by more than that, and
+`unresolved` when OLD_TREE's interquartile range is wider than that, unless
+every NEW_TREE run beats every OLD_TREE run.
+
 Returns 1, with a line saying why, when a run prints no result line,
 reports `correct: false` or counts a failed op: then the timings are not
-of the same, correct work.
+of the same, correct work. Returns 1 as well when a metric regresses.
 
 Usage: python scripts/bench_pairs.py OLD_TREE NEW_TREE --workload W [--pairs 10] [--seconds 20]
 """
 
 import argparse
 import json
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -46,6 +53,15 @@ def spread(values):
     return statistics.median(values), q1, q3
 
 
+def bounds(tree):
+    """{metric: bound} of the end-to-end metrics in tree's BENCHMARK.json;
+    {} when the tree has none."""
+    path = pathlib.Path(tree) / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old", help="the root of the parent tree")
@@ -70,17 +86,28 @@ def main(argv=None):
     print(f"{args.workload}: {args.pairs} alternated pairs of {args.seconds:g} s runs")
     names = list(results[1][0]["metrics"])
     width = max(len(n) for n in names)
+    judged, regressed = bounds(args.old), []
     for name in names:
         old, new = ([r["metrics"][name]["value"] for r in side] for side in results)
         unit = results[1][0]["metrics"][name]["unit"]
         wins = sum(b < a for a, b in zip(old, new))
         (m_old, q1_old, q3_old), (m_new, q1_new, q3_new) = spread(old), spread(new)
         change = f"{(m_new - m_old) / m_old:+.1%}" if m_old else "n/a"
-        gain = wins >= 0.9 * args.pairs and m_old - m_new > q3_old - q1_old
+        marks = []
+        if wins >= 0.9 * args.pairs and m_old - m_new > q3_old - q1_old:
+            marks.append("gain")
+        if name in judged:
+            allowed = judged[name] * m_old
+            if m_new - m_old > allowed:
+                marks.append("regression")
+                regressed.append(name)
+            if q3_old - q1_old > allowed and not max(new) < min(old):
+                marks.append("unresolved")
         print(
             f"  {name:<{width}}  old {m_old:.4g} ({q1_old:.4g}-{q3_old:.4g})"
             f"  new {m_new:.4g} ({q1_new:.4g}-{q3_new:.4g}) {unit}"
-            f"  {change}  new wins {wins} of {args.pairs}{'  gain' if gain else ''}"
+            f"  {change}  new wins {wins} of {args.pairs}"
+            + "".join(f"  {m}" for m in marks)
         )
     for tree, side in zip(trees, results):
         if not all(r["correct"] for r in side):
@@ -89,6 +116,10 @@ def main(argv=None):
         if any(r["failed"] for r in side):
             print(f"a run in {tree} failed ops")
             return 1
+    if regressed:
+        where = f"{args.old}/BENCHMARK.json"
+        print(f"worse than the bound of {where}: {', '.join(regressed)}")
+        return 1
     return 0
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -48,8 +47,8 @@ from .special import (
 )
 from .spectral import (
     Spectrum,
-    _alias_ghosts,
-    _subtract_alias_ghosts,
+    _dealias,
+    _usable_cpus,
     cross_spectrum,
     forward_transform,
     interpolation_ratio,
@@ -64,71 +63,23 @@ from .spectral import (
 # kappa, in units of |kappa|: u+ and u- turn by |kappa|, |u| by 2 |kappa|
 _JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
 
-# from this N on, dealias_spectrum builds the ghosts on a second thread while
-# the calling thread transforms, which saves about 10 ms per call. Below it
-# the overlap saves 1-2 ms, too little for the N/2-point ghost per crossing
-# that its store holds beyond the serial loop's 8,192-point blocks.
-_OVERLAP_N = 2**17
-# and only up to this many crossings, so that the store is no larger than one
-# spectrum. With many crossings the ghosts take longer than the transforms
-# they hide behind: at 39 crossings the overlap was 4-19% slower at 2^17 and
-# 2^18 and its store took 39 MiB at 2^17.
-_OVERLAP_CROSSINGS = 2
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; macOS and Windows lack the
-    affinity call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
     """Spectra of the truncations of u named by modes ("pos", "neg" or
-    "abs"), with the alias ghosts of their derivative jumps subtracted.
+    "abs"), with the alias ghosts of their derivative jumps subtracted by
+    spectral._dealias.
 
     crossings is find_crossings(u): truncation puts a kink at every sign
     crossing, with the jump given by the slope there and the truncation
     (|u| turns twice as sharply as u+ and u-). The spectra are marked
     kinked when there is a crossing.
-
-    The ghosts depend on the grid and the crossings alone. From N = 2^17 on,
-    with one or two crossings and when the process may run on two CPUs, a
-    helper thread builds them into one (crossings, N/2) store while this
-    thread transforms, since the FFTs and the ghosts' ufuncs release the GIL;
-    the subtraction then reads the store. Otherwise each block of ghosts is
-    built as it is subtracted. The spectra are the same bit for bit either
-    way.
     """
-    if (
-        not crossings
-        or len(crossings) > _OVERLAP_CROSSINGS
-        or u.spec.N < _OVERLAP_N
-        or _usable_cpus() < 2
-    ):
-        ghosts = None
-        spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
-    else:
-        ghosts = np.empty((len(crossings), u.spec.N // 2), dtype=complex)
-        failed = []
-
-        def build():
-            try:
-                _alias_ghosts(u.spec, crossings, ghosts)
-            except BaseException as exc:  # re-raised on the calling thread
-                failed.append(exc)
-
-        helper = threading.Thread(target=build)
-        helper.start()
-        try:
-            spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
-        finally:
-            helper.join()
-        if failed:
-            raise failed[0]
-    factors = [_JUMP_FACTOR[m] for m in modes]
-    return _subtract_alias_ghosts(spectra, crossings, factors, ghosts)
+    return _dealias(
+        u.spec,
+        crossings,
+        [_JUMP_FACTOR[m] for m in modes],
+        lambda: tuple(forward_transform(truncate(u, m)) for m in modes),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +542,8 @@ def truncation_bound_probe(
         raise DomainError("eps levels must be distinct")
     if eps[0] * eps[0] == 0.0:
         raise DomainError(f"eps level {eps[0]:g} is too small: its square underflows")
+    if math.isinf(eps[-1] * eps[-1]):
+        raise DomainError(f"eps level {eps[-1]:g} is too large: its square overflows")
     u = sample(u_source, spec)
     if np.max(u.samples - eps[0]) <= 0.0:
         # every shifted form would be 0, which carries no information
@@ -605,28 +558,22 @@ def truncation_bound_probe(
         function=str(u_source),
         tolerance=float(tol),
     )
-    (ref,) = _truncation_forms(u, find_crossings(u), order, [("pos", "pos")])
-    results = [
-        _record(
-            "reference form of the positive part",
-            ref.value,
-            s_err=ref.error_estimate,
-        )
-    ]
-    values = []
-    for e in eps:
+    forms = []  # level 0 is the reference, the positive part of u itself
+    for e in (0.0, *eps):
         shifted = GridFunction(spec, u.samples - e)
         if np.max(shifted.samples) <= 0.0:
-            q = RefinedValue(0.0, 0.0, False)
+            forms.append(RefinedValue(0.0, 0.0, False))
         else:
-            (q,) = _truncation_forms(
+            forms += _truncation_forms(
                 shifted, find_crossings(shifted), order, [("pos", "pos")]
             )
-        values.append(q.value)
-        results.append(
-            _record(f"shifted form at eps={e:g}", q.value, s_err=q.error_estimate)
-        )
-    values = np.array(values)
+    labels = ["reference form of the positive part"]
+    labels += [f"shifted form at eps={e:g}" for e in eps]
+    results = [
+        _record(k, q.value, s_err=q.error_estimate) for k, q in zip(labels, forms)
+    ]
+    ref = forms[0]
+    values = np.array([q.value for q in forms[1:]])
     scale = max(abs(ref.value), _TINY)
 
     bounded = bool(np.all(np.isfinite(values))) and float(

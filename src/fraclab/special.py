@@ -170,10 +170,16 @@ def kernel_constant(n: int, s) -> float:
     if n < 1 or n != int(n):
         raise DomainError(f"dimension must be a positive integer, got {n}")
     s = _noninteger_order(s)
+    try:
+        power = 2.0 ** (2.0 * s)
+    except OverflowError:
+        raise OverflowError(
+            f"C({n}, {s:g}) exceeds the double-precision range"
+        ) from None
     # sequential divides: at (n, s) = (1, 1/2) this lands on the double
     # nearest 1/pi, which the command-line contract prints verbatim
     return (
-        2.0 ** (2.0 * s)
+        power
         * s
         * gamma(n / 2.0 + s)
         / math.pi ** (n / 2.0)

@@ -267,11 +267,14 @@ def test_sign_sweep_has_no_tolerance_flag():
     "args",
     [
         "constants --n 400 --s 0.5",
+        # 2^(2s) overflows before either Gamma factor is taken
+        "constants --s 10000000000.5",
         "identity --L 1e-100 --N 1024",
         "identity --L 1e-300 --N 1024",
         "interp --count 1 --seed -1 --N 1024",
         "truncation-bound --N 1024 --eps 0.01 --eps 1e-300",
         "truncation-bound --N 1024 --eps 0.01 --eps 1e-200",
+        "truncation-bound --N 1024 --eps 0.01 --eps 1e160",
         # a NaN last cutoff fails every comparison
         "counterexample --N 4096 --cutoff 80 --cutoff 160 --cutoff 320 --cutoff nan",
         "truncation-bound --N 1024 --eps nan --eps 0.1",
@@ -307,6 +310,10 @@ def test_out_of_range_values_exit_2_without_traceback(args):
         assert "eps levels must be finite, got" in line
     if "--cutoff" in args:
         assert line.endswith("cutoffs must be positive and finite")
+    if "1e160" in args:
+        assert line.endswith("eps level 1e+160 is too large: its square overflows")
+    if "10000000000.5" in args:
+        assert line.endswith("C(1, 1e+10) exceeds the double-precision range")
     if "--func" in args:
         assert line.startswith("validation error: no sign change, so ")
 

@@ -333,6 +333,9 @@ def test_truncation_bound_probe_validation():
     # 1e-300 squared is 0, and the envelope divides by the squared levels
     with pytest.raises(DomainError, match="square underflows"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [0.01, 1e-300], spec=SMALL)
+    # and 1e160 squared overflows: refused before the input is sampled
+    with pytest.raises(DomainError, match=r"level 1e\+160 is too large: its square overflows$"):
+        truncation_bound_probe("no such function", 1.25, [0.01, 1e160], spec=SMALL)
     # max(u) is about 0.43: every shifted form would be exactly 0
     with pytest.raises(DomainError, match="eps level 5 leaves no positive part"):
         truncation_bound_probe("x*exp(-x^2)", 1.25, [5.0, 6.0], spec=SMALL)
@@ -736,10 +739,10 @@ def test_interp_sweep_report_does_not_depend_on_its_threads(monkeypatch):
     # platform has no affinity call
     for cpus, call in ((1, "sched_getaffinity"), (2, "sched_getaffinity"), (2, "cpu_count")):
         if call == "cpu_count":
-            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+            monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(spectral.os, "cpu_count", lambda: cpus)
         else:
-            monkeypatch.setattr(experiments.os, call, lambda pid: set(range(cpus)))
+            monkeypatch.setattr(spectral.os, call, lambda pid: set(range(cpus)))
         CountingThread.started = []
         taken.clear()
         interval = sys.getswitchinterval()
@@ -772,7 +775,7 @@ def test_interp_sweep_raises_the_first_failing_draw_and_joins_its_threads(monkey
     )
     # the helper samples draw 1 only once the main thread has failed at
     # draw 2, so that both failures are on record
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
     main_failed = threading.Event()
     sample_, ratio = experiments.sample, experiments.interpolation_ratio
 
@@ -802,7 +805,7 @@ def test_interp_sweep_raises_the_first_failing_draw_and_joins_its_threads(monkey
 
 
 def test_interp_sweep_takes_no_draw_after_a_known_failure(monkeypatch):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
     CountingThread.started = []
     taken = []
@@ -862,7 +865,7 @@ def test_one_ghost_per_crossing(monkeypatch):
         return counting_build(z, *args)
 
     monkeypatch.setattr(spectral, "_crossing_ghost", noting_build)
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
     for src, k, on_helper in (
         ("(x^2-0.390625)*exp(-x^2)", 2, True),
         (THREE_ROOTS, 3, False),
@@ -929,7 +932,7 @@ def test_overlapped_dealias_spectrum_peak_memory(monkeypatch):
     # ghosts built on a helper thread into a (1, N/2) store beside the
     # transform (numpy 2.4.6, Python 3.11, after the same warm-up): the 1 MiB
     # store and the helper's block buffers are held while the transform is
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
     small = sample("x*exp(-x^2)", GridSpec(1, 20.0, 1024))
     dealias_spectrum(small, find_crossings(small), ("pos",))
     u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**17))
@@ -941,7 +944,7 @@ def test_many_crossings_stay_in_the_per_block_loop_memory(monkeypatch):
     # 39 crossings at 2^17 on two CPUs: 3,148,408 bytes, as in the per-block
     # loop for one crossing; with a (39, N/2) store beside the transform the
     # peak was 44,703,229 (numpy 2.4.6, Python 3.11)
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
     small = sample("x*exp(-x^2)", GridSpec(1, 20.0, 1024))
     dealias_spectrum(small, find_crossings(small), ("pos",))
     u = sample("sin(3*x)*exp(-x^2)", GridSpec(1, 20.0, 2**17))
@@ -970,12 +973,12 @@ def _overlap_case(case):
 def test_overlapped_dealias_matches_the_per_block_loop(monkeypatch, case):
     # from 2^17 on, two CPUs build the ghosts on a helper thread beside the
     # transforms and one CPU in the per-block loop, with the same bits
-    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    monkeypatch.setattr(spectral.threading, "Thread", CountingThread)
     u, crossings = _overlap_case(case)
     modes = ("pos", "neg", "abs")
     got = []
     for cpus in (1, 2):
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         CountingThread.started = []
         got.append(dealias_spectrum(u, crossings, modes))
         assert len(CountingThread.started) == cpus - 1
@@ -988,7 +991,7 @@ def test_overlapped_dealias_matches_the_per_block_loop(monkeypatch, case):
 def test_dealias_spectrum_starts_a_thread_only_when_the_overlap_pays(monkeypatch):
     # one usable CPU, a grid below 2^17, no crossing or more than two: no
     # helper thread
-    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    monkeypatch.setattr(spectral.threading, "Thread", CountingThread)
     big = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**17))
     small = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**16))
     three = sample(THREE_ROOTS, GridSpec(1, 20.0, 2**17))
@@ -999,23 +1002,23 @@ def test_dealias_spectrum_starts_a_thread_only_when_the_overlap_pays(monkeypatch
         (2, big, []),
         (2, three, find_crossings(three)),
     ):
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         CountingThread.started = []
         dealias_spectrum(u, crossings, ("pos",))
         assert CountingThread.started == []
     # without the affinity call, cpu_count decides
-    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 1)
     dealias_spectrum(big, find_crossings(big), ("pos",))
     assert CountingThread.started == []
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 2)
     dealias_spectrum(big, find_crossings(big), ("pos",))
     assert len(CountingThread.started) == 1
 
 
 def test_overlapped_dealias_raises_and_joins_its_helper(monkeypatch):
-    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(spectral.threading, "Thread", CountingThread)
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
     threads = threading.active_count()
     # an error in the helper's ghosts reaches the caller
     u = sample("x*exp(-x^2)", GridSpec(1, 20.0, 2**17))
@@ -1044,7 +1047,7 @@ def test_overlapped_dealias_raises_and_joins_its_helper(monkeypatch):
     assert len(CountingThread.started) == 1
     assert not CountingThread.started[0].is_alive()
     assert threading.active_count() == threads
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(SupportRuleError) as serial:
         dealias_spectrum(wide, crossings, ("pos",))
     assert str(overlapped.value) == str(serial.value)

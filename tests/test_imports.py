@@ -4,7 +4,7 @@ routes that never need an endpoint-corrected form do not load scipy,
 `fraclab.reports` loads neither numpy nor a route, the package resolves
 every public name from its submodule, the spectral and kernel routes
 do not import each other, and only the spectral module touches a
-spectrum's coefficient layout."""
+spectrum's coefficient layout or the alias ghosts."""
 
 import ast
 import importlib
@@ -211,3 +211,53 @@ def test_only_the_spectral_module_touches_spectrum_coefficients():
         if isinstance(node, ast.Attribute) and node.attr == "coeffs"
     )
     assert set(touching) == {"spectral.py"}, touching
+
+
+# what only spectral.py may name: the ghost blocks and the overlap's bounds
+GHOST_NAMES = {
+    "_BLOCK", "_ghost_block", "_crossing_ghost", "_OVERLAP_N", "_OVERLAP_CROSSINGS"
+}
+
+
+def _names(tree):
+    """Every name that a module binds, reads, imports or defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_the_spectral_module_owns_the_alias_ghosts():
+    # spectral._dealias allocates the ghost store, starts the thread that
+    # fills it and subtracts the ghosts; experiments.dealias_spectrum, the
+    # traced entry point, passes the jump factors and the transforms to it
+    paths = (SRC / "fraclab").glob("*.py")
+    modules = {path.stem: ast.parse(path.read_text()) for path in paths}
+    names = {mod: set(_names(tree)) for mod, tree in modules.items()}
+    assert sorted(mod for mod in modules if GHOST_NAMES & names[mod]) == ["spectral"]
+    gone = {"_alias_ghosts", "_subtract_alias_ghosts"}
+    assert not [mod for mod in modules if gone & names[mod]]
+    for tree in modules.values():  # and no function takes ghosts=
+        assert "ghosts" not in {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+    starting = sorted(
+        f"{mod}.{fn.name}"
+        for mod, tree in modules.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Attribute) and n.attr == "Thread" for n in ast.walk(fn)
+        )
+    )
+    assert starting == ["experiments.interp_sweep", "spectral._dealias"]
+    assert "os" not in names["experiments"]
+    (dealias,) = [
+        fn for fn in modules["experiments"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "dealias_spectrum"
+    ]
+    _, call = dealias.body  # the docstring, then one delegation
+    assert isinstance(call, ast.Return) and call.value.func.id == "_dealias"

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end."""
 
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -79,26 +80,36 @@ def test_oracle_table_reproduces_a_value_at_low_precision():
         assert value == pytest.approx(CROSS_FORM[case][1.25], rel=1e-8)
 
 
-def _fake_tree(root, pass_s, correct=True, failed=0):
+def _fake_tree(root, pass_s, correct=True, failed=0, bounds=None):
     """A tree whose bench/run.py notes its arguments in args.txt, from its
-    own root, and prints one result line."""
+    own root, and prints one result line; its k-th run reads pass_s[k] when
+    pass_s is a list, cycling. bounds, when given, go into its
+    BENCHMARK.json as {metric: bound}."""
     (root / "bench").mkdir(parents=True)
     result = {
         "correct": correct,
         "attempted": 3,
         "failed": failed,
         "metrics": {
-            "pass_s": {"value": pass_s, "unit": "s"},
+            "pass_s": {"value": 0.0, "unit": "s"},
             "peak_rss_mb": {"value": 50.0, "unit": "MiB"},
         },
     }
+    values = pass_s if isinstance(pass_s, list) else [pass_s]
     (root / "bench" / "run.py").write_text(
         "import json, sys\n"
-        "with open('args.txt', 'a') as f:\n"
+        "with open('args.txt', 'a+') as f:\n"
+        "    f.seek(0)\n"
+        "    k = len(f.readlines())\n"
         "    f.write(' '.join(sys.argv[1:]) + '\\n')\n"
+        f"result = {result!r}\n"
+        f"result['metrics']['pass_s']['value'] = {values!r}[k % {len(values)}]\n"
         "print('end-to-end metrics:')\n"
-        f"print(json.dumps({result!r}))\n"
+        "print(json.dumps(result))\n"
     )
+    if bounds is not None:
+        metrics = [{"name": n, "bound": b} for n, b in bounds.items()]
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
     return root
 
 
@@ -140,3 +151,28 @@ def test_bench_pairs_fails_on_an_incorrect_run_or_a_failed_op(tmp_path, capsys):
     assert script.main([str(old), str(silent), "--workload", "battery", "--pairs", "1"]) == 1
     *_, last = capsys.readouterr().out.splitlines()
     assert last == f"a run in {silent} printed no result line"
+
+
+def test_bench_pairs_judges_metrics_against_the_old_trees_bounds(tmp_path, capsys):
+    script = _load("bench_pairs")
+    bounds = {"pass_s": 0.25, "peak_rss_mb": 0.1}
+
+    def pairs(name, old_pass_s, new_pass_s):
+        old = _fake_tree(tmp_path / name / "old", old_pass_s, bounds=bounds)
+        new = _fake_tree(tmp_path / name / "new", new_pass_s)
+        args = [str(old), str(new), "--workload", "battery", "--pairs", "4"]
+        code = script.main(args)
+        _, pass_s, rss, *rest = capsys.readouterr().out.splitlines()
+        return code, pass_s.split()[14:], rss.split()[14:], rest, old
+
+    # 30% worse than the old median, against a bound of 25%
+    code, pass_s, rss, rest, old = pairs("worse", 1.0, 1.3)
+    assert (code, pass_s, rss) == (1, ["regression"], [])
+    assert rest == [f"worse than the bound of {old}/BENCHMARK.json: pass_s"]
+    # 20% worse stays within the bound
+    assert pairs("within", 1.0, 1.2)[:3] == (0, [], [])
+    # old runs of 1 and 2 s: quartiles 1-2 s, wider than a quarter of the
+    # 1.5 s median, so an equal median is not resolved
+    assert pairs("wide", [1.0, 2.0], 1.5)[:3] == (0, ["unresolved"], [])
+    # unless every new run beats every old run
+    assert pairs("clear", [1.0, 2.0], 0.5)[:3] == (0, [], [])

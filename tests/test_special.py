@@ -84,6 +84,19 @@ def test_kernel_constant_rejects_integer_order():
         kernel_constant(1, -0.5)
 
 
+def test_kernel_constant_names_its_overflow():
+    # 2^(2s) overflows from s = 512 on, before either Gamma factor; gamma
+    # names its own overflow below that
+    for n, s, shown in ((1, 1e10 + 0.5, "1e+10"), (3, 512.5, "512.5")):
+        with pytest.raises(OverflowError) as caught:
+            kernel_constant(n, s)
+        assert str(caught.value) == (
+            f"C({n}, {shown}) exceeds the double-precision range"
+        )
+    with pytest.raises(OverflowError, match=r"^gamma\(201.0\) exceeds"):
+        kernel_constant(1, 200.5)
+
+
 def test_kernel_constant_sign_alternates_with_integer_part():
     for n in (1, 2, 3):
         s = 0.05
