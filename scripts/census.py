@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Count how `fraclab identity` ends on random admissible inputs.
+
+Draws --draws inputs from bench/workloads.sign_change_source (only read),
+with 1, 2 and 3 simple roots in turn, from one generator seeded by --seed.
+Each input runs through experiments.verify_identity on GridSpec(1, 20, N)
+at the orders s = 0.3, 0.75, 1.25 and 1.45 and at the input scales 1, 2^20
+and 2^-20. For each (s, scale) it prints how many runs pass, fail, raise
+(by exception type) and are refused, which the command line reports with
+exit 0, 1, 1 and 2; a last line totals the exit statuses.
+
+Usage: python scripts/census.py [--draws 60] [--N 16384] [--seed 2026]
+"""
+
+import argparse
+import collections
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from fraclab.cli import REFUSED
+from fraclab.experiments import verify_identity
+from fraclab.grid import GridSpec
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ORDERS = (0.3, 0.75, 1.25, 1.45)
+SCALES = (("1", 1.0), ("2^20", 2.0**20), ("2^-20", 2.0**-20))
+
+
+def draws(count, seed):
+    """The census's input sources, 1, 2 and 3 roots in turn."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng(seed)
+    return [workloads.sign_change_source(rng, 1 + i % 3) for i in range(count)]
+
+
+def outcome(source, s, spec):
+    """How one run ends: "pass", "fail", "refused" or the name of the
+    exception it raised."""
+    try:
+        report = verify_identity(source, s, spec)
+    except REFUSED:
+        return "refused"
+    except Exception as exc:
+        return type(exc).__name__
+    return "pass" if report.all_pass else "fail"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--draws", type=int, default=60)
+    parser.add_argument("--N", type=int, default=16384)
+    parser.add_argument("--seed", type=int, default=2026)
+    args = parser.parse_args(argv)
+    spec = GridSpec(1, 20.0, args.N)
+    sources = draws(args.draws, args.seed)
+    print(f"identity census: {args.draws} draws, N={args.N}, seed {args.seed}")
+    exits = collections.Counter()
+    for s in ORDERS:
+        for name, scale in SCALES:
+            counts = collections.Counter(
+                outcome(f"{scale!r}*{source}", s, spec) for source in sources
+            )
+            raised = {
+                k: v for k, v in sorted(counts.items())
+                if k not in ("pass", "fail", "refused")
+            }
+            shown = ", ".join(f"{k} {v}" for k, v in raised.items())
+            print(
+                f"  s={s:<5g} scale={name:<6} pass {counts['pass']:3d}  "
+                f"fail {counts['fail']:3d}  raise {sum(raised.values()):3d}  "
+                f"refused {counts['refused']:3d}" + (f"  ({shown})" if shown else "")
+            )
+            exits[0] += counts["pass"]
+            exits[1] += counts["fail"] + sum(raised.values())
+            exits[2] += counts["refused"]
+    print(
+        f"exit 0: {exits[0]}, exit 1: {exits[1]}, exit 2: {exits[2]} "
+        f"of {sum(exits.values())} runs"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -168,11 +168,15 @@ def _config_value(flag, val):
     return cast if flag.many else cast[0]
 
 
+# the errors that refuse an input: a validation error, exit 2
+REFUSED = (DomainError, ExpressionError, SupportRuleError, OverflowError)
+
+
 def _run(builder):
     """Run an experiment builder with the exit-status contract."""
     try:
         return builder()
-    except (DomainError, ExpressionError, SupportRuleError, OverflowError) as exc:
+    except REFUSED as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         sys.exit(2)
     except FraclabError as exc:

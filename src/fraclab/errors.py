@@ -18,7 +18,8 @@ class GridMismatchError(FraclabError, ValueError):
 
 
 class SupportRuleError(FraclabError, ValueError):
-    """Input does not decay below 1e-12 on the outer half of the box.
+    """Input does not decay below 1e-12 of the largest |sample| on the
+    outer half of the box.
 
     The discrete transform is a truncation of the integral over the whole
     line, so wrap-around must be negligible by construction.

@@ -8,9 +8,8 @@ embed the tolerance used and the discrepancy achieved.
 Refined spectral evaluation of kinked integrands
 ------------------------------------------------
 A derivative jump forces a slow coefficient tail ~ xi^{-2}, which sampling
-aliases. dealias_spectrum names the truncations and their jumps (|u|
-carries twice the jump of u+ or u-), and the spectral module subtracts the
-alias ghosts exactly (see its docstring).
+aliases. dealias_spectrum transforms the truncations, and the spectral
+module subtracts their alias ghosts exactly (see its docstring).
 
 The truncated frequency sum then misses a genuine tail ~ Xi^{2s-3}.
 Partial sums at geometrically spaced cutoffs are fitted against the basis
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridFunction, GridSpec, sample, truncate
+from .grid import GridFunction, GridSpec, sample
 from .kernel import find_crossings, phi_integral
 from .reports import (
     _TINY, ExperimentReport, Verdict, _check, _inconclusive, _record, _report,
@@ -59,27 +58,11 @@ from .spectral import (
 # ----------------------------------------------------------------------
 # de-aliased truncations
 
-# first-derivative jump of each truncation at a sign crossing of slope
-# kappa, in units of |kappa|: u+ and u- turn by |kappa|, |u| by 2 |kappa|
-_JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
-
 
 def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
-    """Spectra of the truncations of u named by modes ("pos", "neg" or
-    "abs"), with the alias ghosts of their derivative jumps subtracted by
-    spectral._dealias.
-
-    crossings is find_crossings(u): truncation puts a kink at every sign
-    crossing, with the jump given by the slope there and the truncation
-    (|u| turns twice as sharply as u+ and u-). The spectra are marked
-    kinked when there is a crossing.
-    """
-    return _dealias(
-        u.spec,
-        crossings,
-        [_JUMP_FACTOR[m] for m in modes],
-        lambda: tuple(forward_transform(truncate(u, m)) for m in modes),
-    )
+    """spectral._dealias(u, crossings, modes), under the name that the
+    benchmark's tracer times."""
+    return _dealias(u, crossings, modes)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +336,6 @@ def sign_sweep(
         defect = q_abs.value - q_plain.value
         err = q_abs.error_estimate + q_plain.error_estimate
         diverged = q_abs.diverged or q_plain.diverged
-        c_ns = kernel_constant(1, s)
         results.append(
             _record(f"defect at s={s:g}", defect, s_err=err)
         )
@@ -371,6 +353,7 @@ def sign_sweep(
                 )
             )
         else:
+            c_ns = kernel_constant(1, s)
             verdicts.append(_sign_law_verdict(claim, defect, c_ns, (err,)))
     return _report("sign-sweep", params, results, verdicts, t0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -155,11 +156,19 @@ def max_tail(u: GridFunction) -> float:
 
 
 def _require_decay(u: GridFunction) -> None:
-    """Raise SupportRuleError unless u decays below SUPPORT_DECAY on the
-    outer half of the box, the inputs on which the discrete transform and
-    the P1 pairing neglect nothing beyond the box."""
-    if max_tail(u) >= SUPPORT_DECAY:
+    """Raise SupportRuleError unless u decays below SUPPORT_DECAY of its
+    largest |sample| on the outer half of the box, the inputs on which the
+    discrete transform and the P1 pairing neglect nothing beyond the box.
+
+    The rule does not depend on the scale of u while SUPPORT_DECAY times
+    the largest |sample| is a normal double. A tail below the normal range
+    has lost its relative precision and passes, as a zero tail does."""
+    tail = max_tail(u)
+    s = u.samples
+    peak = max(float(s.max()), -float(s.min()))
+    if tail >= max(SUPPORT_DECAY * peak, sys.float_info.min):
         raise SupportRuleError(
-            f"samples reach {max_tail(u):.3e} on the outer half of the box; "
-            f"the transform needs decay below {SUPPORT_DECAY:g} there"
+            f"samples reach {tail:.3e} on the outer half of the box, |x| >= "
+            f"L/2 with L={u.spec.L:g}; the transform needs decay below "
+            f"{SUPPORT_DECAY:g} of the largest |sample|, {peak:.3e}, there"
         )

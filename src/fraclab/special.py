@@ -165,23 +165,26 @@ def kernel_constant(n: int, s) -> float:
     """The constant C(n, s) of the singular-kernel representation.
 
     Integer s is rejected: Gamma(1 - s) has a pole there and the kernel
-    representation does not exist.
+    representation does not exist. A value beyond the double range raises
+    OverflowError rather than returning inf.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"dimension must be a positive integer, got {n}")
     s = _noninteger_order(s)
+    overflow = OverflowError(f"C({n}, {s:g}) exceeds the double-precision range")
     try:
         power = 2.0 ** (2.0 * s)
     except OverflowError:
-        raise OverflowError(
-            f"C({n}, {s:g}) exceeds the double-precision range"
-        ) from None
+        raise overflow from None
     # sequential divides: at (n, s) = (1, 1/2) this lands on the double
     # nearest 1/pi, which the command-line contract prints verbatim
-    return (
+    value = (
         power
         * s
         * gamma(n / 2.0 + s)
         / math.pi ** (n / 2.0)
         / gamma(1.0 - s)
     )
+    if not math.isfinite(value):
+        raise overflow
+    return value

@@ -36,11 +36,13 @@ shell radii m dxi, m = 0 .. N/2 (see Mirrors below). The shell sums add the
 two terms of shell m as (0.0 + t_{-m}) + t_m, the doubles of np.bincount,
 which keeps even the sign of a zero sum.
 
-Alias ghosts of kinks. A derivative jump J at z forces the slow
-coefficient tail F(xi) ~ -J e^{-i xi z} / (sqrt(2 pi) xi^2), and sampling
-aliases it: the DFT coefficient at xi picks up ghost images at xi + 2 Xi m
-for every integer m (Xi the Nyquist frequency). Summed over the lattice
-the ghosts have the closed form
+Alias ghosts of kinks. Truncation kinks u at each sign crossing z, where
+u has the slope kappa: u+ and u- turn there by the derivative jump J =
+|kappa|, and |u| by J = 2 |kappa| (_JUMP_FACTOR). A jump J forces the
+slow coefficient tail F(xi) ~ -J e^{-i xi z} / (sqrt(2 pi) xi^2), and
+sampling aliases it: the DFT coefficient at xi picks up ghost images at
+xi + 2 Xi m for every integer m (Xi the Nyquist frequency). Summed over
+the lattice the ghosts have the closed form
 
     sum_m exp(2 pi i m theta) / (m + alpha)^2
       = pi^2 e^{i pi alpha (1 - 2 theta)}
@@ -71,10 +73,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridFunction, GridSpec, l2_inner
+from .grid import GridFunction, GridSpec, l2_inner, truncate
 from .grid import _require_decay, _require_same_spec
 
 _EVEN_TOL = 1e-12
+# the derivative jump of each truncation at a crossing, in units of |kappa|
+_JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
 _BLOCK = 8192  # negative frequencies per block of alias ghosts
 # from this N on, _dealias builds the ghosts on a second thread while the
 # calling thread transforms, which saves about 10 ms per call. Below it the
@@ -120,8 +124,9 @@ def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
 def forward_transform(u: GridFunction) -> Spectrum:
     """Scaled DFT under the unitary convention; see module docstring.
 
-    The input must decay below 1e-12 on the outer half of the box so that
-    the periodization implicit in the DFT is negligible.
+    The input must decay below 1e-12 of the largest |sample| on the outer
+    half of the box so that the periodization implicit in the DFT is
+    negligible.
     """
     _require_decay(u)
     spec = u.spec
@@ -336,33 +341,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _dealias(spec: GridSpec, crossings, jump_factors, transform):
-    """The spectra that transform() returns on spec, marked kinked, with the
-    alias ghosts of their derivative jumps subtracted in place; as returned
-    when there is no crossing.
+def _dealias(u: GridFunction, crossings, modes):
+    """The spectra of the truncations of u named by modes ("pos", "neg" or
+    "abs"), marked kinked, with the alias ghosts of their derivative jumps
+    subtracted in place; unmarked when there is no crossing.
 
-    crossings are (z, slope) pairs, and spectrum i has the jump
-    jump_factors[i] * |slope| at every z, scaled into each crossing's ghost
-    by -jump / sqrt(2 pi). The model keeps the (correct) m = 0 tail and
-    removes only the lattice translates.
+    crossings is find_crossings(u), (z, slope) pairs: truncation kinks u
+    at every z, and the spectrum of mode m has the jump _JUMP_FACTOR[m] *
+    |slope| there, scaled into each crossing's ghost by -jump / sqrt(2 pi).
+    The model keeps the (correct) m = 0 tail and removes only the lattice
+    translates.
 
     The ghosts depend on the grid and the crossings alone. From N =
     _OVERLAP_N on, with at most _OVERLAP_CROSSINGS crossings and when the
     process may run on two CPUs, a helper thread builds them into one
-    (crossings, N/2) store while this thread runs transform, since the FFTs
-    and the ghosts' ufuncs release the GIL; the subtraction then reads the
-    store. Otherwise each block of ghosts is built as it is subtracted. The
-    spectra are the same bit for bit either way.
+    (crossings, N/2) store while this thread transforms the truncations,
+    since the FFTs and the ghosts' ufuncs release the GIL; the subtraction
+    then reads the store. Otherwise each block of ghosts is built as it is
+    subtracted. The spectra are the same bit for bit either way.
     """
-    if not crossings:
-        return transform()
+    spec = u.spec
     c = spec.N // 2
-    if len(crossings) > _OVERLAP_CROSSINGS or spec.N < _OVERLAP_N or _usable_cpus() < 2:
-        ghosts = None
-        spectra = transform()
-    else:
+    ghosts, helper, failed = None, None, []
+    overlap = 0 < len(crossings) <= _OVERLAP_CROSSINGS and spec.N >= _OVERLAP_N
+    if overlap and _usable_cpus() >= 2:
         ghosts = np.empty((len(crossings), c), dtype=complex)
-        failed = []
 
         def build():
             try:
@@ -377,12 +380,15 @@ def _dealias(spec: GridSpec, crossings, jump_factors, transform):
 
         helper = threading.Thread(target=build)
         helper.start()
-        try:
-            spectra = transform()
-        finally:
+    try:
+        spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
+    finally:
+        if helper is not None:
             helper.join()
-        if failed:
-            raise failed[0]
+    if failed:
+        raise failed[0]
+    if not crossings:
+        return spectra
     # blocks of k = -N/2 .. -1 in coeffs[c:], conjugated into coeffs[1:c]
     for lo in range(0, c, _BLOCK):
         hi = min(lo + _BLOCK, c)
@@ -397,8 +403,8 @@ def _dealias(spec: GridSpec, crossings, jump_factors, transform):
                 _crossing_ghost(z, block, ghost, work)
             else:
                 ghost = ghosts[i, lo:hi]
-            for factor, spectrum in zip(jump_factors, spectra):
-                scale = -(factor * abs(slope) / np.sqrt(2.0 * np.pi))
+            for mode, spectrum in zip(modes, spectra):
+                scale = -(_JUMP_FACTOR[mode] * abs(slope) / np.sqrt(2.0 * np.pi))
                 np.multiply(scale, ghost, out=work)
                 spectrum.coeffs[c + lo : c + hi] -= work
                 np.conjugate(ghost[skip:][::-1], out=mirror)

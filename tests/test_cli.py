@@ -269,6 +269,9 @@ def test_sign_sweep_has_no_tolerance_flag():
         "constants --n 400 --s 0.5",
         # 2^(2s) overflows before either Gamma factor is taken
         "constants --s 10000000000.5",
+        # the products overflow to inf and -inf with finite factors
+        "constants --s 100.5",
+        "constants --s 165.5",
         "identity --L 1e-100 --N 1024",
         "identity --L 1e-300 --N 1024",
         "interp --count 1 --seed -1 --N 1024",
@@ -314,6 +317,9 @@ def test_out_of_range_values_exit_2_without_traceback(args):
         assert line.endswith("eps level 1e+160 is too large: its square overflows")
     if "10000000000.5" in args:
         assert line.endswith("C(1, 1e+10) exceeds the double-precision range")
+    for s in ("100.5", "165.5"):
+        if f"--s {s}" in args:
+            assert line.endswith(f"C(1, {s}) exceeds the double-precision range")
     if "--func" in args:
         assert line.startswith("validation error: no sign change, so ")
 

@@ -559,7 +559,7 @@ def _dealias_full_axis(u, crossings, modes):
     for z, slope in crossings:
         _crossing_ghost_reference(z, basis, ghost, work)
         for mode, spectrum in zip(modes, spectra):
-            jump = experiments._JUMP_FACTOR[mode] * abs(slope)
+            jump = spectral._JUMP_FACTOR[mode] * abs(slope)
             np.multiply(-(jump / np.sqrt(2.0 * np.pi)), ghost, out=work)
             spectrum.coeffs[c:] -= work[:c]
             spectrum.coeffs[1:c] -= work[c:]
@@ -569,7 +569,7 @@ def _dealias_full_axis(u, crossings, modes):
 def _two_crossings(N):
     """An input with two crossings that the transform accepts at N: below
     2^10 nodes only the inner half of the box may carry samples above the
-    1e-12 support floor."""
+    support floor, 1e-12 of the largest |sample|."""
     if N == 8:  # nodes -12, -9, ..., 9
         return GridFunction(
             GridSpec(1, 12.0, 8), np.array([0.0, 0.0, 0.0, -1.0, 0.5, -2.0, 0.0, 0.0])
@@ -770,8 +770,9 @@ def test_interp_sweep_raises_the_first_failing_draw_and_joins_its_threads(monkey
     assert len(ratios) == 1
     assert isinstance(error, SupportRuleError)
     assert str(error) == (
-        "samples reach 1.079e-10 on the outer half of the box; the transform "
-        "needs decay below 1e-12 there"
+        "samples reach 1.079e-10 on the outer half of the box, |x| >= L/2 with "
+        "L=14; the transform needs decay below 1e-12 of the largest |sample|, "
+        "7.655e-01, there"
     )
     # the helper samples draw 1 only once the main thread has failed at
     # draw 2, so that both failures are on record
@@ -1122,7 +1123,9 @@ def test_sign_sweep_transforms_each_input_once(monkeypatch, orders):
         calls.append(u)
         return forward_transform(u)
 
-    monkeypatch.setattr(experiments, "forward_transform", counting)
+    # u in experiments, |u| in spectral._dealias
+    for module in (experiments, spectral):
+        monkeypatch.setattr(module, "forward_transform", counting)
     rep = sign_sweep("x*exp(-x^2)", orders, spec=SMALL)
     assert len(calls) == 2
     assert len(rep.verdicts) == len(orders)

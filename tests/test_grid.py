@@ -167,13 +167,29 @@ def test_support_rule_message_unchanged():
     spec = GridSpec(1, 16.0, 1024)
     wide = sample("exp(-x^2/200)", spec)
     tail = float(np.max(np.abs(wide.samples[_outer_mask(spec)])))
+    peak = float(np.max(np.abs(wide.samples)))
     want = (
-        f"samples reach {tail:.3e} on the outer half of the box; "
-        f"the transform needs decay below {SUPPORT_DECAY:g} there"
+        f"samples reach {tail:.3e} on the outer half of the box, |x| >= L/2 "
+        f"with L=16; the transform needs decay below {SUPPORT_DECAY:g} of the "
+        f"largest |sample|, {peak:.3e}, there"
     )
     with pytest.raises(SupportRuleError) as err:
         forward_transform(wide)
     assert str(err.value) == want
+
+
+def test_support_rule_does_not_depend_on_scale():
+    # the floor is relative to the largest |sample|: a slowly decaying shape
+    # is refused at every scale and a fast one admitted at every scale; so
+    # are the zero function and a tail below the normal double range
+    spec = GridSpec(1, 20.0, 4096)
+    for scale in (1.0, 1e-13, 1e13):
+        with pytest.raises(SupportRuleError) as err:
+            forward_transform(sample(f"{scale!r}*x*exp(-x^2/20)", spec))
+        assert str(err.value).endswith(f"largest |sample|, {1.918 * scale:.3e}, there")
+        forward_transform(sample(f"{scale!r}*x*exp(-x^2)", spec))
+    forward_transform(GridFunction(spec, np.zeros(spec.N)))
+    forward_transform(GridFunction(spec, np.full(spec.N, 5e-324)))
 
 
 def test_forward_transform_builds_no_node_axis(monkeypatch):

@@ -213,9 +213,11 @@ def test_only_the_spectral_module_touches_spectrum_coefficients():
     assert set(touching) == {"spectral.py"}, touching
 
 
-# what only spectral.py may name: the ghost blocks and the overlap's bounds
+# what only spectral.py may name: the jump of each truncation, the ghost
+# blocks and the overlap's bounds
 GHOST_NAMES = {
-    "_BLOCK", "_ghost_block", "_crossing_ghost", "_OVERLAP_N", "_OVERLAP_CROSSINGS"
+    "_JUMP_FACTOR", "_BLOCK", "_ghost_block", "_crossing_ghost", "_OVERLAP_N",
+    "_OVERLAP_CROSSINGS",
 }
 
 
@@ -233,9 +235,10 @@ def _names(tree):
 
 
 def test_only_the_spectral_module_owns_the_alias_ghosts():
-    # spectral._dealias allocates the ghost store, starts the thread that
-    # fills it and subtracts the ghosts; experiments.dealias_spectrum, the
-    # traced entry point, passes the jump factors and the transforms to it
+    # spectral._dealias truncates and transforms u, allocates the ghost
+    # store, starts the thread that fills it and subtracts the ghosts with
+    # each truncation's jump; experiments.dealias_spectrum, the traced entry
+    # point, only passes its arguments on
     paths = (SRC / "fraclab").glob("*.py")
     modules = {path.stem: ast.parse(path.read_text()) for path in paths}
     names = {mod: set(_names(tree)) for mod, tree in modules.items()}
@@ -261,3 +264,16 @@ def test_only_the_spectral_module_owns_the_alias_ghosts():
     ]
     _, call = dealias.body  # the docstring, then one delegation
     assert isinstance(call, ast.Return) and call.value.func.id == "_dealias"
+    (inner,) = [
+        fn for fn in modules["spectral"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_dealias"
+    ]
+    assert [a.arg for a in inner.args.args] == ["u", "crossings", "modes"]
+    assert not (inner.args.kwonlyargs or inner.args.vararg or inner.args.kwarg)
+    imported = {
+        alias.name
+        for node in ast.walk(modules["experiments"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {"truncate", "_JUMP_FACTOR"} & imported

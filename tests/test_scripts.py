@@ -62,6 +62,27 @@ def test_cold_start_fails_when_the_trees_exit_differently(tmp_path, capsys):
     assert last == "the two trees exit with different statuses"
 
 
+def test_census_counts_every_run_once(capsys):
+    assert _load("census").main(["--draws", "3", "--N", "256"]) == 0
+    title, *rows, total = capsys.readouterr().out.splitlines()
+    assert title == "identity census: 3 draws, N=256, seed 2026"
+    assert len(rows) == 12  # four orders times three scales
+    for row in rows:
+        fields = re.fullmatch(
+            r"  s=\S+ +scale=\S+ +pass +(\d+)  fail +(\d+)  raise +(\d+)"
+            r"  refused +(\d+)(  \((.*)\))?",
+            row,
+        )
+        assert fields, row
+        counts = [int(fields[i]) for i in range(1, 5)]
+        assert sum(counts) == 3, row
+        by_type = re.findall(r"(\w+) (\d+)", fields[6] or "")
+        assert sum(int(n) for _, n in by_type) == counts[2], row
+    exits = re.fullmatch(r"exit 0: (\d+), exit 1: (\d+), exit 2: (\d+) of 36 runs", total)
+    assert exits, total
+    assert sum(int(n) for n in exits.groups()) == 36
+
+
 def test_oracle_table_generates_exactly_the_recorded_values():
     script = _load("oracle_table")
     generated = {(case, s) for case in script.CASES for s in script.ORDERS}

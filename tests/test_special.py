@@ -86,8 +86,12 @@ def test_kernel_constant_rejects_integer_order():
 
 def test_kernel_constant_names_its_overflow():
     # 2^(2s) overflows from s = 512 on, before either Gamma factor; gamma
-    # names its own overflow below that
-    for n, s, shown in ((1, 1e10 + 0.5, "1e+10"), (3, 512.5, "512.5")):
+    # names its own overflow from s = 170.5 on, and below that the products
+    # of finite factors overflow to inf (s = 100.5) or -inf (s = 165.5)
+    for n, s, shown in (
+        (1, 1e10 + 0.5, "1e+10"), (3, 512.5, "512.5"), (1, 100.5, "100.5"),
+        (1, 165.5, "165.5"),
+    ):
         with pytest.raises(OverflowError) as caught:
             kernel_constant(n, s)
         assert str(caught.value) == (
