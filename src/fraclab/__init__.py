@@ -9,17 +9,17 @@ import importlib
 _NAMES = {
     "errors": """DomainError ExpressionError FraclabError GridMismatchError
         PoleError QuadratureToleranceError SupportRuleError""",
-    "experiments": """RefinedValue convergence_study counterexample_scan
-        dealias_spectrum interp_sweep random_function_source refined_form
-        sign_sweep truncation_bound_probe verify_identity""",
+    "experiments": """convergence_study counterexample_scan dealias_spectrum
+        interp_sweep random_function_source refined_form sign_sweep
+        truncation_bound_probe verify_identity""",
     "expr": "evaluate_array parse",
     "grid": "GridFunction GridSpec l2_inner max_tail sample truncate",
     "kernel": "QuadratureResult find_crossings p1_pairing phi_integral",
     "reports": """ExperimentReport ResultRecord Verdict discrepancy
         report_to_csv report_to_json report_to_text write_report""",
     "special": "gamma kernel_constant",
-    "spectral": """Spectrum cross_spectrum forward_transform interpolation_ratio
-        quadratic_form shell_partial_sums zeta_extended""",
+    "spectral": """RefinedValue Spectrum cross_spectrum forward_transform
+        interpolation_ratio quadratic_form shell_partial_sums zeta_extended""",
 }
 # public name -> the submodule that defines it
 _SUBMODULE = {name: mod for mod, names in _NAMES.items() for name in names.split()}

@@ -3,19 +3,8 @@
 Each driver samples an expression on a grid, evaluates the quantity of
 interest along both routes where possible (Fourier-multiplier sums vs
 graded kernel quadrature), and emits a reports.ExperimentReport whose verdicts
-embed the tolerance used and the discrepancy achieved.
-
-Refined spectral evaluation of kinked integrands
-------------------------------------------------
-A derivative jump forces a slow coefficient tail ~ xi^{-2}, which sampling
-aliases. dealias_spectrum transforms the truncations, and the spectral
-module subtracts their alias ghosts exactly (see its docstring).
-
-The truncated frequency sum then misses a genuine tail ~ Xi^{2s-3}.
-Partial sums at geometrically spaced cutoffs are fitted against the basis
-[1, Xi^{2s-3}, Xi^{2s-5}] and the constant term is the extrapolated value.
-After de-aliasing the fit is insensitive to the window choice, which is
-what the error estimate measures.
+embed the tolerance used and the discrepancy achieved. The spectral
+route's ghost and tail models live in the spectral module.
 """
 
 from __future__ import annotations
@@ -24,7 +13,6 @@ import math
 import operator
 import threading
 import time
-from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
 
@@ -45,8 +33,10 @@ from .special import (
     kernel_constant,
 )
 from .spectral import (
+    RefinedValue,
     Spectrum,
     _dealias,
+    _refine,
     _usable_cpus,
     cross_spectrum,
     forward_transform,
@@ -56,7 +46,7 @@ from .spectral import (
 
 
 # ----------------------------------------------------------------------
-# de-aliased truncations
+# the spectral route's traced entry points
 
 
 def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
@@ -65,81 +55,12 @@ def dealias_spectrum(u: GridFunction, crossings, modes: Sequence[str]):
     return _dealias(u, crossings, modes)
 
 
-# ----------------------------------------------------------------------
-# refined form values
-
-
-@dataclass(frozen=True)
-class RefinedValue:
-    value: float
-    error_estimate: float
-    diverged: bool
-
-
-def _fit_constant(cuts, vals, s):
-    basis = np.column_stack(
-        [np.ones_like(cuts), cuts ** (2.0 * s - 3.0), cuts ** (2.0 * s - 5.0)]
-    )
-    coef, _, _, _ = np.linalg.lstsq(basis, vals, rcond=None)
-    resid = vals - basis @ coef
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
-
-
 def refined_form(
     cross: Spectrum, s: float, *, extrapolate: bool = True
 ) -> RefinedValue:
-    """Frequency-sum value of the s-form of two spectra, given as their
-    cross_spectrum, with cutoff extrapolation for kinked inputs with s in
-    the slowly convergent band.
-
-    cross.kinked says whether the inputs have derivative jumps, their
-    spectra then coming from dealias_spectrum. Divergent tails (growing
-    octave increments) are flagged rather than extrapolated; the reported
-    value is then the bare partial sum.
-    """
-    xi, partial = shell_partial_sums(cross, s)
-    total = float(partial[-1])
-    scale = max(abs(total), _TINY)
-    top = partial[-1]
-    n_half = len(partial) - 1
-    # partial sums that overflowed difference to NaN, which flags nothing
-    with np.errstate(invalid="ignore"):
-        inc1 = float(top - partial[n_half // 2])
-        inc2 = float(partial[n_half // 2] - partial[n_half // 4])
-    diverged = (
-        abs(inc1) > 1.05 * abs(inc2) and abs(inc1) > 1e-10 * scale
-    )
-    if diverged:
-        return RefinedValue(value=total, error_estimate=abs(inc1), diverged=True)
-    if extrapolate and cross.kinked and 0.75 < s < 1.5:
-        dxi = float(xi[1] - xi[0])
-        ximax = float(xi[-1])
-        lo = max(ximax / 32.0, 12.0 * dxi)
-        hi = ximax / 2.0
-        if hi > 2.0 * lo:
-            # the rectangle shell sum truncated after shell k covers
-            # frequencies up to xi_k + dxi/2; using that midpoint as the
-            # fit abscissa keeps the ordinates free of snapping sawtooth
-            def fit(window):
-                cuts = np.geomspace(window[0], window[1], 12)
-                idx = np.searchsorted(xi, cuts, side="right") - 1
-                eff = xi[idx] + 0.5 * dxi
-                return _fit_constant(eff, partial[idx], s)
-
-            val_a, resid_a = fit((lo, hi))
-            val_b, _ = fit((1.5 * lo, hi / 1.5))
-            est = abs(val_a - val_b) + resid_a
-            est = max(est, 1e-14 * abs(val_a))
-            return RefinedValue(value=val_a, error_estimate=est, diverged=False)
-    # plain corrected sum; the residual tail of a kinked integrand is a
-    # geometric series in octaves with ratio 2^{2s-3}
-    if cross.kinked and s < 1.4:
-        ratio = 2.0 ** (2.0 * s - 3.0)
-        est = abs(inc1) * ratio / (1.0 - ratio)
-    else:
-        est = abs(inc1)
-    est = max(est, 1e-15 * scale)
-    return RefinedValue(value=total, error_estimate=est, diverged=False)
+    """spectral._refine(cross, s, extrapolate), under the name that the
+    benchmark's tracer times."""
+    return _refine(cross, s, extrapolate)
 
 
 def _truncation_forms(

@@ -132,17 +132,17 @@ def test_reports_loads_neither_numpy_nor_a_route():
 PUBLIC = {
     "errors": """DomainError ExpressionError FraclabError GridMismatchError
         PoleError QuadratureToleranceError SupportRuleError""",
-    "experiments": """RefinedValue convergence_study counterexample_scan
-        dealias_spectrum interp_sweep random_function_source refined_form
-        sign_sweep truncation_bound_probe verify_identity""",
+    "experiments": """convergence_study counterexample_scan dealias_spectrum
+        interp_sweep random_function_source refined_form sign_sweep
+        truncation_bound_probe verify_identity""",
     "expr": "evaluate_array parse",
     "grid": "GridFunction GridSpec l2_inner max_tail sample truncate",
     "kernel": "QuadratureResult find_crossings p1_pairing phi_integral",
     "reports": """ExperimentReport ResultRecord Verdict discrepancy
         report_to_csv report_to_json report_to_text write_report""",
     "special": "gamma kernel_constant",
-    "spectral": """Spectrum cross_spectrum forward_transform interpolation_ratio
-        quadratic_form shell_partial_sums zeta_extended""",
+    "spectral": """RefinedValue Spectrum cross_spectrum forward_transform
+        interpolation_ratio quadratic_form shell_partial_sums zeta_extended""",
 }
 PUBLIC_NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names.split()]
 
@@ -277,3 +277,35 @@ def test_only_the_spectral_module_owns_the_alias_ghosts():
         for alias in node.names
     }
     assert not {"truncate", "_JUMP_FACTOR"} & imported
+
+
+def test_only_the_spectral_module_owns_the_tail_model():
+    # the fit basis, the band and the octave ratio of spectral._refine read
+    # Spectrum.kinked; experiments.refined_form, the traced entry point,
+    # only passes its arguments on
+    paths = (SRC / "fraclab").glob("*.py")
+    modules = {path.stem: ast.parse(path.read_text()) for path in paths}
+    owners = sorted(
+        mod
+        for mod, tree in modules.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "kinked")
+        or (
+            isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in ("RefinedValue", "_fit_constant")
+        )
+    )
+    assert set(owners) == {"spectral"}, owners
+    (refined,) = [
+        fn for fn in modules["experiments"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "refined_form"
+    ]
+    assert [a.arg for a in refined.args.args] == ["cross", "s"]
+    assert [a.arg for a in refined.args.kwonlyargs] == ["extrapolate"]
+    _, call = refined.body  # the docstring, then one delegation
+    assert isinstance(call, ast.Return) and call.value.func.id == "_refine"
+    (inner,) = [
+        fn for fn in modules["spectral"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_refine"
+    ]
+    assert [a.arg for a in inner.args.args] == ["cross", "s", "extrapolate"]
