@@ -105,6 +105,12 @@ def _underflow(cross: float, where: str) -> str:
     )
 
 
+def _overflow(form: str, value: float) -> str:
+    """Why a form that the input's scale takes out of the double range is
+    refused: it reads inf, or NaN from inf - inf."""
+    return f"{form} overflows the double range: its value is {value}"
+
+
 def _sign_name(x: float) -> str:
     if not math.isfinite(x):
         return "non-finite"
@@ -176,6 +182,10 @@ def verify_identity(
     q_plain = refined_form(cross_spectrum(su, su), order)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
+    if not math.isfinite(cross.value):
+        raise DomainError(_overflow("the cross form of u+ and u-", cross.value))
+    if not math.isfinite(defect):
+        raise DomainError(_overflow("the defect Q_s(|u|) - Q_s(u)", defect))
 
     phi_tol = tol * abs(cross.value)
     if phi_tol == 0.0:
@@ -273,6 +283,8 @@ def sign_sweep(
                     f"{_sign_name(defect)} (evidence only)",
                 )
             )
+        elif not math.isfinite(defect):
+            raise DomainError(_overflow(f"the defect at s={s:g}", defect))
         else:
             c_ns = kernel_constant(1, s)
             verdicts.append(_sign_law_verdict(claim, defect, c_ns, (err,)))
@@ -473,6 +485,9 @@ def truncation_bound_probe(
             )
     labels = ["reference form of the positive part"]
     labels += [f"shifted form at eps={e:g}" for e in eps]
+    for label, q in zip(labels, forms):
+        if not math.isfinite(q.value):
+            raise DomainError(_overflow(f"the {label}", q.value))
     results = [
         _record(k, q.value, s_err=q.error_estimate) for k, q in zip(labels, forms)
     ]
@@ -495,7 +510,10 @@ def truncation_bound_probe(
     # couples to the fixed function at first order), so extrapolate the
     # two smallest levels and use a three-point quadratic as the error probe
     e0, e1 = eps[0], eps[1]
-    limit = values[0] + (values[0] - values[1]) * e0 / (e1 - e0)
+    with np.errstate(over="ignore"):
+        limit = values[0] + (values[0] - values[1]) * e0 / (e1 - e0)
+    if not np.isfinite(limit):  # the product overflowed: take it scaled
+        limit = values[0] + (values[0] - values[1]) * (e0 / (e1 - e0))
     if len(eps) >= 3:
         pts = np.array(eps[:3])
         weights = [
@@ -586,6 +604,10 @@ def convergence_study(
         (spectral,) = _truncation_forms(
             u, crossings, order, [("pos", "neg")], extrapolate
         )
+        if not math.isfinite(spectral.value):
+            raise DomainError(
+                _overflow(f"the cross form of u+ and u- at N={N}", spectral.value)
+            )
         if spectral.value == 0.0:
             raise DomainError(_underflow(spectral.value, f"at N={N}"))
         phi = phi_integral(u, crossings, order, tol=1e-10)

@@ -126,7 +126,10 @@ def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
     their real parts, on which every form of the pair depends. For real u
     and v the imaginary parts are odd in xi, so no form reads them."""
     products = np.conjugate(sv.coeffs)
-    np.multiply(su.coeffs, products, out=products)
+    # a product beyond the double range is inf, without a warning; the
+    # drivers refuse the form that it makes non-finite
+    with np.errstate(over="ignore"):
+        np.multiply(su.coeffs, products, out=products)
     return Spectrum(su.spec, products.real.copy(), su.kinked or sv.kinked)
 
 
@@ -284,17 +287,19 @@ def shell_partial_sums(cross: Spectrum, s: float):
     g = cross.coeffs
     # g[N - m] and g[m] are the two halves of shell m; shell N/2 has only
     # k = -N/2 (g[c]) and shell 0 only k = 0. A multiplier that overflows (far
-    # above s = 3/2, or at a tiny L) turns the sums inf or NaN without a
-    # warning: sign_sweep reports the defect as non-finite, and
-    # _endpoint_terms rejects the tiny L
+    # above s = 3/2, or at a tiny L), or a cross spectrum of an input too
+    # large for its forms, turns the sums and the endpoint terms inf or NaN
+    # without a warning: sign_sweep reports a probe's defect as non-finite,
+    # the drivers refuse a non-finite form, and _endpoint_terms rejects the
+    # tiny L
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _multiplier(radii, s)
         shell_sums = np.zeros(c + 1)
         shell_sums[1:] += weights[1:] * g[: c - 1 : -1] * dxi
         shell_sums[:c] += weights[:c] * g[:c] * dxi
         partial = np.cumsum(shell_sums)
-    if s > 0.0 and not _even_integer_lambda(2.0 * s):
-        partial = partial - _endpoint_terms(g, 2.0 * s, dxi)
+        if s > 0.0 and not _even_integer_lambda(2.0 * s):
+            partial = partial - _endpoint_terms(g, 2.0 * s, dxi)
     return radii, partial
 
 
@@ -315,7 +320,12 @@ def _fit_constant(cuts, vals, s):
     )
     coef, _, _, _ = np.linalg.lstsq(basis, vals, rcond=None)
     resid = vals - basis @ coef
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(resid**2)))
+    peak = float(np.max(np.abs(resid))) if math.isinf(rms) else math.inf
+    if math.isfinite(peak):  # resid**2 overflowed: take the RMS scaled
+        rms = peak * float(np.sqrt(np.mean((resid / peak) ** 2)))
+    return float(coef[0]), rms
 
 
 def _refine(cross: Spectrum, s: float, extrapolate: bool) -> RefinedValue:

@@ -2,11 +2,11 @@
 
 A derandomized hypothesis property over the inputs of the benchmark's
 sign-change-mix workload (bench/workloads.sign_change_source, only read):
-one to three simple roots under a Gaussian, scaled by 2^-20, 1 or 2^20, on
-2^8 to 2^12 nodes, at an order off the integers. Each of the four drivers
-that take such an input must return its report or raise DomainError,
-SupportRuleError or QuadratureToleranceError, and no numpy warning may
-leak. The graded quadrature still fails to converge on many of these
+one to three simple roots under a Gaussian, scaled by 2^-266, 2^-20, 1,
+2^20 or 2^266, on 2^8 to 2^12 nodes, at an order off the integers. Each of
+the four drivers that take such an input must return its report or raise
+DomainError, SupportRuleError or QuadratureToleranceError, and no numpy
+warning may leak. The graded quadrature still fails to converge on many of these
 inputs, so a QuadratureToleranceError is allowed here.
 """
 
@@ -39,7 +39,7 @@ def admissible(draw):
     """(source, scale, N, s)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     source = workloads.sign_change_source(rng, draw(st.integers(1, 3)))
-    scale = draw(st.sampled_from([2.0**-20, 1.0, 2.0**20]))
+    scale = draw(st.sampled_from([2.0**-266, 2.0**-20, 1.0, 2.0**20, 2.0**266]))
     N = 2 ** draw(st.integers(8, 12))
     s = draw(st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.49)))
     return f"{scale!r}*{source}", scale, N, s

@@ -17,7 +17,7 @@ import pathlib
 import subprocess
 import sys
 
-from fraclab.experiments import RefinedValue
+from fraclab.spectral import RefinedValue
 from fraclab.kernel import QuadratureResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

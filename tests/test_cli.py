@@ -293,6 +293,13 @@ def test_sign_sweep_has_no_tolerance_flag():
         # a grid refuses fewer than 8 nodes, which the endpoint stencil and
         # the scan's root check need
         "counterexample --N 4 --L 0.5 --cutoff 1 --cutoff 2 --cutoff 3 --cutoff 4",
+        # the forms of so large an input leave the double range, which is
+        # refused before the kernel route runs
+        "identity --func 1e154*x*exp(-x^2) --N 1024",
+        "truncation-bound --func 1e154*x*exp(-x^2) --N 1024 --eps 2e153 --eps 1e153",
+        "convergence --func 1e154*x*exp(-x^2) --N-list 256 --N-list 512 "
+        "--N-list 1024",
+        "sign-sweep --func 1e154*x*exp(-x^2) --N 1024 --s 1.25 --s 1.6",
     ],
 )
 def test_out_of_range_values_exit_2_without_traceback(args):
@@ -320,7 +327,9 @@ def test_out_of_range_values_exit_2_without_traceback(args):
     for s in ("100.5", "165.5"):
         if f"--s {s}" in args:
             assert line.endswith(f"C(1, {s}) exceeds the double-precision range")
-    if "--func" in args:
+    if "1e154" in args:
+        assert "overflows the double range: its value is" in line
+    elif "--func" in args:
         assert line.startswith("validation error: no sign change, so ")
 
 

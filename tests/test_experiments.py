@@ -261,6 +261,28 @@ def test_verdicts_do_not_depend_on_the_input_scale():
                     assert v == v0 or v == v0 * 4.0**k, (k, name, r.quantity, field)
 
 
+def test_verdicts_hold_at_scales_whose_squares_near_the_double_range():
+    # at 2^266 (about 1e80) the fit residuals square past the double range,
+    # and at 2^505 (about 1e152) so does the zero-level extrapolation's
+    # product; both are then taken scaled, so the verdicts stay as they are
+    base = _scaled_reports(0)
+    for k in (266, 505):
+        for rep, rep0 in zip(_scaled_reports(k), base):
+            assert [v.status for v in rep.verdicts] == [
+                v.status for v in rep0.verdicts
+            ], (k, rep.experiment)
+
+
+def test_fit_residual_is_taken_scaled_when_its_square_overflows():
+    cuts = np.geomspace(10.0, 80.0, 12)
+    vals = 1.0 + cuts**-0.5 + 1e-3 * np.sin(cuts)
+    value, resid = spectral._fit_constant(cuts, vals, 1.25)
+    big_value, big_resid = spectral._fit_constant(cuts, vals * 2.0**600, 1.25)
+    assert math.isinf(resid * 2.0**600 * resid * 2.0**600)
+    assert big_value == value * 2.0**600
+    assert big_resid == pytest.approx(resid * 2.0**600, rel=1e-14)
+
+
 def test_order_arrays_give_the_same_reports_as_lists():
     orders = [0.5, 1.25]
     for run in (
