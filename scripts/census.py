@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Count how `fraclab identity` ends on random admissible inputs.
+"""Count how a `fraclab` driver ends on random admissible inputs.
 
 Draws --draws inputs from bench/workloads.sign_change_source (only read),
 with 1, 2 and 3 simple roots in turn, from one generator seeded by --seed.
-Each input runs through experiments.verify_identity on GridSpec(1, 20, N)
-at the orders s = 0.3, 0.75, 1.25 and 1.45 and at the input scales 1, 2^20
-and 2^-20. For each (s, scale) it prints how many runs pass, fail, raise
-(by exception type) and are refused, which the command line reports with
-exit 0, 1, 1 and 2; a last line totals the exit statuses.
+Each input runs through the --driver on GridSpec(1, 20, N) at the orders
+s = 0.3, 0.75, 1.25 and 1.45 and at the input scales 1, 2^20 and 2^-20:
+identity and sign-sweep at that order, truncation-bound with the command
+line's eps levels times the scale, and convergence on the resolutions N/4,
+N/2 and N. For each (s, scale) it prints how many runs pass (no verdict
+fails), fail, raise (by exception type) and are refused, which the command
+line reports with exit 0, 1, 1 and 2; a last line totals the exit statuses.
 
-Usage: python scripts/census.py [--draws 60] [--N 16384] [--seed 2026]
+Usage: python scripts/census.py [--driver identity] [--draws 60] [--N 16384]
+       [--seed 2026]
 """
 
 import argparse
@@ -19,13 +22,27 @@ import pathlib
 
 import numpy as np
 
-from fraclab.cli import REFUSED
-from fraclab.experiments import verify_identity
+from fraclab.cli import REFUSED, parse
+from fraclab.experiments import (
+    convergence_study, sign_sweep, truncation_bound_probe, verify_identity,
+)
 from fraclab.grid import GridSpec
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 ORDERS = (0.3, 0.75, 1.25, 1.45)
 SCALES = (("1", 1.0), ("2^20", 2.0**20), ("2^-20", 2.0**-20))
+EPS = parse(["truncation-bound"])[1]["eps_list"]  # the command line's levels
+# driver name -> run(source, s, scale, spec) -> report
+DRIVERS = {
+    "identity": lambda source, s, scale, spec: verify_identity(source, s, spec),
+    "sign-sweep": lambda source, s, scale, spec: sign_sweep(source, [s], spec),
+    "truncation-bound": lambda source, s, scale, spec: truncation_bound_probe(
+        source, s, [scale * e for e in EPS], spec
+    ),
+    "convergence": lambda source, s, scale, spec: convergence_study(
+        source, s, [spec.N // 4, spec.N // 2, spec.N], spec.L
+    ),
+}
 
 
 def draws(count, seed):
@@ -37,11 +54,11 @@ def draws(count, seed):
     return [workloads.sign_change_source(rng, 1 + i % 3) for i in range(count)]
 
 
-def outcome(source, s, spec):
+def outcome(run):
     """How one run ends: "pass", "fail", "refused" or the name of the
     exception it raised."""
     try:
-        report = verify_identity(source, s, spec)
+        report = run()
     except REFUSED:
         return "refused"
     except Exception as exc:
@@ -51,18 +68,21 @@ def outcome(source, s, spec):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--driver", choices=DRIVERS, default="identity")
     parser.add_argument("--draws", type=int, default=60)
     parser.add_argument("--N", type=int, default=16384)
     parser.add_argument("--seed", type=int, default=2026)
     args = parser.parse_args(argv)
     spec = GridSpec(1, 20.0, args.N)
     sources = draws(args.draws, args.seed)
-    print(f"identity census: {args.draws} draws, N={args.N}, seed {args.seed}")
+    run = DRIVERS[args.driver]
+    print(f"{args.driver} census: {args.draws} draws, N={args.N}, seed {args.seed}")
     exits = collections.Counter()
     for s in ORDERS:
         for name, scale in SCALES:
             counts = collections.Counter(
-                outcome(f"{scale!r}*{source}", s, spec) for source in sources
+                outcome(lambda: run(f"{scale!r}*{source}", s, scale, spec))
+                for source in sources
             )
             raised = {
                 k: v for k, v in sorted(counts.items())

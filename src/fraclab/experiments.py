@@ -512,7 +512,7 @@ def truncation_bound_probe(
     e0, e1 = eps[0], eps[1]
     with np.errstate(over="ignore"):
         limit = values[0] + (values[0] - values[1]) * e0 / (e1 - e0)
-    if not np.isfinite(limit):  # the product overflowed: take it scaled
+    if not math.isfinite(limit):  # the product overflowed: take it scaled
         limit = values[0] + (values[0] - values[1]) * (e0 / (e1 - e0))
     if len(eps) >= 3:
         pts = np.array(eps[:3])

@@ -322,8 +322,8 @@ def _fit_constant(cuts, vals, s):
     resid = vals - basis @ coef
     with np.errstate(over="ignore"):
         rms = float(np.sqrt(np.mean(resid**2)))
-    peak = float(np.max(np.abs(resid))) if math.isinf(rms) else math.inf
-    if math.isfinite(peak):  # resid**2 overflowed: take the RMS scaled
+    peak = float(np.max(np.abs(resid)))
+    if math.isinf(rms) and math.isfinite(peak):  # resid**2 overflowed
         rms = peak * float(np.sqrt(np.mean((resid / peak) ** 2)))
     return float(coef[0]), rms
 

@@ -4,7 +4,7 @@ routes that never need an endpoint-corrected form do not load scipy,
 `fraclab.reports` loads neither numpy nor a route, the package resolves
 every public name from its submodule, the spectral and kernel routes
 do not import each other, and only the spectral module touches a
-spectrum's coefficient layout or the alias ghosts."""
+spectrum's coefficient layout, the alias ghosts or the tail model."""
 
 import ast
 import importlib

@@ -62,10 +62,12 @@ def test_cold_start_fails_when_the_trees_exit_differently(tmp_path, capsys):
     assert last == "the two trees exit with different statuses"
 
 
-def test_census_counts_every_run_once(capsys):
-    assert _load("census").main(["--draws", "3", "--N", "256"]) == 0
-    title, *rows, total = capsys.readouterr().out.splitlines()
-    assert title == "identity census: 3 draws, N=256, seed 2026"
+def _check_census(args, title, capsys):
+    """census.main(args) prints title and one row per order and scale,
+    each counting the 3 draws once."""
+    assert _load("census").main(args + ["--draws", "3", "--N", "256"]) == 0
+    head, *rows, total = capsys.readouterr().out.splitlines()
+    assert head == title
     assert len(rows) == 12  # four orders times three scales
     for row in rows:
         fields = re.fullmatch(
@@ -81,6 +83,16 @@ def test_census_counts_every_run_once(capsys):
     exits = re.fullmatch(r"exit 0: (\d+), exit 1: (\d+), exit 2: (\d+) of 36 runs", total)
     assert exits, total
     assert sum(int(n) for n in exits.groups()) == 36
+
+
+def test_census_counts_every_run_once(capsys):
+    _check_census([], "identity census: 3 draws, N=256, seed 2026", capsys)
+
+
+@pytest.mark.parametrize("driver", ["sign-sweep", "truncation-bound", "convergence"])
+def test_census_of_each_driver_counts_every_run_once(driver, capsys):
+    title = f"{driver} census: 3 draws, N=256, seed 2026"
+    _check_census(["--driver", driver], title, capsys)
 
 
 def test_oracle_table_generates_exactly_the_recorded_values():
