@@ -495,9 +495,9 @@ def truncation_bound_probe(
     values = np.array([q.value for q in forms[1:]])
     scale = max(abs(ref.value), _TINY)
 
-    bounded = bool(np.all(np.isfinite(values))) and float(
-        np.max(np.abs(values))
-    ) <= 2.0 * max(scale, float(np.abs(values[0])))
+    bounded = float(np.max(np.abs(values))) <= 2.0 * max(
+        scale, float(np.abs(values[0]))
+    )
     verdicts = [
         _check(
             "shifted forms stay uniformly bounded",
