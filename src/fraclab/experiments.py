@@ -105,10 +105,17 @@ def _underflow(cross: float, where: str) -> str:
     )
 
 
-def _overflow(form: str, value: float) -> str:
-    """Why a form that the input's scale takes out of the double range is
-    refused: it reads inf, or NaN from inf - inf."""
-    return f"{form} overflows the double range: its value is {value}"
+def _finite(form: str, value: float) -> None:
+    """Refuse a form that the input's scale took to inf, or to NaN by inf - inf."""
+    if not math.isfinite(value):
+        raise DomainError(f"{form} overflows the double range: its value is {value}")
+
+
+def _kernel_cross(u: GridFunction, crossings, s: float, c_ns: float, tol: float):
+    """phi_integral and -C(1, s) phi with its estimate; overflow raises, unwarned."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi = phi_integral(u, crossings, s, tol=tol)
+    return phi, -c_ns * phi.value, abs(c_ns) * phi.error_estimate
 
 
 def _sign_name(x: float) -> str:
@@ -182,17 +189,12 @@ def verify_identity(
     q_plain = refined_form(cross_spectrum(su, su), order)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
-    if not math.isfinite(cross.value):
-        raise DomainError(_overflow("the cross form of u+ and u-", cross.value))
-    if not math.isfinite(defect):
-        raise DomainError(_overflow("the defect Q_s(|u|) - Q_s(u)", defect))
-
+    _finite("the cross form of u+ and u-", cross.value)
+    _finite("the defect Q_s(|u|) - Q_s(u)", defect)
     phi_tol = tol * abs(cross.value)
     if phi_tol == 0.0:
         raise DomainError(_underflow(cross.value, f"at relative tolerance {tol:g}"))
-    phi = phi_integral(u, crossings, order, tol=phi_tol)
-    kernel_cross = -c_ns * phi.value
-    kernel_err = abs(c_ns) * phi.error_estimate
+    phi, kernel_cross, kernel_err = _kernel_cross(u, crossings, order, c_ns, phi_tol)
 
     results = (
         _record(
@@ -283,9 +285,8 @@ def sign_sweep(
                     f"{_sign_name(defect)} (evidence only)",
                 )
             )
-        elif not math.isfinite(defect):
-            raise DomainError(_overflow(f"the defect at s={s:g}", defect))
         else:
+            _finite(f"the defect at s={s:g}", defect)
             c_ns = kernel_constant(1, s)
             verdicts.append(_sign_law_verdict(claim, defect, c_ns, (err,)))
     return _report("sign-sweep", params, results, verdicts, t0)
@@ -486,8 +487,7 @@ def truncation_bound_probe(
     labels = ["reference form of the positive part"]
     labels += [f"shifted form at eps={e:g}" for e in eps]
     for label, q in zip(labels, forms):
-        if not math.isfinite(q.value):
-            raise DomainError(_overflow(f"the {label}", q.value))
+        _finite(f"the {label}", q.value)
     results = [
         _record(k, q.value, s_err=q.error_estimate) for k, q in zip(labels, forms)
     ]
@@ -604,21 +604,17 @@ def convergence_study(
         (spectral,) = _truncation_forms(
             u, crossings, order, [("pos", "neg")], extrapolate
         )
-        if not math.isfinite(spectral.value):
-            raise DomainError(
-                _overflow(f"the cross form of u+ and u- at N={N}", spectral.value)
-            )
+        _finite(f"the cross form of u+ and u- at N={N}", spectral.value)
         if spectral.value == 0.0:
             raise DomainError(_underflow(spectral.value, f"at N={N}"))
-        phi = phi_integral(u, crossings, order, tol=1e-10)
-        kernel = -c_ns * phi.value
+        _, kernel, kernel_err = _kernel_cross(u, crossings, order, c_ns, 1e-10)
         results.append(
             _record(
                 f"cross form at N={N}",
                 spectral.value,
                 kernel,
                 s_err=spectral.error_estimate,
-                k_err=abs(c_ns) * phi.error_estimate,
+                k_err=kernel_err,
             )
         )
         spectral_vals.append(spectral.value)

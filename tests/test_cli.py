@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import re
+import warnings
 from typing import NamedTuple
 
 import pytest
@@ -367,6 +368,32 @@ def test_undecidable_orders_are_inconclusive_without_warnings(args, verdicts):
             f"finite and nonzero"
         )
         assert all(line.endswith(detail) for line in lines if "INCONCLUSIVE" in line)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the deepest nodes of two regions round onto their shared crossing,
+        # so |x - y|^(-1-2s) divides by 0
+        "convergence --func x*exp(-x^2)*cos(40*x) --s 0.999 --N-list 256 "
+        "--N-list 512 --N-list 1024",
+        # the block sums overflow, while the cross form is finite
+        "identity --func 1e153*sin(3*x)*exp(-x^2) --N 1024",
+        "identity --func 1e153*(x-0.3)*exp(-x^2) --N 1024",
+    ],
+)
+def test_kernel_route_raises_without_warnings(args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(args.split())
+    assert res.exit_code == 1, res
+    (line,) = res.err.splitlines()
+    assert re.fullmatch(
+        r"experiment failure: pair tolerance \S+ not reached at depth 48 "
+        r"\(last estimate \S+\)",
+        line,
+    ), line
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(

@@ -309,3 +309,33 @@ def test_only_the_spectral_module_owns_the_tail_model():
         if isinstance(fn, ast.FunctionDef) and fn.name == "_refine"
     ]
     assert [a.arg for a in inner.args.args] == ["cross", "s", "extrapolate"]
+
+
+def test_the_drivers_meet_the_kernel_route_at_one_call():
+    # experiments._kernel_cross alone calls phi_integral, under np.errstate,
+    # and experiments._finite alone words the refusal of an overflowed form
+    tree = ast.parse((SRC / "fraclab" / "experiments.py").read_text())
+
+    def users(found):
+        return sorted(
+            getattr(node, "name", type(node).__name__)
+            for node in tree.body
+            if any(found(n) for n in ast.walk(node))
+        )
+
+    assert users(lambda n: isinstance(n, ast.Name) and n.id == "phi_integral") == [
+        "_kernel_cross"
+    ]
+    assert users(
+        lambda n: isinstance(n, ast.Constant)
+        and isinstance(n.value, str)
+        and "overflows the double range" in n.value
+    ) == ["_finite"]
+    assert "_overflow" not in set(_names(tree))
+    (kernel_cross,) = [
+        fn for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_kernel_cross"
+    ]
+    (guard,) = [n for n in ast.walk(kernel_cross) if isinstance(n, ast.With)]
+    assert [item.context_expr.func.attr for item in guard.items] == ["errstate"]
+    assert "phi_integral" in {n.id for n in ast.walk(guard) if isinstance(n, ast.Name)}
