@@ -10,9 +10,11 @@ line's eps levels times the scale, and convergence on the resolutions N/4,
 N/2 and N. For each (s, scale) it prints how many runs pass (no verdict
 fails), fail, raise (by exception type) and are refused, which the command
 line reports with exit 0, 1, 1 and 2; a last line totals the exit statuses.
+--driver all prints the four drivers' tables in turn, each with its total,
+and one line that totals them all.
 
-Usage: python scripts/census.py [--driver identity] [--draws 60] [--N 16384]
-       [--seed 2026]
+Usage: python scripts/census.py [--driver identity|...|all] [--draws 60]
+       [--N 16384] [--seed 2026]
 """
 
 import argparse
@@ -66,17 +68,17 @@ def outcome(run):
     return "pass" if report.all_pass else "fail"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--driver", choices=DRIVERS, default="identity")
-    parser.add_argument("--draws", type=int, default=60)
-    parser.add_argument("--N", type=int, default=16384)
-    parser.add_argument("--seed", type=int, default=2026)
-    args = parser.parse_args(argv)
-    spec = GridSpec(1, 20.0, args.N)
-    sources = draws(args.draws, args.seed)
-    run = DRIVERS[args.driver]
-    print(f"{args.driver} census: {args.draws} draws, N={args.N}, seed {args.seed}")
+def exit_line(exits):
+    return (
+        f"exit 0: {exits[0]}, exit 1: {exits[1]}, exit 2: {exits[2]} "
+        f"of {sum(exits.values())} runs"
+    )
+
+
+def table(driver, sources, spec, seed):
+    """Print the census of one driver and return its count per exit status."""
+    run = DRIVERS[driver]
+    print(f"{driver} census: {len(sources)} draws, N={spec.N}, seed {seed}")
     exits = collections.Counter()
     for s in ORDERS:
         for name, scale in SCALES:
@@ -97,10 +99,26 @@ def main(argv=None):
             exits[0] += counts["pass"]
             exits[1] += counts["fail"] + sum(raised.values())
             exits[2] += counts["refused"]
-    print(
-        f"exit 0: {exits[0]}, exit 1: {exits[1]}, exit 2: {exits[2]} "
-        f"of {sum(exits.values())} runs"
-    )
+    print(exit_line(exits))
+    return exits
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--driver", choices=[*DRIVERS, "all"], default="identity")
+    parser.add_argument("--draws", type=int, default=60)
+    parser.add_argument("--N", type=int, default=16384)
+    parser.add_argument("--seed", type=int, default=2026)
+    args = parser.parse_args(argv)
+    spec = GridSpec(1, 20.0, args.N)
+    sources = draws(args.draws, args.seed)
+    if args.driver != "all":
+        table(args.driver, sources, spec, args.seed)
+        return 0
+    total = collections.Counter()
+    for driver in DRIVERS:
+        total += table(driver, sources, spec, args.seed)
+    print(f"all drivers: {exit_line(total)}")
     return 0
 
 

@@ -36,10 +36,10 @@ from .spectral import (
     RefinedValue,
     Spectrum,
     _dealias,
+    _plain_cross,
     _refine,
     _usable_cpus,
     cross_spectrum,
-    forward_transform,
     interpolation_ratio,
     shell_partial_sums,
 )
@@ -97,12 +97,13 @@ def _sign_changes(u: GridFunction, quantity: str, where: str = ""):
     return crossings
 
 
-def _underflow(cross: float, where: str) -> str:
-    """Why a cross form of u+ and u- too small to check is refused: a sign
-    change makes it nonzero, so 0 means that it underflowed."""
-    return (
-        f"the cross form of u+ and u- {where} underflows to 0: its value is {cross:.3e}"
-    )
+def _nonzero(cross: float, where: str, scale: float = 1.0) -> float:
+    """scale * |cross|, refused when 0: a sign change makes the cross form nonzero."""
+    scaled = scale * abs(cross)
+    if scaled == 0.0:
+        form = f"the cross form of u+ and u- {where}"
+        raise DomainError(f"{form} underflows to 0: its value is {cross:.3e}")
+    return scaled
 
 
 def _finite(form: str, value: float) -> None:
@@ -185,15 +186,12 @@ def verify_identity(
     cross, q_abs = _truncation_forms(
         u, crossings, order, [("pos", "neg"), ("abs", "abs")], extrapolate
     )
-    su = forward_transform(u)
-    q_plain = refined_form(cross_spectrum(su, su), order)
+    q_plain = refined_form(_plain_cross(u), order)
     defect = q_abs.value - q_plain.value
     defect_err = q_abs.error_estimate + q_plain.error_estimate
     _finite("the cross form of u+ and u-", cross.value)
     _finite("the defect Q_s(|u|) - Q_s(u)", defect)
-    phi_tol = tol * abs(cross.value)
-    if phi_tol == 0.0:
-        raise DomainError(_underflow(cross.value, f"at relative tolerance {tol:g}"))
+    phi_tol = _nonzero(cross.value, f"at relative tolerance {tol:g}", tol)
     phi, kernel_cross, kernel_err = _kernel_cross(u, crossings, order, c_ns, phi_tol)
 
     results = (
@@ -255,9 +253,7 @@ def sign_sweep(
     )
     crossings = _sign_changes(u, "the defect Q_s(|u|) - Q_s(u)")
     # both cross spectra serve every order, so form each one once
-    su = forward_transform(u)
-    plain = cross_spectrum(su, su)
-    del su
+    plain = _plain_cross(u)
     (sa,) = dealias_spectrum(u, crossings, ("abs",))
     modulus = cross_spectrum(sa, sa)
     del sa
@@ -477,7 +473,7 @@ def truncation_bound_probe(
     )
     forms = []  # level 0 is the reference, the positive part of u itself
     for e in (0.0, *eps):
-        shifted = GridFunction(spec, u.samples - e)
+        shifted = GridFunction(spec, u.samples - e) if e else u
         if np.max(shifted.samples) <= 0.0:
             forms.append(RefinedValue(0.0, 0.0, False))
         else:
@@ -605,8 +601,7 @@ def convergence_study(
             u, crossings, order, [("pos", "neg")], extrapolate
         )
         _finite(f"the cross form of u+ and u- at N={N}", spectral.value)
-        if spectral.value == 0.0:
-            raise DomainError(_underflow(spectral.value, f"at N={N}"))
+        _nonzero(spectral.value, f"at N={N}")
         _, kernel, kernel_err = _kernel_cross(u, crossings, order, c_ns, 1e-10)
         results.append(
             _record(

@@ -155,6 +155,12 @@ def forward_transform(u: GridFunction) -> Spectrum:
     return Spectrum(spec, coeffs)
 
 
+def _plain_cross(u: GridFunction) -> Spectrum:
+    """cross_spectrum(su, su) of su = F[u], which is dropped on return."""
+    su = forward_transform(u)
+    return cross_spectrum(su, su)
+
+
 def zeta_extended(x: float) -> float:
     """Riemann zeta on the real line, x != 1 where it has its pole.
 
@@ -246,9 +252,9 @@ def quadratic_form(u: GridFunction, v: GridFunction, s: float) -> float:
     _require_same_spec(u, v)
     if not (s >= 0.0) or not math.isfinite(s):
         raise DomainError(f"order s must be a finite non-negative real, got {s}")
-    su = forward_transform(u)
-    sv = su if v is u else forward_transform(v)
-    return float(shell_partial_sums(cross_spectrum(su, sv), s)[1][-1])
+    cross = _plain_cross(u) if v is u else cross_spectrum(
+        forward_transform(u), forward_transform(v))
+    return float(shell_partial_sums(cross, s)[1][-1])
 
 
 def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
@@ -262,9 +268,7 @@ def interpolation_ratio(v: GridFunction, tau: float, s: float) -> float:
         raise DomainError(f"need 0 < tau < s, got tau={tau}, s={s}")
     if not np.any(v.samples != 0.0):
         raise DomainError("interpolation ratio undefined for the zero function")
-    sv = forward_transform(v)
-    cross = cross_spectrum(sv, sv)
-    del sv
+    cross = _plain_cross(v)
     radii = cross.shell_radii()
     q_tau = _form_from_spectra(cross, radii, tau)
     q_s = _form_from_spectra(cross, radii, s)

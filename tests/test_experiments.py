@@ -9,6 +9,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -683,7 +684,9 @@ def test_each_cross_spectrum_formed_once_across_orders(monkeypatch):
         calls.append(1)
         return cross_spectrum(su, sv)
 
-    monkeypatch.setattr(experiments, "cross_spectrum", counting)
+    # |u| against |u| in experiments, u against u in spectral._plain_cross
+    for module in (experiments, spectral):
+        monkeypatch.setattr(module, "cross_spectrum", counting)
     orders = [0.5, 1.25, 1.75, 0.75]
     rep = sign_sweep("(x-0.3)*exp(-x^2)", orders, spec=SMALL)
     assert len(rep.results) == len(orders)
@@ -911,6 +914,29 @@ def test_verify_identity_peak_memory():
     verify_identity("x*exp(-x^2)", 1.25, spec=GridSpec(1, 20.0, 1024))
     spec = GridSpec(1, 20.0, 2**16)
     assert _peak_bytes(lambda: verify_identity("x*exp(-x^2)", 1.25, spec=spec)) <= 6_500_000
+
+
+def test_verify_identity_holds_no_spectrum_in_the_kernel_route(monkeypatch):
+    # the transforms of u+, u-, |u| and u are all dropped before the
+    # quadrature starts, so its allocations do not add to an N-point spectrum
+    spectra = []
+
+    def recording(u):
+        spectrum = forward_transform(u)
+        spectra.append(weakref.ref(spectrum.coeffs))
+        return spectrum
+
+    def kernel_cross(*args):
+        assert len(spectra) == 4
+        assert all(ref() is None for ref in spectra)
+        return original(*args)
+
+    original = experiments._kernel_cross
+    # experiments too, should a driver transform u itself
+    for module in (experiments, spectral):
+        monkeypatch.setattr(module, "forward_transform", recording, raising=False)
+    monkeypatch.setattr(experiments, "_kernel_cross", kernel_cross)
+    assert verify_identity("x*exp(-x^2)", 1.25, spec=SMALL).all_pass
 
 
 def test_sign_sweep_peak_memory():
@@ -1145,9 +1171,8 @@ def test_sign_sweep_transforms_each_input_once(monkeypatch, orders):
         calls.append(u)
         return forward_transform(u)
 
-    # u in experiments, |u| in spectral._dealias
-    for module in (experiments, spectral):
-        monkeypatch.setattr(module, "forward_transform", counting)
+    # u in spectral._plain_cross, |u| in spectral._dealias
+    monkeypatch.setattr(spectral, "forward_transform", counting)
     rep = sign_sweep("x*exp(-x^2)", orders, spec=SMALL)
     assert len(calls) == 2
     assert len(rep.verdicts) == len(orders)

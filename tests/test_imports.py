@@ -311,26 +311,31 @@ def test_only_the_spectral_module_owns_the_tail_model():
     assert [a.arg for a in inner.args.args] == ["cross", "s", "extrapolate"]
 
 
+def _users(tree, found):
+    """The top-level statements of tree, by name, that hold a node found
+    accepts."""
+    return sorted(
+        getattr(node, "name", type(node).__name__)
+        for node in tree.body
+        if any(found(n) for n in ast.walk(node))
+    )
+
+
+def _wording(text):
+    """Whether a node is a string constant that contains text."""
+    return lambda n: (
+        isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
+    )
+
+
 def test_the_drivers_meet_the_kernel_route_at_one_call():
     # experiments._kernel_cross alone calls phi_integral, under np.errstate,
     # and experiments._finite alone words the refusal of an overflowed form
     tree = ast.parse((SRC / "fraclab" / "experiments.py").read_text())
-
-    def users(found):
-        return sorted(
-            getattr(node, "name", type(node).__name__)
-            for node in tree.body
-            if any(found(n) for n in ast.walk(node))
-        )
-
-    assert users(lambda n: isinstance(n, ast.Name) and n.id == "phi_integral") == [
-        "_kernel_cross"
-    ]
-    assert users(
-        lambda n: isinstance(n, ast.Constant)
-        and isinstance(n.value, str)
-        and "overflows the double range" in n.value
-    ) == ["_finite"]
+    assert _users(
+        tree, lambda n: isinstance(n, ast.Name) and n.id == "phi_integral"
+    ) == ["_kernel_cross"]
+    assert _users(tree, _wording("overflows the double range")) == ["_finite"]
     assert "_overflow" not in set(_names(tree))
     (kernel_cross,) = [
         fn for fn in tree.body
@@ -339,3 +344,12 @@ def test_the_drivers_meet_the_kernel_route_at_one_call():
     (guard,) = [n for n in ast.walk(kernel_cross) if isinstance(n, ast.With)]
     assert [item.context_expr.func.attr for item in guard.items] == ["errstate"]
     assert "phi_integral" in {n.id for n in ast.walk(guard) if isinstance(n, ast.Name)}
+
+
+def test_the_drivers_reach_u_own_spectrum_and_the_zero_refusal_through_one_helper():
+    # every spectrum a driver reads comes from dealias_spectrum or, for u's
+    # own plain form, from spectral._plain_cross, which drops the transform;
+    # experiments._nonzero alone words the refusal of an underflowed form
+    tree = ast.parse((SRC / "fraclab" / "experiments.py").read_text())
+    assert not {"forward_transform", "_underflow"} & set(_names(tree))
+    assert _users(tree, _wording("underflows to 0")) == ["_nonzero"]

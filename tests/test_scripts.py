@@ -62,11 +62,16 @@ def test_cold_start_fails_when_the_trees_exit_differently(tmp_path, capsys):
     assert last == "the two trees exit with different statuses"
 
 
-def _check_census(args, title, capsys):
-    """census.main(args) prints title and one row per order and scale,
-    each counting the 3 draws once."""
+def _census(args, capsys):
+    """The lines that census.main prints for args at 3 draws and 256 nodes."""
     assert _load("census").main(args + ["--draws", "3", "--N", "256"]) == 0
-    head, *rows, total = capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out.splitlines()
+
+
+def _check_table(lines, title):
+    """lines are title, one row per order and scale, each counting the 3
+    draws once, and a total of the 36 runs; returns the runs per exit."""
+    head, *rows, total = lines
     assert head == title
     assert len(rows) == 12  # four orders times three scales
     for row in rows:
@@ -83,16 +88,32 @@ def _check_census(args, title, capsys):
     exits = re.fullmatch(r"exit 0: (\d+), exit 1: (\d+), exit 2: (\d+) of 36 runs", total)
     assert exits, total
     assert sum(int(n) for n in exits.groups()) == 36
+    return [int(n) for n in exits.groups()]
 
 
 def test_census_counts_every_run_once(capsys):
-    _check_census([], "identity census: 3 draws, N=256, seed 2026", capsys)
+    _check_table(_census([], capsys), "identity census: 3 draws, N=256, seed 2026")
 
 
 @pytest.mark.parametrize("driver", ["sign-sweep", "truncation-bound", "convergence"])
 def test_census_of_each_driver_counts_every_run_once(driver, capsys):
     title = f"{driver} census: 3 draws, N=256, seed 2026"
-    _check_census(["--driver", driver], title, capsys)
+    _check_table(_census(["--driver", driver], capsys), title)
+
+
+def test_census_of_all_drivers_prints_each_table_and_their_total(capsys):
+    *lines, total = _census(["--driver", "all"], capsys)
+    drivers = ["identity", "sign-sweep", "truncation-bound", "convergence"]
+    assert len(lines) == 14 * len(drivers)
+    exits = [
+        _check_table(lines[14 * i : 14 * (i + 1)], f"{d} census: 3 draws, N=256, seed 2026")
+        for i, d in enumerate(drivers)
+    ]
+    summed = [sum(column) for column in zip(*exits)]
+    assert total == (
+        f"all drivers: exit 0: {summed[0]}, exit 1: {summed[1]}, "
+        f"exit 2: {summed[2]} of 144 runs"
+    )
 
 
 def test_oracle_table_generates_exactly_the_recorded_values():
