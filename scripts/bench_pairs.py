@@ -10,6 +10,11 @@ neither): lower is better for every end-to-end metric. A gain is marked
 when NEW_TREE wins at least nine tenths of the pairs and its median is
 lower by more than OLD_TREE's interquartile range.
 
+Beside each median of a time it prints the median of the raw wall seconds
+from the "raw wall" column of the run's table. The result line's times
+are scaled by a speed probe that reads the state of the heap, so a change
+to what the program allocates can move a scaled time alone.
+
 When OLD_TREE has a BENCHMARK.json (only read), each of its end-to-end
 metrics is judged against its bound, a share of OLD_TREE's median. It is
 marked `regression` when NEW_TREE's median is worse by more than that, and
@@ -32,7 +37,8 @@ import sys
 
 
 def run(tree, workload, seconds):
-    """One benchmark run in tree: its result line as a dict, or None."""
+    """One benchmark run in tree: its result line as a dict, with the raw
+    wall seconds that its table prints under "raw", or None."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds)],
         cwd=tree,
@@ -41,16 +47,40 @@ def run(tree, workload, seconds):
     )
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr[-2000:])
         return None
+    result["raw"] = raw_walls(lines[:-1])
+    return result
+
+
+def raw_walls(lines):
+    """{metric: raw wall seconds} from the rows of bench/run.py's metric
+    table: name, value, unit, raw wall and sample count (`n=...`). A row
+    without a raw wall has four words and is skipped."""
+    raw = {}
+    for line in lines:
+        words = line.split()
+        if len(words) == 5 and words[4].startswith("n="):
+            raw[words[0]] = float(words[3])
+    return raw
 
 
 def spread(values):
     """(median, first quartile, third quartile)."""
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return statistics.median(values), q1, q3
+
+
+def shown(values, raw):
+    """A tree's median and quartiles of a metric, then the median of its
+    raw wall seconds when every run printed one."""
+    median, q1, q3 = spread(values)
+    text = f"{median:.4g} ({q1:.4g}-{q3:.4g})"
+    if None not in raw:
+        text += f" raw {statistics.median(raw):.4g}"
+    return text
 
 
 def bounds(tree):
@@ -89,9 +119,10 @@ def main(argv=None):
     judged, regressed = bounds(args.old), []
     for name in names:
         old, new = ([r["metrics"][name]["value"] for r in side] for side in results)
+        raw_old, raw_new = ([r["raw"].get(name) for r in side] for side in results)
         unit = results[1][0]["metrics"][name]["unit"]
         wins = sum(b < a for a, b in zip(old, new))
-        (m_old, q1_old, q3_old), (m_new, q1_new, q3_new) = spread(old), spread(new)
+        (m_old, q1_old, q3_old), (m_new, _, _) = spread(old), spread(new)
         change = f"{(m_new - m_old) / m_old:+.1%}" if m_old else "n/a"
         marks = []
         if wins >= 0.9 * args.pairs and m_old - m_new > q3_old - q1_old:
@@ -104,8 +135,7 @@ def main(argv=None):
             if q3_old - q1_old > allowed and not max(new) < min(old):
                 marks.append("unresolved")
         print(
-            f"  {name:<{width}}  old {m_old:.4g} ({q1_old:.4g}-{q3_old:.4g})"
-            f"  new {m_new:.4g} ({q1_new:.4g}-{q3_new:.4g}) {unit}"
+            f"  {name:<{width}}  old {shown(old, raw_old)}  new {shown(new, raw_new)} {unit}"
             f"  {change}  new wins {wins} of {args.pairs}"
             + "".join(f"  {m}" for m in marks)
         )

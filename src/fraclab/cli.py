@@ -226,9 +226,12 @@ def _report(body, values):
     """Run an experiment body, print its report, write it to --out and exit
     1 unless every verdict passed. numpy loads here, with the first
     experiment, so that `constants`, --help and usage errors start without
-    it."""
+    it. The experiment runs with glibc's heap held (spectral._hold_heap),
+    whatever its N: interp's draws at 2^14 churn it too."""
     from . import experiments, reports
+    from .spectral import _hold_heap
 
+    _hold_heap()
     report = _run(lambda: body(experiments, values))
     print(reports.report_to_text(report), end="", flush=True)
     out = values["out"]

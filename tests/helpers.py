@@ -1,7 +1,13 @@
 """Test helpers: a smooth unit-mass bump, the separated-support input of the
 kernel and acceptance tests, the frequency axis of a spectrum, the oracle
-axis of the spectral and de-aliasing tests, and the bit patterns that
-their bit-for-bit comparisons read."""
+axis of the spectral and de-aliasing tests, the bit patterns that
+their bit-for-bit comparisons read, and a fresh interpreter for checks
+of what a whole process loads or does."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -35,3 +41,24 @@ def bits(a) -> np.ndarray:
     """The 64-bit patterns of a float or complex array, so that equality
     tells -0.0 from 0.0 and compares NaNs by payload."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_child(code: str) -> str:
+    """Run code in a fresh interpreter on this tree's sources; its stdout.
+    Fails the test when the child exits non-zero."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout

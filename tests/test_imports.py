@@ -8,15 +8,15 @@ spectrum's coefficient layout, the alias ghosts or the tail model."""
 
 import ast
 import importlib
-import os
 import pathlib
 import re
-import subprocess
 import sys
 
 import pytest
 
 import fraclab
+
+from helpers import run_child
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -95,37 +95,22 @@ assert not [m for m in heavy if m in sys.modules], sorted(sys.modules)
 """
 
 
-def _run_child(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    res = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
-
-
 def test_cli_and_interp_sweep_do_not_load_scipy():
-    _run_child(CHILD)
+    run_child(CHILD)
 
 
 def test_import_and_cli_start_up_do_not_load_numpy():
-    _run_child(NUMPY_CHILD)
+    run_child(NUMPY_CHILD)
 
 
 def test_cli_start_up_loads_no_new_module():
-    _run_child(START_UP_CHILD)
+    run_child(START_UP_CHILD)
 
 
 def test_reports_loads_neither_numpy_nor_a_route():
     # the report model and its serializers are a leaf beside errors
     assert _fraclab_imports("reports") == {"errors"}
-    _run_child(REPORTS_CHILD)
+    run_child(REPORTS_CHILD)
 
 
 # every public name of the package, by the submodule that defines it

@@ -136,9 +136,10 @@ def test_oracle_table_reproduces_a_value_at_low_precision():
 
 def _fake_tree(root, pass_s, correct=True, failed=0, bounds=None):
     """A tree whose bench/run.py notes its arguments in args.txt, from its
-    own root, and prints one result line; its k-th run reads pass_s[k] when
-    pass_s is a list, cycling. bounds, when given, go into its
-    BENCHMARK.json as {metric: bound}."""
+    own root, and prints bench/run.py's metric table, with a raw wall of
+    twice the value for pass_s and none for peak_rss_mb, then one result
+    line; its k-th run reads pass_s[k] when pass_s is a list, cycling.
+    bounds, when given, go into its BENCHMARK.json as {metric: bound}."""
     (root / "bench").mkdir(parents=True)
     result = {
         "correct": correct,
@@ -159,6 +160,10 @@ def _fake_tree(root, pass_s, correct=True, failed=0, bounds=None):
         f"result = {result!r}\n"
         f"result['metrics']['pass_s']['value'] = {values!r}[k % {len(values)}]\n"
         "print('end-to-end metrics:')\n"
+        "print('  metric  value unit  raw wall samples')\n"
+        "value = result['metrics']['pass_s']['value']\n"
+        "print(f'  pass_s  {value:.6g} s  {2 * value:.6g} n=3')\n"
+        "print('  peak_rss_mb  50 MiB  n=3')\n"
         "print(json.dumps(result))\n"
     )
     if bounds is not None:
@@ -175,12 +180,16 @@ def test_bench_pairs_reports_medians_and_wins(tmp_path, capsys):
     assert script.main(args) == 0
     title, pass_s, rss = capsys.readouterr().out.splitlines()
     assert title == "fine-grid: 2 alternated pairs of 0.5 s runs"
+    # each median is followed by the median of its raw wall seconds
     assert pass_s.split() == [
-        "pass_s", "old", "2", "(2-2)", "new", "1.5", "(1.5-1.5)", "s", "-25.0%",
-        "new", "wins", "2", "of", "2", "gain",
+        "pass_s", "old", "2", "(2-2)", "raw", "4", "new", "1.5", "(1.5-1.5)", "raw", "3",
+        "s", "-25.0%", "new", "wins", "2", "of", "2", "gain",
     ]
-    # equal values win no pair and mark no gain
-    assert rss.split()[-5:] == ["new", "wins", "0", "of", "2"]
+    # equal values win no pair and mark no gain; no raw wall, none shown
+    assert rss.split() == [
+        "peak_rss_mb", "old", "50", "(50-50)", "new", "50", "(50-50)", "MiB", "+0.0%",
+        "new", "wins", "0", "of", "2",
+    ]
     for tree in (old, new):
         assert (tree / "args.txt").read_text() == "--workload fine-grid --seconds 0.5\n" * 2
 
@@ -217,7 +226,8 @@ def test_bench_pairs_judges_metrics_against_the_old_trees_bounds(tmp_path, capsy
         args = [str(old), str(new), "--workload", "battery", "--pairs", "4"]
         code = script.main(args)
         _, pass_s, rss, *rest = capsys.readouterr().out.splitlines()
-        return code, pass_s.split()[14:], rss.split()[14:], rest, old
+        # the marks follow "new wins W of 4"
+        return code, pass_s.split(" of 4")[1].split(), rss.split(" of 4")[1].split(), rest, old
 
     # 30% worse than the old median, against a bound of 25%
     code, pass_s, rss, rest, old = pairs("worse", 1.0, 1.3)

@@ -6,6 +6,7 @@ quadratic form of the standard Gaussian at order s equals Gamma(s + 1/2).
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from fraclab.spectral import (
 )
 from fraclab.special import gamma
 
-from helpers import bits, frequency_axis
+from helpers import bits, frequency_axis, run_child
 
 SPEC = GridSpec(1, 16.0, 2048)
 GAUSS = sample("exp(-x^2/2)", SPEC)
@@ -360,3 +361,64 @@ def test_interpolation_ratio_forms_one_cross_spectrum(monkeypatch):
     monkeypatch.setattr(spectral, "cross_spectrum", counting)
     interpolation_ratio(GAUSS, 0.3, 0.9)
     assert len(calls) == 1
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+glibc_only = pytest.mark.skipif(not _on_glibc(), reason="the heap policy is glibc's")
+
+# transforms at each N of {sizes} in a fresh process; prints the minor
+# faults of the last one and whether the heap policy was switched on
+HEAP_CHILD = """
+import resource
+
+from fraclab import spectral
+from fraclab.grid import GridSpec, sample
+
+for N in {sizes}:
+    u = sample("x*exp(-x^2)", GridSpec(1, 20.0, N))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    spectral.forward_transform(u)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults, spectral._hold_heap.cache_info().currsize)
+"""
+
+
+def _heap_child(*sizes):
+    faults, held = run_child(HEAP_CHILD.format(sizes=sizes)).split()
+    return int(faults), held == "1"
+
+
+@glibc_only
+def test_large_transforms_stop_faulting_their_scratch_in():
+    # pocketfft's plan and scratch at 2^18 are 8 MiB; with glibc's default
+    # thresholds the third transform still takes about 2,000 faults
+    faults, held = _heap_child(2**18, 2**18, 2**18)
+    assert held
+    assert faults < 200
+
+
+@glibc_only
+def test_small_transforms_leave_the_heap_policy_off():
+    # 2^16 is the largest grid below _HEAP_N
+    assert _heap_child(2**14, 2**14, 2**16)[1] is False
+
+
+def test_hold_heap_does_nothing_off_glibc(monkeypatch):
+    def unknown(name):
+        raise ValueError("unrecognized configuration name")
+
+    def no_library(name):
+        raise AssertionError("a C library was opened off glibc")
+
+    monkeypatch.setattr(spectral.ctypes, "CDLL", no_library)
+    # macOS names no glibc version, and Windows has no confstr
+    monkeypatch.setattr(os, "confstr", unknown)
+    spectral._hold_heap.__wrapped__()
+    monkeypatch.delattr(os, "confstr")
+    spectral._hold_heap.__wrapped__()
