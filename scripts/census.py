@@ -9,17 +9,22 @@ identity and sign-sweep at that order, truncation-bound with the command
 line's eps levels times the scale, and convergence on the resolutions N/4,
 N/2 and N. For each (s, scale) it prints how many runs pass (no verdict
 fails), fail, raise (by exception type) and are refused, which the command
-line reports with exit 0, 1, 1 and 2; a last line totals the exit statuses.
---driver all prints the four drivers' tables in turn, each with its total,
-and one line that totals them all.
+line reports with exit 0, 1, 1 and 2, and how many of the runs that end
+with a report have an estimate that lies: a record with both routes'
+values and error estimates, whose values differ by more than the two
+estimates together. A last line totals the exit statuses. --driver all
+prints the four drivers' tables in turn, each with its total, and one
+line that totals them all. --json prints the same tables and totals as
+one JSON document instead.
 
 Usage: python scripts/census.py [--driver identity|...|all] [--draws 60]
-       [--N 16384] [--seed 2026]
+       [--N 16384] [--seed 2026] [--json]
 """
 
 import argparse
 import collections
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -56,16 +61,58 @@ def draws(count, seed):
     return [workloads.sign_change_source(rng, 1 + i % 3) for i in range(count)]
 
 
+def lies(record):
+    """Whether a record holds both routes' values and error estimates and
+    the values lie farther apart than the two estimates together."""
+    if None in (record.kernel_value, record.spectral_error, record.kernel_error):
+        return False
+    gap = abs(record.spectral_value - record.kernel_value)
+    return gap > record.spectral_error + record.kernel_error
+
+
 def outcome(run):
-    """How one run ends: "pass", "fail", "refused" or the name of the
-    exception it raised."""
+    """How one run ends, "pass", "fail", "refused" or the name of the
+    exception it raised, and whether an estimate of its report lies."""
     try:
         report = run()
     except REFUSED:
-        return "refused"
+        return "refused", False
     except Exception as exc:
-        return type(exc).__name__
-    return "pass" if report.all_pass else "fail"
+        return type(exc).__name__, False
+    return "pass" if report.all_pass else "fail", any(map(lies, report.results))
+
+
+def census(driver, sources, spec):
+    """One row per (s, scale): how the driver's runs on sources end, the
+    exceptions they raise by type, and how many runs' estimates lie."""
+    run = DRIVERS[driver]
+    rows = []
+    for s in ORDERS:
+        for name, scale in SCALES:
+            ends = [
+                outcome(lambda: run(f"{scale!r}*{source}", s, scale, spec))
+                for source in sources
+            ]
+            counts = collections.Counter(end for end, _ in ends)
+            rows.append({
+                "s": s,
+                "scale": name,
+                "pass": counts.pop("pass", 0),
+                "fail": counts.pop("fail", 0),
+                "refused": counts.pop("refused", 0),
+                "raise": dict(sorted(counts.items())),
+                "lies": sum(lied for _, lied in ends),
+            })
+    return rows
+
+
+def exits(rows):
+    """The runs of rows per exit status of the command line."""
+    return collections.Counter({
+        0: sum(row["pass"] for row in rows),
+        1: sum(row["fail"] + sum(row["raise"].values()) for row in rows),
+        2: sum(row["refused"] for row in rows),
+    })
 
 
 def exit_line(exits):
@@ -75,32 +122,17 @@ def exit_line(exits):
     )
 
 
-def table(driver, sources, spec, seed):
-    """Print the census of one driver and return its count per exit status."""
-    run = DRIVERS[driver]
-    print(f"{driver} census: {len(sources)} draws, N={spec.N}, seed {seed}")
-    exits = collections.Counter()
-    for s in ORDERS:
-        for name, scale in SCALES:
-            counts = collections.Counter(
-                outcome(lambda: run(f"{scale!r}*{source}", s, scale, spec))
-                for source in sources
-            )
-            raised = {
-                k: v for k, v in sorted(counts.items())
-                if k not in ("pass", "fail", "refused")
-            }
-            shown = ", ".join(f"{k} {v}" for k, v in raised.items())
-            print(
-                f"  s={s:<5g} scale={name:<6} pass {counts['pass']:3d}  "
-                f"fail {counts['fail']:3d}  raise {sum(raised.values()):3d}  "
-                f"refused {counts['refused']:3d}" + (f"  ({shown})" if shown else "")
-            )
-            exits[0] += counts["pass"]
-            exits[1] += counts["fail"] + sum(raised.values())
-            exits[2] += counts["refused"]
-    print(exit_line(exits))
-    return exits
+def print_table(driver, rows, args):
+    print(f"{driver} census: {args.draws} draws, N={args.N}, seed {args.seed}")
+    for row in rows:
+        shown = ", ".join(f"{k} {v}" for k, v in row["raise"].items())
+        print(
+            f"  s={row['s']:<5g} scale={row['scale']:<6} pass {row['pass']:3d}  "
+            f"fail {row['fail']:3d}  raise {sum(row['raise'].values()):3d}  "
+            f"refused {row['refused']:3d}  lies {row['lies']:3d}"
+            + (f"  ({shown})" if shown else "")
+        )
+    print(exit_line(exits(rows)))
 
 
 def main(argv=None):
@@ -109,16 +141,30 @@ def main(argv=None):
     parser.add_argument("--draws", type=int, default=60)
     parser.add_argument("--N", type=int, default=16384)
     parser.add_argument("--seed", type=int, default=2026)
+    parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     spec = GridSpec(1, 20.0, args.N)
     sources = draws(args.draws, args.seed)
-    if args.driver != "all":
-        table(args.driver, sources, spec, args.seed)
-        return 0
-    total = collections.Counter()
-    for driver in DRIVERS:
-        total += table(driver, sources, spec, args.seed)
-    print(f"all drivers: {exit_line(total)}")
+    drivers = list(DRIVERS) if args.driver == "all" else [args.driver]
+    tables = {}
+    for driver in drivers:
+        tables[driver] = census(driver, sources, spec)
+        if not args.json:
+            print_table(driver, tables[driver], args)
+    total = sum(map(exits, tables.values()), collections.Counter())
+    if args.json:
+        print(json.dumps({
+            "draws": args.draws,
+            "N": args.N,
+            "seed": args.seed,
+            "drivers": {
+                driver: {"rows": rows, "exits": exits(rows)}
+                for driver, rows in tables.items()
+            },
+            "exits": total,
+        }, indent=2))
+    elif args.driver == "all":
+        print(f"all drivers: {exit_line(total)}")
     return 0
 
 

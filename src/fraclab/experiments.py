@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 import time
 from numbers import Integral
 from typing import Sequence
@@ -38,7 +37,7 @@ from .spectral import (
     _dealias,
     _plain_cross,
     _refine,
-    _usable_cpus,
+    _two_lanes,
     cross_spectrum,
     interpolation_ratio,
     shell_partial_sums,
@@ -707,13 +706,8 @@ def interp_sweep(
     Draws `count` random family members with random 0 < tau < s, forms
     the three-form ratio, and asserts every ratio stays below 1 + 1e-12.
 
-    Every draw is made first, in the generator's order. The ratios are
-    then taken on up to two threads, the calling thread included (fewer
-    when the process may run on one CPU only or there is one draw); draw i
-    goes to thread i mod k. About half of a draw runs in numpy with the GIL
-    released, so a third thread gains nothing. The report does not depend
-    on k. An error raises that of the first failing draw, as a serial loop
-    would, once every thread has stopped.
+    Every draw is made first, in the generator's order; spectral._two_lanes
+    then takes the ratios, and the report does not depend on its threads.
     """
     t0 = time.perf_counter()
     if not (isinstance(count, Integral) and isinstance(seed, Integral)):
@@ -733,44 +727,9 @@ def interp_sweep(
         tau = s * float(rng.uniform(0.05, 0.95))
         draws.append((s, tau, random_function_source(rng)))
 
-    k = min(2, _usable_cpus(), count)
-    ratios = [0.0] * count
-    errors = {}  # draw index -> the exception it raised
-    first_error = count
-    lock = threading.Lock()
-
-    def take(start):
-        nonlocal first_error
-        # one draw per thread at a time: its samples are dropped once its
-        # ratio is taken. A thread stops at its first error, and before
-        # any draw later than a known failure.
-        for i in range(start, count, k):
-            if i > first_error:
-                return
-            s, tau, source = draws[i]
-            try:
-                ratios[i] = interpolation_ratio(sample(source, spec), tau, s)
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-                    first_error = min(first_error, i)
-                return
-
-    helpers = [threading.Thread(target=take, args=(j,)) for j in range(1, k)]
-    for t in helpers:
-        t.start()
-    try:
-        take(0)
-    except BaseException:
-        with lock:
-            first_error = -1  # an interrupt: the helpers end their current draw
-        raise
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-
+    ratios = _two_lanes(
+        lambda d: interpolation_ratio(sample(d[2], spec), d[1], d[0]), draws
+    )
     results = [
         _record(f"interpolation ratio, draw {i} (tau={tau:.4f}, s={s:.4f})", ratio)
         for i, ((s, tau, _), ratio) in enumerate(zip(draws, ratios))

@@ -35,13 +35,13 @@ back to the kernel after each transform and the next one faults it in
 again: about 2,000 minor page faults per transform at 2^18, some 40% of its
 time. So from N = _HEAP_N = 2^17 on, forward_transform first calls
 _hold_heap, which sets glibc's M_TRIM_THRESHOLD to 256 MiB and
-M_MMAP_THRESHOLD to 32 MiB with mallopt, once per process: freed blocks
-below 32 MiB stay in the heap for the next call, and the faults stop. The
-CLI calls it before every experiment, whatever N. The setting holds for
-the whole process and only on glibc; elsewhere _hold_heap does nothing.
-It moves no value. It costs about 2 MiB of peak RSS in a process that
-transforms at 2^18, and 25 MiB at 2^20, whose 16 MiB arrays then come
-from the heap too.
+M_MMAP_THRESHOLD to 12 MiB with mallopt, once per process: freed blocks
+below 12 MiB, every array up to 2^19, stay in the heap for the next call,
+and the faults stop. The CLI calls it before every experiment, whatever
+N. The setting holds for the whole process and only on glibc; elsewhere
+_hold_heap does nothing. It moves no value. It costs about 2 MiB of peak
+RSS in a process that transforms at 2^18 and none at 2^20, whose 16 MiB
+arrays stay mapped.
 
 Half-axis evaluation. The spectra of real inputs are Hermitian, so the
 forms need only the real cross spectrum Re(F[u] conj(F[v])) (its imaginary
@@ -121,7 +121,7 @@ _OVERLAP_CROSSINGS = 2
 _HEAP_N = 2**17
 # glibc's mallopt parameters (malloc.h) and the values _hold_heap sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_SETTINGS = ((_M_TRIM_THRESHOLD, 256 * 2**20), (_M_MMAP_THRESHOLD, 32 * 2**20))
+_HEAP_SETTINGS = ((_M_TRIM_THRESHOLD, 256 * 2**20), (_M_MMAP_THRESHOLD, 12 * 2**20))
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def cross_spectrum(su: Spectrum, sv: Spectrum) -> Spectrum:
 
 @functools.cache
 def _hold_heap() -> None:
-    """Keep freed blocks below 32 MiB in this process's heap (see Heap
+    """Keep freed blocks below 12 MiB in this process's heap (see Heap
     above), once per process; off glibc, do nothing."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -480,6 +480,51 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _two_lanes(call, items) -> list:
+    """[call(item) for item in items], computed on up to two threads.
+
+    The calling thread is lane 0 and a helper thread lane 1; item i goes
+    to lane i mod 2. There is one lane when the process may run on one CPU
+    only or there is one item. The two callers spend about half of each
+    item in numpy with the GIL released, so a third lane would gain
+    nothing. A lane stops at its first error, and before any item later
+    than a known failure. Once every lane has stopped, the error of the
+    lowest failing item is raised, as a serial loop would; an interrupt
+    counts as the error of its item.
+    """
+    count = len(items)
+    lanes = min(2, _usable_cpus(), count)
+    results = [None] * count
+    errors = {}  # item index -> the exception it raised
+    first_error = count
+    lock = threading.Lock()
+
+    def run(lane):
+        nonlocal first_error
+        i = lane
+        try:
+            for i in range(lane, count, lanes):
+                if i > first_error:
+                    return
+                results[i] = call(items[i])
+        except BaseException as exc:  # raised below, once every lane stops
+            with lock:
+                errors[i] = exc
+                first_error = min(first_error, i)
+
+    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, lanes)]
+    for t in helpers:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _dealias(u: GridFunction, crossings, modes):
     """The spectra of the truncations of u named by modes ("pos", "neg" or
     "abs"), marked kinked, with the alias ghosts of their derivative jumps
@@ -493,39 +538,32 @@ def _dealias(u: GridFunction, crossings, modes):
 
     The ghosts depend on the grid and the crossings alone. From N =
     _OVERLAP_N on, with at most _OVERLAP_CROSSINGS crossings and when the
-    process may run on two CPUs, a helper thread builds them into one
-    (crossings, N/2) store while this thread transforms the truncations,
-    since the FFTs and the ghosts' ufuncs release the GIL; the subtraction
-    then reads the store. Otherwise each block of ghosts is built as it is
-    subtracted. The spectra are the same bit for bit either way.
+    process may run on two CPUs, _two_lanes builds them into one
+    (crossings, N/2) store on its helper thread while this thread
+    transforms the truncations, since the FFTs and the ghosts' ufuncs
+    release the GIL; the subtraction then reads the store. Otherwise each
+    block of ghosts is built as it is subtracted: on one CPU a store built
+    after the transforms was slower at 2^18 in 32 of 40 calls. The spectra
+    are the same bit for bit either way.
     """
     spec = u.spec
     c = spec.N // 2
-    ghosts, helper, failed = None, None, []
+    ghosts = None
+    jobs = [lambda: tuple(forward_transform(truncate(u, m)) for m in modes)]
     overlap = 0 < len(crossings) <= _OVERLAP_CROSSINGS and spec.N >= _OVERLAP_N
     if overlap and _usable_cpus() >= 2:
         ghosts = np.empty((len(crossings), c), dtype=complex)
 
         def build():
-            try:
-                for lo in range(0, c, _BLOCK):
-                    hi = min(lo + _BLOCK, c)
-                    block = _ghost_block(spec, lo, hi)
-                    work = np.empty(hi - lo, dtype=complex)
-                    for ghost, (z, _) in zip(ghosts, crossings):
-                        _crossing_ghost(z, block, ghost[lo:hi], work)
-            except BaseException as exc:  # re-raised on the calling thread
-                failed.append(exc)
+            for lo in range(0, c, _BLOCK):
+                hi = min(lo + _BLOCK, c)
+                block = _ghost_block(spec, lo, hi)
+                work = np.empty(hi - lo, dtype=complex)
+                for ghost, (z, _) in zip(ghosts, crossings):
+                    _crossing_ghost(z, block, ghost[lo:hi], work)
 
-        helper = threading.Thread(target=build)
-        helper.start()
-    try:
-        spectra = tuple(forward_transform(truncate(u, m)) for m in modes)
-    finally:
-        if helper is not None:
-            helper.join()
-    if failed:
-        raise failed[0]
+        jobs.append(build)
+    spectra = _two_lanes(lambda job: job(), jobs)[0]
     if not crossings:
         return spectra
     # blocks of k = -N/2 .. -1 in coeffs[c:], conjugated into coeffs[1:c]

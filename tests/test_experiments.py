@@ -746,7 +746,7 @@ class CountingThread(threading.Thread):
 
 
 def test_interp_sweep_report_does_not_depend_on_its_threads(monkeypatch):
-    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    monkeypatch.setattr(spectral.threading, "Thread", CountingThread)
     taken = []
     ratio = experiments.interpolation_ratio
 
@@ -832,7 +832,7 @@ def test_interp_sweep_raises_the_first_failing_draw_and_joins_its_threads(monkey
 
 def test_interp_sweep_takes_no_draw_after_a_known_failure(monkeypatch):
     monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments.threading, "Thread", CountingThread)
+    monkeypatch.setattr(spectral.threading, "Thread", CountingThread)
     CountingThread.started = []
     taken = []
 

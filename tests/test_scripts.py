@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end."""
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -9,6 +10,7 @@ import mpmath
 import pytest
 
 from fraclab.cli import BODIES
+from fraclab.reports import ResultRecord
 
 from oracles import COMPACT_SOURCE, CROSS_FORM, TWO_CROSSING_SOURCE
 
@@ -77,13 +79,15 @@ def _check_table(lines, title):
     for row in rows:
         fields = re.fullmatch(
             r"  s=\S+ +scale=\S+ +pass +(\d+)  fail +(\d+)  raise +(\d+)"
-            r"  refused +(\d+)(  \((.*)\))?",
+            r"  refused +(\d+)  lies +(\d+)(  \((.*)\))?",
             row,
         )
         assert fields, row
         counts = [int(fields[i]) for i in range(1, 5)]
         assert sum(counts) == 3, row
-        by_type = re.findall(r"(\w+) (\d+)", fields[6] or "")
+        # only a run that ends with a report can lie
+        assert int(fields[5]) <= counts[0] + counts[1], row
+        by_type = re.findall(r"(\w+) (\d+)", fields[7] or "")
         assert sum(int(n) for _, n in by_type) == counts[2], row
     exits = re.fullmatch(r"exit 0: (\d+), exit 1: (\d+), exit 2: (\d+) of 36 runs", total)
     assert exits, total
@@ -114,6 +118,44 @@ def test_census_of_all_drivers_prints_each_table_and_their_total(capsys):
         f"all drivers: exit 0: {summed[0]}, exit 1: {summed[1]}, "
         f"exit 2: {summed[2]} of 144 runs"
     )
+
+
+def test_census_json_holds_the_tables_of_all_drivers(capsys):
+    lines = _census(["--driver", "all"], capsys)
+    doc = json.loads("\n".join(_census(["--driver", "all", "--json"], capsys)))
+    assert (doc["draws"], doc["N"], doc["seed"]) == (3, 256, 2026)
+    assert list(doc["drivers"]) == ["identity", "sign-sweep", "truncation-bound", "convergence"]
+    # the same counts as the printed tables, row for row
+    printed = [line for line in lines if line.startswith("  s=")]
+    rows = [row for table in doc["drivers"].values() for row in table["rows"]]
+    assert len(rows) == len(printed) == 48
+    for row, line in zip(rows, printed):
+        raised = sum(row["raise"].values())
+        assert line.split()[:12] == [
+            f"s={row['s']:g}", f"scale={row['scale']}", "pass", str(row["pass"]),
+            "fail", str(row["fail"]), "raise", str(raised),
+            "refused", str(row["refused"]), "lies", str(row["lies"]),
+        ]
+    exits = {
+        driver: [table["exits"][k] for k in "012"]
+        for driver, table in doc["drivers"].items()
+    }
+    assert [doc["exits"][k] for k in "012"] == [sum(c) for c in zip(*exits.values())]
+    assert lines[-1] == (
+        "all drivers: exit 0: {0}, exit 1: {1}, exit 2: {2} of 144 runs".format(
+            *(doc["exits"][k] for k in "012")
+        )
+    )
+
+
+def test_census_counts_an_estimate_that_lies():
+    census = _load("census")
+    record = ResultRecord("q", 1.0, kernel_value=1.5, spectral_error=0.3, kernel_error=0.1)
+    assert census.lies(record)
+    assert not census.lies(dataclasses.replace(record, kernel_error=0.2))
+    # a record without both routes' estimates cannot lie
+    assert not census.lies(dataclasses.replace(record, kernel_error=None))
+    assert not census.lies(ResultRecord("q", 1.0, spectral_error=0.0))
 
 
 def test_oracle_table_generates_exactly_the_recorded_values():

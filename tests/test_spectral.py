@@ -7,6 +7,8 @@ quadratic form of the standard Gaussian at order s equals Gamma(s + 1/2).
 
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -397,10 +399,12 @@ def _heap_child(*sizes):
 @glibc_only
 def test_large_transforms_stop_faulting_their_scratch_in():
     # pocketfft's plan and scratch at 2^18 are 8 MiB; with glibc's default
-    # thresholds the third transform still takes about 2,000 faults
-    faults, held = _heap_child(2**18, 2**18, 2**18)
-    assert held
-    assert faults < 200
+    # thresholds the third transform still takes about 2,000 faults, and
+    # at 2^19 so it does under an 8 MiB mmap threshold
+    for N in (2**17, 2**18, 2**19):
+        faults, held = _heap_child(N, N, N)
+        assert held
+        assert faults < 200, N
 
 
 @glibc_only
@@ -422,3 +426,132 @@ def test_hold_heap_does_nothing_off_glibc(monkeypatch):
     spectral._hold_heap.__wrapped__()
     monkeypatch.delattr(os, "confstr")
     spectral._hold_heap.__wrapped__()
+
+
+class _Lanes:
+    """A stand-in for spectral's threading module that counts the threads
+    _two_lanes starts and sets `recorded` whenever its lock is released,
+    that is once a failure is on record."""
+
+    def __init__(self):
+        self.started = []
+        self.recorded = threading.Event()
+        lanes = self
+
+        class Thread(threading.Thread):
+            def start(self):
+                lanes.started.append(self)
+                super().start()
+
+        class Lock:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                self._lock.acquire()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+                lanes.recorded.set()
+
+        self.Thread, self.Lock = Thread, Lock
+
+
+def _lanes(monkeypatch, cpus):
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    lanes = _Lanes()
+    monkeypatch.setattr(spectral, "threading", lanes)
+    return lanes
+
+
+def test_two_lanes_raises_an_interrupt_once_its_helper_has_stopped(monkeypatch):
+    lanes = _lanes(monkeypatch, 2)
+    entered = threading.Event()
+    taken = []
+
+    def call(i):
+        taken.append(i)
+        if i == 0:
+            entered.wait(timeout=10.0)
+            raise KeyboardInterrupt
+        # the helper ends item 1 once the interrupt of item 0 is on record
+        entered.set()
+        lanes.recorded.wait(timeout=10.0)
+        return i
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        try:
+            spectral._two_lanes(call, range(6))
+        finally:
+            (helper,) = lanes.started
+            assert not helper.is_alive()
+    assert sorted(taken) == [0, 1]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", [(2, 3), (1, 2)])
+def test_two_lanes_raises_the_lowest_failure_of_both_lanes(monkeypatch, failing):
+    lanes = _lanes(monkeypatch, 2)
+    # both failing items are taken before either fails
+    both = threading.Barrier(2, timeout=10.0)
+
+    def call(i):
+        if i in failing:
+            both.wait()
+            raise DomainError(f"item {i} failed")
+        return i
+
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match=f"item {failing[0]} failed"):
+        spectral._two_lanes(call, range(8))
+    assert len(lanes.started) == 1
+    assert threading.active_count() == threads
+
+
+def test_two_lanes_starts_no_thread_on_one_cpu_or_for_one_item(monkeypatch):
+    for cpus, items in ((1, range(5)), (2, range(1)), (2, range(5))):
+        lanes = _lanes(monkeypatch, cpus)
+        calls = []
+
+        def call(i):
+            calls.append(threading.current_thread())
+            return i * i
+
+        assert spectral._two_lanes(call, items) == [i * i for i in items]
+        assert len(lanes.started) == min(cpus, len(items)) - 1
+        assert set(calls) == {threading.main_thread(), *lanes.started}
+
+
+def test_two_lanes_matches_a_serial_loop_under_many_switches(monkeypatch):
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many switches, to expose a lost write
+    try:
+        for _ in range(100):
+            failing = set(rng.choice(40, size=int(rng.integers(0, 4)), replace=False))
+            taken = []
+
+            def call(i):
+                taken.append(i)
+                if i in failing:
+                    raise DomainError(f"item {i} failed")
+                return -i
+
+            if not failing:
+                assert spectral._two_lanes(call, range(40)) == [-i for i in range(40)]
+                continue
+            first = min(failing)
+            with pytest.raises(DomainError, match=f"item {first} failed"):
+                spectral._two_lanes(call, range(40))
+            # every item up to the first failure is taken once, as in a
+            # serial loop, and each lane stops at its own first failure
+            assert sorted(i for i in taken if i <= first) == list(range(first + 1))
+            assert len(taken) == len(set(taken))
+            for lane in (0, 1):
+                own = min((i for i in failing if i % 2 == lane), default=None)
+                if own is not None:
+                    assert max((i for i in taken if i % 2 == lane), default=own) <= own
+    finally:
+        sys.setswitchinterval(interval)
