@@ -15,20 +15,27 @@ values and error estimates, whose values differ by more than the two
 estimates together. A last line totals the exit statuses. --driver all
 prints the four drivers' tables in turn, each with its total, and one
 line that totals them all. --json prints the same tables and totals as
-one JSON document instead.
+one JSON document instead. --tree OLD_SRC first runs the same census on
+the fraclab sources in OLD_SRC, in a child process whose PYTHONPATH is
+OLD_SRC alone, and prints its tables before this tree's; with --json the
+two documents are printed as one list, each under its source path.
 
 Usage: python scripts/census.py [--driver identity|...|all] [--draws 60]
-       [--N 16384] [--seed 2026] [--json]
+       [--N 16384] [--seed 2026] [--json] [--tree OLD_SRC]
 """
 
 import argparse
 import collections
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
+import fraclab
 from fraclab.cli import REFUSED, parse
 from fraclab.experiments import (
     convergence_study, sign_sweep, truncation_bound_probe, verify_identity,
@@ -135,6 +142,38 @@ def print_table(driver, rows, args):
     print(exit_line(exits(rows)))
 
 
+def document(tables, args):
+    """The JSON document of the census tables."""
+    return {
+        "draws": args.draws,
+        "N": args.N,
+        "seed": args.seed,
+        "drivers": {
+            driver: {"rows": rows, "exits": exits(rows)}
+            for driver, rows in tables.items()
+        },
+        "exits": sum(map(exits, tables.values()), collections.Counter()),
+    }
+
+
+def old_tree(tree, args):
+    """What this script prints with args, less --tree, on the fraclab
+    sources in tree."""
+    argv = [
+        "--driver", args.driver, "--draws", str(args.draws),
+        "--N", str(args.N), "--seed", str(args.seed),
+    ] + ["--json"] * args.json
+    res = subprocess.run(
+        [sys.executable, __file__, *argv],
+        env=dict(os.environ, PYTHONPATH=tree),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    if res.returncode:
+        raise SystemExit(f"the census of {tree} exited with status {res.returncode}")
+    return res.stdout
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--driver", choices=[*DRIVERS, "all"], default="identity")
@@ -142,7 +181,13 @@ def main(argv=None):
     parser.add_argument("--N", type=int, default=16384)
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--json", action="store_true")
+    parser.add_argument("--tree", metavar="OLD_SRC")
     args = parser.parse_args(argv)
+    src = str(pathlib.Path(fraclab.__file__).resolve().parent.parent)
+    if args.tree:
+        old = old_tree(args.tree, args)
+        if not args.json:
+            print(f"tree {args.tree}:\n{old}tree {src}:")
     spec = GridSpec(1, 20.0, args.N)
     sources = draws(args.draws, args.seed)
     drivers = list(DRIVERS) if args.driver == "all" else [args.driver]
@@ -151,20 +196,16 @@ def main(argv=None):
         tables[driver] = census(driver, sources, spec)
         if not args.json:
             print_table(driver, tables[driver], args)
-    total = sum(map(exits, tables.values()), collections.Counter())
-    if args.json:
-        print(json.dumps({
-            "draws": args.draws,
-            "N": args.N,
-            "seed": args.seed,
-            "drivers": {
-                driver: {"rows": rows, "exits": exits(rows)}
-                for driver, rows in tables.items()
-            },
-            "exits": total,
-        }, indent=2))
+    doc = document(tables, args)
+    if args.json and args.tree:
+        print(json.dumps([
+            {"src": args.tree, "census": json.loads(old)},
+            {"src": src, "census": doc},
+        ], indent=2))
+    elif args.json:
+        print(json.dumps(doc, indent=2))
     elif args.driver == "all":
-        print(f"all drivers: {exit_line(total)}")
+        print(f"all drivers: {exit_line(doc['exits'])}")
     return 0
 
 

@@ -179,8 +179,9 @@ def _run(builder):
     except REFUSED as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         sys.exit(2)
-    except FraclabError as exc:
-        print(f"experiment failure: {exc}", file=sys.stderr)
+    except (FraclabError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate
+        print(f"experiment failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         sys.exit(1)
 
 

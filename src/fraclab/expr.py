@@ -15,21 +15,20 @@ bump. bump(t) = exp(-1/(1-t^2)) for |t| < 1 and 0 otherwise; it is the one
 compactly supported atom, built in because the grammar has no
 conditionals.
 
-Evaluation takes a numpy array of points for x, so sampling a grid is a
-single vectorized tree walk.
+parse compiles the text, as it reads it, into a function of x; the
+function takes a numpy array of points for x, so sampling a grid is one
+vectorized call.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import ExpressionError
-
-FUNCTIONS = ("exp", "sin", "cos", "abs", "bump")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -46,35 +45,53 @@ _TOKEN_RE = re.compile(
 _MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+def _bump(t):
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < 1.0
+    # evaluate only strictly inside the support; the complement is exactly 0
+    safe = np.where(inside, t, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = np.where(inside, np.exp(-1.0 / (1.0 - safe * safe)), 0.0)
+    return vals
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# function name -> the array function that a call applies
+FUNCTIONS = {
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "abs": np.abs,
+    "bump": _bump,
+}
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAst"
+def _divide(a, b):
+    # a 0-d zero divisor is refused; zeros in an array divisor give inf or
+    # nan entries, which the grid sampler reports by node
+    if np.ndim(b) == 0 and float(b) == 0.0:
+        raise ExpressionError("division by zero")
+    return a / b
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprAst"
-    right: "ExprAst"
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "^": np.power,
+}
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "ExprAst"
+def _unary(apply, operand):
+    """The function of x that applies apply to operand(x)."""
+    return lambda x: apply(operand(x))
 
 
-ExprAst = Union[Num, Var, Neg, BinOp, Call]
+def _binary(op, left, right):
+    """The function of x that applies op to left(x) and right(x), computed
+    in that order."""
+    apply = _OPERATORS[op]
+    return lambda x: apply(left(x), right(x))
 
 
 def _tokenize(source: str):
@@ -113,36 +130,36 @@ class _Parser:
             raise ExpressionError(f"expected {symbol!r}", position=pos)
         return self.advance()
 
-    def parse(self) -> ExprAst:
-        ast = self.expr()
+    def parse(self):
+        f = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExpressionError(
                 f"unexpected trailing input {text!r}", position=pos
             )
-        return ast
+        return f
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def expr(self):
+        f = self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                f = _binary(text, f, self.term())
             else:
-                return node
+                return f
 
-    def term(self) -> ExprAst:
-        node = self.factor()
+    def term(self):
+        f = self.factor()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.factor())
+                f = _binary(text, f, self.factor())
             else:
-                return node
+                return f
 
-    def factor(self) -> ExprAst:
+    def factor(self):
         # every nesting (parentheses, a call argument, unary minus, ^)
         # recurses through here, so self.depth counts the enclosing levels;
         # a parse that raises is abandoned, so only a return restores it
@@ -152,24 +169,25 @@ class _Parser:
         self.depth += 1
         if kind == "op" and text == "-":
             self.advance()
-            node = Neg(self.factor())
+            f = _unary(operator.neg, self.factor())
         else:
-            node = self.power()
+            f = self.power()
         self.depth -= 1
-        return node
+        return f
 
-    def power(self) -> ExprAst:
+    def power(self):
         base = self.primary()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return BinOp("^", base, self.factor())
+            return _binary("^", base, self.factor())
         return base
 
-    def primary(self) -> ExprAst:
+    def primary(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            return lambda x: value
         if kind == "ident":
             nk, nt, npos = self.peek()
             if nk == "op" and nt == "(":
@@ -184,9 +202,9 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(text, arg)
+                return _unary(FUNCTIONS[text], arg)
             if text == "x":
-                return Var("x")
+                return lambda x: x
             if text in FUNCTIONS:
                 raise ExpressionError(
                     f"function {text!r} requires exactly one argument",
@@ -194,74 +212,28 @@ class _Parser:
                 )
             raise ExpressionError(f"unknown identifier {text!r}", position=pos)
         if kind == "op" and text == "(":
-            node = self.expr()
+            f = self.expr()
             self.expect_op(")")
-            return node
+            return f
         raise ExpressionError(
             f"expected a number, identifier or '(', got {text!r}", position=pos
         )
 
 
-def parse(source: str) -> ExprAst:
-    """Parse source text in the variable x into an AST."""
+def parse(source: str) -> Callable:
+    """Compile source text in the variable x into a function of x."""
     if not isinstance(source, str):
         raise ExpressionError("source must be text")
     return _Parser(source).parse()
 
 
-def _bump(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    # evaluate only strictly inside the support; the complement is exactly 0
-    safe = np.where(inside, t, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = np.where(inside, np.exp(-1.0 / (1.0 - safe * safe)), 0.0)
-    return vals
-
-
-_CALL_TABLE = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "abs": np.abs,
-    "bump": _bump,
-}
-
-
-def _eval_node(ast: ExprAst, x):
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Var):
-        return x
-    if isinstance(ast, Neg):
-        return -_eval_node(ast.operand, x)
-    if isinstance(ast, Call):
-        return _CALL_TABLE[ast.func](_eval_node(ast.arg, x))
-    if isinstance(ast, BinOp):
-        a = _eval_node(ast.left, x)
-        b = _eval_node(ast.right, x)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            if np.ndim(b) == 0 and float(b) == 0.0:
-                raise ExpressionError("division by zero")
-            return a / b
-        if ast.op == "^":
-            return np.power(a, b)
-    raise ExpressionError(f"malformed AST node {ast!r}")
-
-
-def evaluate_array(ast: ExprAst, x):
-    """Vectorized evaluation at every entry of the node array x.
+def evaluate_array(f: Callable, x):
+    """Vectorized evaluation of the parsed expression f at every entry of
+    the node array x.
 
     Non-finite entries are the caller's to report (the grid sampler knows
     the node indices).
     """
     with np.errstate(all="ignore"):
-        values = _eval_node(ast, x)
+        values = f(x)
     return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
-

@@ -98,12 +98,10 @@ def _require_same_spec(u: GridFunction, v: GridFunction):
         )
 
 
-def sample(ast, spec: GridSpec) -> GridFunction:
-    """Sample an expression (AST or source text) on every grid node."""
-    if isinstance(ast, str):
-        ast = parse(ast)
+def sample(source: str, spec: GridSpec) -> GridFunction:
+    """Sample the expression source text on every grid node."""
     # GridFunction rejects non-finite samples and names the node index
-    return GridFunction(spec, evaluate_array(ast, spec.axis_nodes()))
+    return GridFunction(spec, evaluate_array(parse(source), spec.axis_nodes()))
 
 
 def truncate(u: GridFunction, mode: str) -> GridFunction:

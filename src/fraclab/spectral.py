@@ -107,9 +107,10 @@ _EVEN_TOL = 1e-12
 _JUMP_FACTOR = {"pos": 1.0, "neg": 1.0, "abs": 2.0}
 _BLOCK = 8192  # negative frequencies per block of alias ghosts
 # from this N on, _dealias builds the ghosts on a second thread while the
-# calling thread transforms, which saves about 10 ms per call. Below it the
-# overlap saves 1-2 ms, too little for the N/2-point ghost per crossing that
-# its store holds beyond the serial loop's 8,192-point blocks.
+# calling thread transforms, which saves about 10 ms per call. Below it a
+# lone overlapped call is faster too (9.45 against 10.5 ms at 2^16 with one
+# crossing, on 2 cores), but with the overlap from N = 8 on, the battery
+# benchmark's median op time rose 14% (ROADMAP item 12), so the gate stays.
 _OVERLAP_N = 2**17
 # and only up to this many crossings, so that the store is no larger than one
 # spectrum. With many crossings the ghosts take longer than the transforms

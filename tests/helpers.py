@@ -46,19 +46,25 @@ def bits(a) -> np.ndarray:
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_child(code: str) -> str:
-    """Run code in a fresh interpreter on this tree's sources; its stdout.
-    Fails the test when the child exits non-zero."""
+def child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this tree's sources; its exit
+    status, stdout and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    res = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_child(code: str) -> str:
+    """The stdout of child(code). Fails the test when the child exits
+    non-zero."""
+    res = child(code)
     assert res.returncode == 0, res.stderr
     return res.stdout

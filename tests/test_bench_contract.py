@@ -65,7 +65,7 @@ import json
 import run
 import workloads
 
-ops = [op for name in ("battery", "fine-grid", "sign-change-mix")
+ops = [op for name in ("battery", "fine-grid", "random-sweep", "sign-change-mix")
        for op in workloads.WORKLOADS[name](42)]
 reference = json.loads(run.REFERENCE.read_text())
 runner = run.Runner(ops)
@@ -94,5 +94,5 @@ def test_seed_42_reports_match_the_benchmark_reference():
     )
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout.splitlines()[-1])
-    assert out["ops"] == 33
+    assert out["ops"] == 43
     assert out["mismatched"] == []

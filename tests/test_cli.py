@@ -11,6 +11,7 @@ from typing import NamedTuple
 import pytest
 
 from fraclab.cli import BODIES, main
+from helpers import child
 
 
 class Result(NamedTuple):
@@ -68,6 +69,20 @@ def test_unwritable_report_path_exits_1_without_traceback(tmp_path):
     assert res.exit_code == 1, res
     last = res.err.splitlines()[-1]
     assert last.startswith(f"experiment failure: cannot write report to {out}")
+
+
+def test_allocation_failure_exits_1_without_traceback():
+    # the child caps its own address space at 4 GiB, so the 8 TiB node
+    # axis of 2^40 nodes cannot be allocated
+    res = child(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from fraclab.cli import main\n"
+        "main(['identity', '--N', str(2**40)])\n"
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("experiment failure: Unable to allocate")
+    assert res.stderr.count("\n") == 1
 
 
 def test_identity_rejects_out_of_range_order():

@@ -7,17 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclab.expr import (
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Var,
-    evaluate_array,
-    parse,
-)
+from fraclab.expr import evaluate_array, parse
 from fraclab.errors import DomainError, ExpressionError
 from fraclab.grid import GridSpec, sample
+from helpers import bits
+
+# negative, zero and positive nodes, with the edges of bump's support
+NODES = np.array([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5])
+
+# source -> the numpy expression that its compiled function must compute
+WRITTEN_OUT = {
+    "x": lambda x: x,
+    "0.7": lambda x: 0.7,
+    "-x": lambda x: -x,
+    "x+0.7": lambda x: x + 0.7,
+    "x-0.7": lambda x: x - 0.7,
+    "x*0.7": lambda x: x * 0.7,
+    "x/0.7": lambda x: x / 0.7,
+    "0.7/x": lambda x: 0.7 / x,
+    "x^3": lambda x: np.power(x, 3.0),
+    "exp(x)": np.exp,
+    "sin(x)": np.sin,
+    "cos(x)": np.cos,
+    "abs(x)": np.abs,
+    "bump(x)": lambda x: np.where(np.abs(x) < 1.0, np.exp(-1.0 / (1.0 - x * x)), 0.0),
+    "x^-2": lambda x: np.power(x, -2.0),
+    "-x^2": lambda x: -np.power(x, 2.0),
+    "2^3^2": lambda x: np.power(2.0, np.power(3.0, 2.0)),
+    "x*exp(-x^2)": lambda x: x * np.exp(-np.power(x, 2.0)),
+}
 
 
 def at(source, x):
@@ -25,19 +43,18 @@ def at(source, x):
     return evaluate_array(parse(source), np.array(x))
 
 
-def test_parse_reference_ast():
-    tree = parse("x*exp(-x^2)")
-    expected = BinOp(
-        "*",
-        Var("x"),
-        Call("exp", Neg(BinOp("^", Var("x"), Num(2.0)))),
-    )
-    assert tree == expected
+@pytest.mark.parametrize("source", WRITTEN_OUT)
+def test_operators_match_numpy_bit_for_bit(source):
+    with np.errstate(all="ignore"):
+        expected = np.broadcast_to(WRITTEN_OUT[source](NODES), NODES.shape)
+    got = evaluate_array(parse(source), NODES)
+    assert got.shape == NODES.shape
+    assert np.array_equal(bits(got), bits(expected.astype(float)))
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert parse("-x^2") == Neg(BinOp("^", Var("x"), Num(2.0)))
     assert at("-x^2", 3.0) == -9.0
+    assert at("-x^2", -3.0) == -9.0
 
 
 def test_power_is_right_associative():
@@ -102,9 +119,9 @@ def test_malformed_inputs_raise():
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="x12+-*/^()., sincoexpabum", max_size=40))
 def test_parser_never_crashes(text):
-    # arbitrary input either parses to an AST or raises the parse error
+    # arbitrary input either compiles to a function or raises the parse error
     try:
-        tree = parse(text)
+        f = parse(text)
     except ExpressionError:
         return
-    assert tree is not None
+    assert callable(f)

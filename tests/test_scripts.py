@@ -12,6 +12,7 @@ import pytest
 from fraclab.cli import BODIES
 from fraclab.reports import ResultRecord
 
+from helpers import SRC
 from oracles import COMPACT_SOURCE, CROSS_FORM, TWO_CROSSING_SOURCE
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -146,6 +147,14 @@ def test_census_json_holds_the_tables_of_all_drivers(capsys):
             *(doc["exits"][k] for k in "012")
         )
     )
+
+
+def test_census_of_the_same_tree_prints_two_equal_documents(capsys):
+    args = ["--tree", str(SRC), "--driver", "all", "--json"]
+    old, new = json.loads("\n".join(_census(args, capsys)))
+    assert old["src"] == new["src"] == str(SRC)
+    assert list(old["census"]["drivers"]) == list(_load("census").DRIVERS)
+    assert old["census"] == new["census"]
 
 
 def test_census_counts_an_estimate_that_lies():
